@@ -7,7 +7,8 @@ sets).  Output formatting is fixed (9 significant digits, '.' decimal,
 '\\n' line endings, ordered rows), so repeated runs are byte-identical
 regardless of worker count.
 
-Exit codes: 0 success, 2 input validation, 3 numerical failure.
+Exit codes: 0 success, 2 input validation, 3 numerical failure (symplectic
+defect above tolerance or a non-finite result).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .dynamics import (
     mi_gain_curve,
 )
 from .entangle import BASIS, bell_phase, classify, filtered_state
-from .errors import FpsError, StepCountTooSmall
+from .errors import FpsError, NumericalFailure
 from .fiber import FiberParams, FrequencyGrid, PumpConfig, normalize_convention
 from .hb import spectrum_hb
 from .lb import _as_x_pump, spectrum_lb
@@ -360,9 +361,11 @@ def _spectrum_task(scenario: Scenario, method: str, length: float, steps: int | 
         f_x, f_y = flux_from_matrices(matrices)
         if swapped:
             f_x, f_y = f_y, f_x
-        extra.append(f"# steps.L={_fmt(length)} = {used_steps}")
+        extra.append(f"# steps.L={_fmt(length)} = {used_steps or 'expm'}")
     else:
         f_x, f_y = _closed_form_flux(scenario, fiber)
+    if not (np.isfinite(f_x).all() and np.isfinite(f_y).all()):
+        raise NumericalFailure(f"{method} flux at L={_fmt(length)} is not finite")
     return extra, f_x, f_y
 
 
@@ -509,7 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="override the scenario method",
             )
         p.add_argument(
-            "--steps", type=int, help="fixed RK4 step count for exact-ode runs"
+            "--steps",
+            type=int,
+            help="run exact-ode with the fixed-step RK4 oracle at this step count "
+            "instead of the matrix exponential",
         )
 
     p_spectrum = sub.add_parser("spectrum", help="flux-density sweep as CSV")
@@ -543,6 +549,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "steps", None) is not None and args.steps < 1:
+            raise ScenarioError(f"--steps must be >= 1, got {args.steps}")
         if args.command == "presets":
             text = run_presets(args)
         else:
@@ -557,7 +565,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"fps: error: {exc}", file=sys.stderr)
         return 2
-    except StepCountTooSmall as exc:
+    except NumericalFailure as exc:
         print(f"fps: numerical failure: {exc}", file=sys.stderr)
         return 3
     except FpsError as exc:

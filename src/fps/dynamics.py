@@ -2,12 +2,18 @@
 
 The coupled-mode equations for the four operators
 (a_x(+Omega), a_x^dag(-Omega), a_y(+Omega), a_y^dag(-Omega)) are linear
-with oscillatory coefficients, d/dz v = A(z) v.  Integrating them yields a
-4x4 Bogoliubov transfer matrix M per detuning; commutator preservation is
-the symplectic condition M J M^dag = J with J = diag(+1,-1,+1,-1), and the
-vacuum photon flux follows from the creation-operator columns of M.  For a
-single-axis pump the 2x2 scalar block has the closed parametric-amplifier
-solution, which doubles as the integrator's analytic oracle.
+with oscillatory coefficients, d/dz v = A(z) v with
+A_jk(z) = C_jk exp(i (phi_k - phi_j) z).  In the frame w_j = exp(i phi_j z) v_j
+the coefficients are constant, so the 4x4 Bogoliubov transfer matrix per
+detuning is exact in closed form,
+M(L) = diag(exp(-i phi L)) expm((C + i diag(phi)) L), computed for a whole
+grid by one batched scaling-and-squaring matrix exponential.  Fixed-step
+RK4 on the same equations is kept as an independent oracle, run when a
+step count is given.  Commutator preservation is the symplectic condition
+M J M^dag = J with J = diag(+1,-1,+1,-1), checked after either propagator;
+the vacuum photon flux follows from the creation-operator columns of M.
+For a single-axis pump the 2x2 scalar block has the closed
+parametric-amplifier solution, which doubles as the analytic oracle.
 """
 
 from __future__ import annotations
@@ -18,19 +24,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PumpNotOnAxis, StepCountTooSmall, ZeroDispersion, ZeroGain
+from .errors import (
+    NumericalFailure,
+    PumpNotOnAxis,
+    StepCountTooSmall,
+    ZeroDispersion,
+    ZeroGain,
+)
 from .fiber import FiberParams, FrequencyGrid, PumpConfig
 from .hb import SpectrumRecord
 
 #: Bogoliubov metric in the (a_x, a_x^dag, a_y, a_y^dag) basis.
 J_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
 
-#: Fixed-step RK4 policy: steps = max(MIN_STEPS, ceil(K_STEP * L * kappa))
+#: Fixed-step RK4 oracle policy: steps = max(MIN_STEPS, ceil(K_STEP * L * kappa))
 #: where kappa is the largest coupling magnitude plus the largest phase
 #: rate over the batch.  K_STEP is calibrated so the symplectic defect
 #: stays below DEFECT_TARGET on the acceptance parameter sets; the phase
 #: rate must enter kappa because the oscillation, not the coupling
-#: strength, limits the step size.
+#: strength, limits the step size.  DEFECT_LIMIT bounds the defect that
+#: either propagator may return.
 MIN_STEPS = 1000
 K_STEP = 20.0
 DEFECT_TARGET = 1e-9
@@ -141,6 +154,17 @@ def symplectic_defect(matrix: np.ndarray) -> float:
     return float(np.abs(prod - J_METRIC).max())
 
 
+def _mode_offsets(rate: np.ndarray) -> np.ndarray:
+    """Per-mode wave-number offsets phi with rate[j, k] = phi[k] - phi[j].
+
+    phi = (0, R01, R02, R02 + R23) holds on every entry where the coupling
+    is nonzero, in both regimes (LB has no cross-axis coupling, so its
+    R02 = 0 is a free choice).  Shape omegas.shape + (4,).
+    """
+    r01, r02, r23 = rate[..., 0, 1], rate[..., 0, 2], rate[..., 2, 3]
+    return np.stack([np.zeros_like(r01), r01, r02, r02 + r23], axis=-1)
+
+
 def integrate_transfer_grid(
     fiber: FiberParams,
     pump: PumpConfig,
@@ -149,51 +173,65 @@ def integrate_transfer_grid(
     steps: int | None = None,
     check_defect: bool = True,
 ) -> tuple[np.ndarray, int]:
-    """Integrate the transfer matrices for a batch of detunings.
+    """Transfer matrices for a batch of detunings.
 
-    Fixed-step RK4 in the rotating frame, one shared step count for the
-    whole batch (from `default_step_count` unless given).  The phase
-    factors exp(i R z) are advanced incrementally by half-step multipliers,
-    so each step costs two elementwise updates and four batched 4x4
+    Without `steps`, the exact rotating-frame propagator
+    M(L) = diag(exp(-i phi L)) expm((C + i diag(phi)) L) for the whole batch
+    in one `scipy.linalg.expm` call (scaling and squaring, accurate also at
+    the MI band edge where eigenvectors coalesce); the returned step count
+    is 0.  With `steps`, fixed-step RK4 with that shared step count, the
+    independent oracle (`default_step_count` sizes one): the phase factors
+    exp(i R z) are advanced incrementally by half-step multipliers, so each
+    step costs two elementwise updates and four batched 4x4
     multiplications.  Returns (matrices, steps) with matrices of shape
     omegas.shape + (4, 4).
 
-    Raises StepCountTooSmall when the post-hoc symplectic defect exceeds
-    DEFECT_LIMIT.
+    The symplectic defect is checked afterwards: a defect above
+    DEFECT_LIMIT, or a non-finite one, raises StepCountTooSmall for RK4 and
+    NumericalFailure for the matrix exponential.
     """
     omegas = np.asarray(omegas, dtype=float)
     coeff, rate = _coefficient_factors(fiber, pump, regime, omegas)
-    if steps is None:
-        kappa = float(np.abs(coeff).max() + np.abs(rate).max())
-        steps = max(MIN_STEPS, math.ceil(K_STEP * fiber.length * kappa))
-    if steps < 1:
+    if steps is not None and steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    h = fiber.length / steps
     matrices = np.zeros(omegas.shape + (4, 4), dtype=complex)
     matrices[...] = np.eye(4)
     if fiber.length == 0:
-        return matrices, steps
-    phase = np.ones_like(coeff)
-    half_step_factor = np.exp(1j * rate * (0.5 * h))
-    for _ in range(steps):
-        a_start = coeff * phase
-        phase_mid = phase * half_step_factor
-        a_mid = coeff * phase_mid
-        phase = phase_mid * half_step_factor
-        a_end = coeff * phase
-        k1 = a_start @ matrices
-        k2 = a_mid @ (matrices + (0.5 * h) * k1)
-        k3 = a_mid @ (matrices + (0.5 * h) * k2)
-        k4 = a_end @ (matrices + h * k3)
-        matrices = matrices + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return matrices, steps or 0
+    if steps is None:
+        from scipy.linalg import expm
+
+        phi = _mode_offsets(rate)
+        generator = coeff + 1j * phi[..., None] * np.eye(4)
+        matrices = np.exp(-1j * phi * fiber.length)[..., None] * expm(
+            generator * fiber.length
+        )
+        error, propagator = NumericalFailure, "the matrix exponential"
+    else:
+        h = fiber.length / steps
+        phase = np.ones_like(coeff)
+        half_step_factor = np.exp(1j * rate * (0.5 * h))
+        for _ in range(steps):
+            a_start = coeff * phase
+            phase_mid = phase * half_step_factor
+            a_mid = coeff * phase_mid
+            phase = phase_mid * half_step_factor
+            a_end = coeff * phase
+            k1 = a_start @ matrices
+            k2 = a_mid @ (matrices + (0.5 * h) * k1)
+            k3 = a_mid @ (matrices + (0.5 * h) * k2)
+            k4 = a_end @ (matrices + h * k3)
+            matrices = matrices + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        error, propagator = StepCountTooSmall, f"{steps} steps"
     if check_defect:
         defect = symplectic_defect(matrices)
-        if defect > DEFECT_LIMIT:
-            raise StepCountTooSmall(
+        # NaN (from an overflowed matrix) must fail too, hence "not <=".
+        if not defect <= DEFECT_LIMIT:
+            raise error(
                 f"symplectic defect {defect:.3e} exceeds {DEFECT_LIMIT:.1e} "
-                f"with {steps} steps"
+                f"with {propagator}"
             )
-    return matrices, steps
+    return matrices, steps or 0
 
 
 def integrate_transfer(

@@ -25,7 +25,11 @@ class NoFarDetunedPeak(FpsError):
     """delta_beta0 * beta2 <= 0: the LB sinc argument has no real zero."""
 
 
-class StepCountTooSmall(FpsError):
+class NumericalFailure(FpsError):
+    """A computed result is not finite or breaks an invariant beyond tolerance."""
+
+
+class StepCountTooSmall(NumericalFailure):
     """Integration step count left a symplectic defect above tolerance."""
 
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fps import PumpConfig, flux_hb
 from fps.cli import PRESETS, load_scenario, main
@@ -148,6 +153,107 @@ def test_spectrum_undersized_step_count_fails(capsys):
     )
     assert rc == 3
     assert "numerical failure" in err
+
+
+OVERFLOW_SCENARIO = {
+    # g*L = 450: exact fluxes of order e^900 are beyond double range
+    "fiber": {"gamma_per_W_km": 3.0, "beta2_ps2_per_km": -20.0, "length_km": 500.0},
+    "pump": {"p0x_W": 0.3},
+    "grid": {"omega_min": -0.3, "omega_max": 0.3, "n_points": 2},
+    "regime": "HB",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--method", "exact-ode"),
+        ("spectrum", "--method", "exact-ode", "--steps", "200"),
+        ("spectrum", "--method", "closed-form"),
+        ("spectrum", "--method", "all"),
+        ("compare",),
+    ],
+)
+def test_overflow_is_a_numerical_failure(tmp_path, capsys, argv):
+    path = write_scenario(tmp_path, OVERFLOW_SCENARIO)
+    rc, out, err = run(capsys, *argv, "--scenario", path)
+    assert rc == 3
+    assert "numerical failure" in err
+    assert "inf" not in out and "nan" not in out
+
+
+@pytest.mark.parametrize("steps", ["0", "-4"])
+def test_nonpositive_steps_rejected(capsys, steps):
+    rc, out, err = run(
+        capsys, "spectrum", "--preset", "fig1a", "--method", "exact-ode", "--steps", steps
+    )
+    assert rc == 2
+    assert err.startswith("fps: error: --steps")
+    assert out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    gamma=st.floats(min_value=0.01, max_value=50.0),
+    beta2=st.floats(min_value=-200.0, max_value=200.0),
+    delta_beta0=st.floats(min_value=-3000.0, max_value=3000.0),
+    delta_beta1=st.floats(min_value=-500.0, max_value=500.0),
+    p0x=st.floats(min_value=0.0, max_value=30.0),
+    p0y=st.floats(min_value=0.0, max_value=30.0),
+    theta0x=st.floats(min_value=-4.0, max_value=4.0),
+    omega_a=st.floats(min_value=-200.0, max_value=200.0),
+    omega_b=st.floats(min_value=-200.0, max_value=200.0),
+    n_points=st.integers(min_value=2, max_value=16),
+    lengths=st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=3),
+    regime=st.sampled_from(["HB", "LB"]),
+)
+def test_extreme_scenarios_exit_cleanly(
+    gamma, beta2, delta_beta0, delta_beta1, p0x, p0y, theta0x,
+    omega_a, omega_b, n_points, lengths, regime,
+):
+    """Any accepted scenario gives finite output, exit 2 or exit 3."""
+    scenario = {
+        "fiber": {
+            "gamma_per_W_km": gamma,
+            "beta2_ps2_per_km": beta2,
+            "delta_beta0_per_km": delta_beta0,
+            "delta_beta1_ps_per_km": delta_beta1,
+            "length_km": lengths[0],
+        },
+        "pump": {"p0x_W": p0x, "p0y_W": p0y, "theta0x_rad": theta0x},
+        "grid": {
+            "omega_min": min(omega_a, omega_b),
+            "omega_max": max(omega_a, omega_b),
+            "n_points": n_points,
+        },
+        "regime": regime,
+        "lengths_km": lengths,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        out = os.path.join(tmp, "out.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(scenario, handle)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(
+                ["spectrum", "--scenario", path, "--method", "all", "--out", out]
+            )
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            with open(out, encoding="utf-8") as handle:
+                _, rows = data_rows(handle.read())
+            values = np.array([[float(v) for v in row[:3]] for row in rows])
+            assert np.isfinite(values).all()
+        else:
+            assert not os.path.exists(out)
 
 
 def test_spectrum_exact_preset_reports_steps(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fps import (
     FiberParams,
+    NumericalFailure,
     PumpConfig,
     PumpNotOnAxis,
     StepCountTooSmall,
@@ -186,6 +187,65 @@ def test_step_count_too_small_raises():
         fiber, pump, "HB", np.array([15.0]), steps=25, check_defect=False
     )
     assert symplectic_defect(mats) > 1e-6
+
+
+ORACLE_CASES = {
+    "fig2-phases": (
+        FiberParams(gamma=3.0, beta2=15.0, length=0.1, delta_beta1=200.0),
+        PumpConfig(p0x=0.15, p0y=0.15, theta0x=0.4, theta0y=-1.1),
+        "HB",
+        np.array([-13.3, -1.0, 1.0, 7.0, 13.3]),
+    ),
+    "fig3": (
+        FiberParams(gamma=36.0, beta2=-139.0, length=0.00045, delta_beta1=400.0),
+        PumpConfig(p0x=20.0, p0y=20.0),
+        "HB",
+        np.linspace(-10.0, 10.0, 9),
+    ),
+    "fig4a-lb": (
+        FiberParams(gamma=3.0, beta2=5.0, length=0.05, delta_beta0=2000.0),
+        PumpConfig(p0x=1.0),
+        "LB",
+        np.array([-32.0, -28.3, -10.0, 0.5, 10.0, 28.0, 28.3, 32.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_expm_matches_rk4_oracle(case):
+    fiber, pump, regime, omegas = ORACLE_CASES[case]
+    exact, steps = integrate_transfer_grid(fiber, pump, regime, omegas)
+    assert steps == 0
+    oracle_steps = default_step_count(fiber, pump, regime, omegas)
+    oracle, used = integrate_transfer_grid(fiber, pump, regime, omegas, steps=oracle_steps)
+    assert used == oracle_steps
+    assert np.abs(exact - oracle).max() <= 1e-10
+    assert symplectic_defect(exact) <= 1e-12
+
+
+def test_expm_at_band_edge_and_high_gain():
+    # gamma*P = 1, |beta2| = 1: lambda = 0 exactly at Omega = 0 and at the
+    # band edge Omega = 2, where eigenvectors coalesce; g*L = 5 at sqrt(2).
+    fiber = FiberParams(gamma=1.0, beta2=-1.0, length=5.0)
+    omegas = np.array([0.0, mi_support_edge(fiber, 1.0), math.sqrt(2.0)])
+    assert omegas[1] == 2.0
+    assert mi_gain(fiber, 1.0, omegas[2]) * fiber.length == pytest.approx(5.0)
+    mats, _ = integrate_transfer_grid(fiber, PumpConfig(p0x=1.0), "HB", omegas)
+    f_x, _ = flux_from_matrices(mats)
+    np.testing.assert_allclose(f_x, exact_scalar_flux(fiber, 1.0, omegas), rtol=1e-10)
+
+
+def test_overflowed_transfer_fails_defect_check():
+    # g*L = 450: the matrices overflow, so the defect is NaN, not small
+    fiber = FiberParams(gamma=3.0, beta2=-20.0, length=500.0)
+    pump = PumpConfig(p0x=0.3)
+    omegas = np.array([-0.3, 0.3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure) as info:
+            integrate_transfer_grid(fiber, pump, "HB", omegas)
+        assert not isinstance(info.value, StepCountTooSmall)
+        with pytest.raises(StepCountTooSmall):
+            integrate_transfer_grid(fiber, pump, "HB", omegas, steps=200)
 
 
 def test_step_policy_floor_and_growth():
