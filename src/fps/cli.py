@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from .entangle import BASIS, bell_phase, classify, filtered_state
 from .errors import FpsError, NumericalFailure
 from .fiber import FiberParams, FrequencyGrid, PumpConfig, normalize_convention
 from .hb import spectrum_hb
-from .lb import _as_x_pump, spectrum_lb
+from .lb import as_x_pump, spectrum_lb
 
 METHOD_ORDER = ("first-order", "exact-ode", "closed-form")
 
@@ -328,7 +327,7 @@ def _closed_form_flux(scenario: Scenario, fiber: FiberParams):
     pump = scenario.pump
     omegas = scenario.grid.omegas
     if scenario.regime == "LB":
-        fiber_x, pump_x, swapped = _as_x_pump(fiber, pump)
+        fiber_x, pump_x, swapped = as_x_pump(fiber, pump)
         f_pump = exact_scalar_flux(fiber_x, pump_x.p0x, omegas)
         f_orth = exact_lb_orthogonal_flux(fiber_x, pump_x.p0x, omegas)
         return (f_orth, f_pump) if swapped else (f_pump, f_orth)
@@ -352,7 +351,7 @@ def _spectrum_task(scenario: Scenario, method: str, length: float, steps: int | 
     elif method == "exact-ode":
         pump = scenario.pump
         if scenario.regime == "LB":
-            fiber, pump, swapped = _as_x_pump(fiber, pump)
+            fiber, pump, swapped = as_x_pump(fiber, pump)
         else:
             swapped = False
         matrices, used_steps = integrate_transfer_grid(
@@ -375,19 +374,9 @@ def run_spectrum(scenario: Scenario, resolved: dict, origin: list[str], args) ->
         if scenario.pump.p0x != 0 and scenario.pump.p0y != 0:
             methods = ("first-order", "exact-ode")
     tasks = [(method, length) for method in methods for length in scenario.lengths]
-    workers = max(1, args.workers)
-    if workers == 1:
-        results = [
-            _spectrum_task(scenario, method, length, args.steps) for method, length in tasks
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda task: _spectrum_task(scenario, task[0], task[1], args.steps),
-                    tasks,
-                )
-            )
+    results = [
+        _spectrum_task(scenario, method, length, args.steps) for method, length in tasks
+    ]
     lines = _header_lines("spectrum", origin, resolved)
     for extra, _, _ in results:
         lines.extend(extra)
@@ -521,7 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum = sub.add_parser("spectrum", help="flux-density sweep as CSV")
     add_common(p_spectrum)
     p_spectrum.add_argument(
-        "--workers", type=int, default=1, help="parallel (method, length) tasks"
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; tasks run in turn and the output "
+        "does not depend on it",
     )
 
     p_compare = sub.add_parser("compare", help="first-order vs exact deviations as JSON")
@@ -551,17 +544,20 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "steps", None) is not None and args.steps < 1:
             raise ScenarioError(f"--steps must be >= 1, got {args.steps}")
-        if args.command == "presets":
-            text = run_presets(args)
-        else:
-            scenario, resolved, origin = _resolve_scenario(args)
-            runner = {
-                "spectrum": run_spectrum,
-                "compare": run_compare,
-                "classify": run_classify,
-                "mi": run_mi,
-            }[args.command]
-            text = runner(scenario, resolved, origin, args)
+        # Overflow and NaN are reported by the finiteness guard and the
+        # defect check, as one exit-3 line rather than numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "presets":
+                text = run_presets(args)
+            else:
+                scenario, resolved, origin = _resolve_scenario(args)
+                runner = {
+                    "spectrum": run_spectrum,
+                    "compare": run_compare,
+                    "classify": run_classify,
+                    "mi": run_mi,
+                }[args.command]
+                text = runner(scenario, resolved, origin, args)
     except ScenarioError as exc:
         print(f"fps: error: {exc}", file=sys.stderr)
         return 2

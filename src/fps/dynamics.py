@@ -24,14 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NumericalFailure,
-    PumpNotOnAxis,
-    StepCountTooSmall,
-    ZeroDispersion,
-    ZeroGain,
-)
-from .fiber import FiberParams, FrequencyGrid, PumpConfig
+from .errors import NumericalFailure, StepCountTooSmall, ZeroDispersion, ZeroGain
+from .fiber import FiberParams, FrequencyGrid, PumpConfig, coupling_table
 from .hb import SpectrumRecord
 
 #: Bogoliubov metric in the (a_x, a_x^dag, a_y, a_y^dag) basis.
@@ -42,8 +36,8 @@ J_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
 #: rate over the batch.  K_STEP is calibrated so the symplectic defect
 #: stays below DEFECT_TARGET on the acceptance parameter sets; the phase
 #: rate must enter kappa because the oscillation, not the coupling
-#: strength, limits the step size.  DEFECT_LIMIT bounds the defect that
-#: either propagator may return.
+#: strength, limits the step size.  DEFECT_LIMIT bounds the defect, relative
+#: to max(1, max |M|^2) per matrix, that either propagator may return.
 MIN_STEPS = 1000
 K_STEP = 20.0
 DEFECT_TARGET = 1e-9
@@ -72,62 +66,21 @@ def _coefficient_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split A(z) = C * exp(i R z) into constant coefficients and phase rates.
 
+    The independent entries come from `coupling_table`; A = -J A^dag J
+    fills the rest: C_kj = -J_j J_k conj(C_jk) and R_kj = -R_jk.
     Returns (C, R) with shape omegas.shape + (4, 4); C is complex, R real.
     """
     w = np.asarray(omegas, dtype=float)
     shape = w.shape + (4, 4)
     coeff = np.zeros(shape, dtype=complex)
     rate = np.zeros(shape, dtype=float)
-    g = fiber.gamma
-    b2w2 = fiber.beta2 * w**2
-    if regime == "HB":
-        px, py = pump.p0x, pump.p0y
-        tx, ty = pump.theta0x, pump.theta0y
-        p0 = px + py
-        s = (2.0 / 3.0) * g * math.sqrt(px * py)
-        d1w = fiber.delta_beta1 * w
-        coeff[..., 0, 1] = 1j * g * px * np.exp(2j * tx)
-        rate[..., 0, 1] = -(b2w2 + 2.0 * g * px)
-        coeff[..., 0, 2] = 1j * s * np.exp(1j * (tx - ty))
-        rate[..., 0, 2] = -(d1w + g * (px - py))
-        coeff[..., 0, 3] = 1j * s * np.exp(1j * (tx + ty))
-        rate[..., 0, 3] = -(d1w + b2w2 + g * p0)
-        coeff[..., 1, 0] = -1j * g * px * np.exp(-2j * tx)
-        rate[..., 1, 0] = b2w2 + 2.0 * g * px
-        coeff[..., 1, 2] = -1j * s * np.exp(-1j * (tx + ty))
-        rate[..., 1, 2] = -d1w + b2w2 + g * p0
-        coeff[..., 1, 3] = -1j * s * np.exp(-1j * (tx - ty))
-        rate[..., 1, 3] = -d1w + g * (px - py)
-        coeff[..., 2, 0] = 1j * s * np.exp(1j * (ty - tx))
-        rate[..., 2, 0] = -(-d1w + g * (py - px))
-        coeff[..., 2, 1] = 1j * s * np.exp(1j * (tx + ty))
-        rate[..., 2, 1] = -(-d1w + b2w2 + g * p0)
-        coeff[..., 2, 3] = 1j * g * py * np.exp(2j * ty)
-        rate[..., 2, 3] = -(b2w2 + 2.0 * g * py)
-        coeff[..., 3, 0] = -1j * s * np.exp(-1j * (tx + ty))
-        rate[..., 3, 0] = d1w + b2w2 + g * p0
-        coeff[..., 3, 1] = -1j * s * np.exp(-1j * (ty - tx))
-        rate[..., 3, 1] = d1w + g * (py - px)
-        coeff[..., 3, 2] = -1j * g * py * np.exp(-2j * ty)
-        rate[..., 3, 2] = b2w2 + 2.0 * g * py
-    elif regime == "LB":
-        if pump.p0y != 0:
-            raise PumpNotOnAxis(
-                f"LB coefficients require the pump on the x axis, got p0y = {pump.p0y}"
-            )
-        p0, t0 = pump.p0x, pump.theta0x
-        wx = b2w2 + 2.0 * g * p0
-        wy = b2w2 - (2.0 / 3.0) * g * p0 - 2.0 * fiber.delta_beta0
-        coeff[..., 0, 1] = 1j * g * p0 * np.exp(2j * t0)
-        rate[..., 0, 1] = -wx
-        coeff[..., 1, 0] = -1j * g * p0 * np.exp(-2j * t0)
-        rate[..., 1, 0] = wx
-        coeff[..., 2, 3] = 1j * (g * p0 / 3.0) * np.exp(2j * t0)
-        rate[..., 2, 3] = -wy
-        coeff[..., 3, 2] = -1j * (g * p0 / 3.0) * np.exp(-2j * t0)
-        rate[..., 3, 2] = wy
-    else:
-        raise ValueError(f"regime must be 'HB' or 'LB', got {regime!r}")
+    for (j, k), entry in coupling_table(fiber, pump, regime).items():
+        c = 1j * entry.c * np.exp(1j * entry.theta)
+        same_metric = J_METRIC[j, j] == J_METRIC[k, k]
+        coeff[..., j, k] = c
+        coeff[..., k, j] = -np.conj(c) if same_metric else np.conj(c)
+        rate[..., j, k] = entry.rate(fiber, w)
+        rate[..., k, j] = -rate[..., j, k]
     return coeff, rate
 
 
@@ -148,10 +101,26 @@ def default_step_count(
     return max(MIN_STEPS, math.ceil(K_STEP * fiber.length * kappa))
 
 
+def _metric_residual(matrix: np.ndarray) -> np.ndarray:
+    """|M J M^dag - J| entrywise over a (..., 4, 4) stack."""
+    prod = (matrix * np.diag(J_METRIC)) @ matrix.conj().swapaxes(-1, -2)
+    return np.abs(prod - J_METRIC)
+
+
 def symplectic_defect(matrix: np.ndarray) -> float:
     """Largest entry of |M J M^dag - J| over a (..., 4, 4) stack."""
-    prod = (matrix * np.diag(J_METRIC)) @ matrix.conj().swapaxes(-1, -2)
-    return float(np.abs(prod - J_METRIC).max())
+    return float(_metric_residual(matrix).max())
+
+
+def _relative_defect(matrix: np.ndarray) -> float:
+    """Largest per-matrix defect relative to max(1, max |M|^2).
+
+    Roundoff in M J M^dag grows like eps * |M|^2, so an absolute bound would
+    reject accurate matrices at high parametric gain.
+    """
+    residual = _metric_residual(matrix).max(axis=(-2, -1))
+    scale = np.maximum(1.0, (np.abs(matrix) ** 2).max(axis=(-2, -1)))
+    return float((residual / scale).max())
 
 
 def _mode_offsets(rate: np.ndarray) -> np.ndarray:
@@ -186,9 +155,10 @@ def integrate_transfer_grid(
     multiplications.  Returns (matrices, steps) with matrices of shape
     omegas.shape + (4, 4).
 
-    The symplectic defect is checked afterwards: a defect above
-    DEFECT_LIMIT, or a non-finite one, raises StepCountTooSmall for RK4 and
-    NumericalFailure for the matrix exponential.
+    The symplectic defect of each matrix, relative to max(1, max |M|^2), is
+    checked afterwards: one above DEFECT_LIMIT, or a non-finite one, raises
+    StepCountTooSmall for RK4 and NumericalFailure for the matrix
+    exponential.
     """
     omegas = np.asarray(omegas, dtype=float)
     coeff, rate = _coefficient_factors(fiber, pump, regime, omegas)
@@ -224,11 +194,11 @@ def integrate_transfer_grid(
             matrices = matrices + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         error, propagator = StepCountTooSmall, f"{steps} steps"
     if check_defect:
-        defect = symplectic_defect(matrices)
+        defect = _relative_defect(matrices)
         # NaN (from an overflowed matrix) must fail too, hence "not <=".
         if not defect <= DEFECT_LIMIT:
             raise error(
-                f"symplectic defect {defect:.3e} exceeds {DEFECT_LIMIT:.1e} "
+                f"relative symplectic defect {defect:.3e} exceeds {DEFECT_LIMIT:.1e} "
                 f"with {propagator}"
             )
     return matrices, steps or 0

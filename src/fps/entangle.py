@@ -18,9 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyState, PumpNotOnAxis, StimulatedOrderingWarning
-from .fiber import FiberParams, PumpConfig
-from .hb import Channel, total_scatter_probability, xi_hb
-from .lb import xi_lb_yy
+from .fiber import FiberParams, PumpConfig, coupling_table
+from .hb import Channel, first_order_amplitude, total_scatter_probability, xi_hb
 
 #: Minimum concurrence for calling a two-scalar-coefficient state bell-like.
 BELL_CONCURRENCE_MIN = 0.99
@@ -79,20 +78,16 @@ def filtered_state(
         raise ValueError(f"omega must be > 0, got {omega}")
     if not duration > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-    if regime == "HB":
-        raw = np.array(
-            [xi_hb(fiber, pump, channel, omega) for channel in Channel],
-            dtype=complex,
-        )
-    elif regime == "LB":
-        if pump.p0y != 0:
-            raise PumpNotOnAxis(f"LB state requires an x-axis pump, got p0y = {pump.p0y}")
-        raw = np.array(
-            [xi_hb(fiber, pump, Channel.XX, omega), xi_lb_yy(fiber, pump, omega), 0.0, 0.0],
-            dtype=complex,
-        )
-    else:
-        raise ValueError(f"regime must be 'HB' or 'LB', got {regime!r}")
+    table = coupling_table(fiber, pump, regime)
+    raw = np.array(
+        [
+            first_order_amplitude(table[channel.value], fiber, omega)
+            if channel.value in table
+            else 0.0
+            for channel in Channel
+        ],
+        dtype=complex,
+    )
     norm_sq = float(np.sum(np.abs(raw) ** 2))
     if norm_sq == 0:
         raise EmptyState(f"all four amplitudes vanish at omega = {omega}")

@@ -10,12 +10,13 @@ amplitudes in sqrt(ps).
 
 from __future__ import annotations
 
-import hashlib
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBirefringence, ZeroPower
+from .errors import DegenerateBirefringence, PumpNotOnAxis, ZeroPower
 
 
 @dataclass(frozen=True)
@@ -165,17 +166,13 @@ def cpm_phase(gamma: float, p_same: float, p_orth: float, z: float) -> float:
     return 2.0 * gamma * (p_same + p_orth / 3.0) * z
 
 
-def normalize_convention(
-    fiber: FiberParams, pump: PumpConfig
-) -> tuple[FiberParams, PumpConfig]:
-    """Return (fiber, pump) relabeled so that delta_beta1 >= 0.
+def swap_axes(fiber: FiberParams, pump: PumpConfig) -> tuple[FiberParams, PumpConfig]:
+    """Relabel the optical axes x <-> y.
 
-    Swapping the axis labels x <-> y flips the signs of both mismatch
-    parameters and exchanges the pump components; the old x-axis inverse
-    group velocity becomes the new reference.
+    Swapping the labels flips the signs of both mismatch parameters and
+    exchanges the pump components; the old x-axis inverse group velocity
+    becomes the new reference.
     """
-    if fiber.delta_beta1 >= 0:
-        return fiber, pump
     swapped_fiber = FiberParams(
         gamma=fiber.gamma,
         beta2=fiber.beta2,
@@ -194,7 +191,76 @@ def normalize_convention(
     return swapped_fiber, swapped_pump
 
 
-def params_hash(*parts: object) -> str:
-    """Deterministic provenance token for a set of parameter objects."""
-    digest = hashlib.sha256(repr(parts).encode("ascii"))
-    return digest.hexdigest()[:16]
+def normalize_convention(
+    fiber: FiberParams, pump: PumpConfig
+) -> tuple[FiberParams, PumpConfig]:
+    """Return (fiber, pump) relabeled by `swap_axes` so that delta_beta1 >= 0."""
+    if fiber.delta_beta1 >= 0:
+        return fiber, pump
+    return swap_axes(fiber, pump)
+
+
+class Coupling(NamedTuple):
+    """One independent entry A_jk(z) = C exp(i R z) of the coupled-mode generator.
+
+    The coupling C = i*c*exp(i*theta) is constant (c signed, 1/km); the
+    phase rate is R(Omega) = -(s*delta_beta1*Omega + t*beta2*Omega^2 + k
+    + d*delta_beta0) in 1/km, with k the Kerr term.
+    """
+
+    c: float
+    theta: float
+    s: float
+    t: float
+    k: float
+    d: float = 0.0
+
+    def rate(self, fiber: FiberParams, omega):
+        """Phase rate R(Omega) in 1/km, with the shape of omega.
+
+        Terms with a zero selector are left out rather than added as zeros,
+        so every rate keeps the rounding of its written-out formula.
+        """
+        w = np.asarray(omega, dtype=float)
+        terms = [self.s * fiber.delta_beta1 * w] if self.s else []
+        if self.t:
+            terms.append(self.t * fiber.beta2 * w**2)
+        terms.append(self.k)
+        if self.d:
+            terms.append(self.d * fiber.delta_beta0)
+        return -sum(terms[1:], terms[0])
+
+
+def coupling_table(
+    fiber: FiberParams, pump: PumpConfig, regime: str
+) -> dict[tuple[int, int], Coupling]:
+    """Independent entries of the coupled-mode generator, keyed by (row, column).
+
+    Basis (a_x(+Omega), a_x^dag(-Omega), a_y(+Omega), a_y^dag(-Omega)).  The
+    pair channels are XX (0, 1), YY (2, 3), XY (0, 3) and YX (2, 1); in HB
+    the entries (0, 2) and (1, 3) convert frequency between the axes.  The
+    remaining entries follow from the Bogoliubov structure A = -J A^dag J.
+    LB needs the pump on x and keeps the scalar channel plus the orthogonal
+    channel (2, 3), which the linear birefringence mismatches.
+    """
+    g = fiber.gamma
+    px, py, tx, ty = pump.p0x, pump.p0y, pump.theta0x, pump.theta0y
+    xx = Coupling(g * px, 2.0 * tx, s=0.0, t=1.0, k=2.0 * g * px)
+    if regime == "LB":
+        if py != 0:
+            raise PumpNotOnAxis(f"regime LB requires the pump on x, got p0y = {py}")
+        kerr_yy = -(2.0 / 3.0) * g * px
+        yy = Coupling(g * px / 3.0, 2.0 * tx, s=0.0, t=1.0, k=kerr_yy, d=-2.0)
+        return {(0, 1): xx, (2, 3): yy}
+    if regime != "HB":
+        raise ValueError(f"regime must be 'HB' or 'LB', got {regime!r}")
+    cross = (2.0 / 3.0) * g * math.sqrt(px * py)
+    kerr = g * (px + py)
+    return {
+        (0, 1): xx,
+        (2, 3): Coupling(g * py, 2.0 * ty, s=0.0, t=1.0, k=2.0 * g * py),
+        (0, 3): Coupling(cross, tx + ty, s=1.0, t=1.0, k=kerr),
+        (2, 1): Coupling(cross, tx + ty, s=-1.0, t=1.0, k=kerr),
+        (0, 2): Coupling(cross, tx - ty, s=1.0, t=0.0, k=g * (px - py)),
+        (1, 3): Coupling(-cross, ty - tx, s=1.0, t=0.0, k=g * (py - px)),
+    }

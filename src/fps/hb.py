@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import DegenerateBirefringence, ZeroDispersion, ZeroPower
-from .fiber import FiberParams, FrequencyGrid, PumpConfig, params_hash
+from .errors import DegenerateBirefringence, ZeroDispersion
+from .fiber import (
+    Coupling,
+    FiberParams,
+    FrequencyGrid,
+    PumpConfig,
+    alpha_param,
+    coupling_table,
+)
 
 #: Below this argument magnitude sin(u)/u is evaluated by series to avoid
 #: catastrophic cancellation near phase matching.
@@ -26,22 +32,15 @@ _SINC_SERIES_CUTOFF = 1e-8
 
 
 class Channel(enum.Enum):
-    """Scattering channel: first letter anti-Stokes axis, second Stokes axis."""
+    """Scattering channel: first letter anti-Stokes axis, second Stokes axis.
 
-    XX = "xx"
-    YY = "yy"
-    XY = "xy"
-    YX = "yx"
+    The value is the channel's (row, column) entry in `fiber.coupling_table`.
+    """
 
-
-@dataclass(frozen=True, eq=False)
-class TwoPhotonAmplitude:
-    """Complex pair amplitude for one channel on a frequency grid."""
-
-    channel: Channel
-    grid: FrequencyGrid
-    values: np.ndarray
-    params_hash: str
+    XX = (0, 1)
+    YY = (2, 3)
+    XY = (0, 3)
+    YX = (2, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,28 +56,32 @@ class SpectrumRecord:
 
 def sinc(u):
     """sin(u)/u with the removable singularity handled by series."""
+    if np.ndim(u) == 0:
+        # Same arithmetic as the array form, without its per-call overhead,
+        # which dominates the scalar amplitudes of `filtered_state`.
+        u = float(u)
+        return 1.0 - u * u / 6.0 if abs(u) < _SINC_SERIES_CUTOFF else float(np.sin(u) / u)
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < _SINC_SERIES_CUTOFF
     safe = np.where(small, 1.0, u)
-    result = np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
-    if result.ndim == 0:
-        return float(result)
-    return result
+    return np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
 
 
-def _sinc_argument(fiber: FiberParams, pump: PumpConfig, channel: Channel, omega):
-    """Phase-mismatch sinc argument of the given channel, evaluated at L/2."""
-    omega = np.asarray(omega, dtype=float)
-    half_l = 0.5 * fiber.length
-    b2w2 = fiber.beta2 * omega**2
-    if channel is Channel.XX:
-        return (b2w2 + 2.0 * fiber.gamma * pump.p0x) * half_l
-    if channel is Channel.YY:
-        return (b2w2 + 2.0 * fiber.gamma * pump.p0y) * half_l
-    gp0 = fiber.gamma * pump.total
-    if channel is Channel.XY:
-        return (fiber.delta_beta1 * omega + b2w2 + gp0) * half_l
-    return (fiber.delta_beta1 * omega - b2w2 - gp0) * half_l
+def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
+    """First Magnus term of one generator entry over the fiber length.
+
+    xi = integral_0^L C exp(i R z) dz = i*c*L*exp(i*(theta + R*L/2))*sinc(R*L/2).
+    For a pair entry this is the two-photon amplitude of its channel, the
+    first-order part of the same entry of the transfer matrix.
+
+    Accepts a scalar or an array omega; returns complex of the same shape.
+    """
+    u = entry.rate(fiber, omega) * (0.5 * fiber.length)
+    envelope = sinc(u)  # before the complex temporaries, to lower peak memory
+    values = 1j * (entry.c * fiber.length) * np.exp(1j * (entry.theta + u)) * envelope
+    if values.ndim == 0:
+        return complex(values)
+    return values
 
 
 def xi_hb(fiber: FiberParams, pump: PumpConfig, channel: Channel, omega):
@@ -86,85 +89,32 @@ def xi_hb(fiber: FiberParams, pump: PumpConfig, channel: Channel, omega):
 
     Scalar channels carry the prefactor i*gamma*P0j*L and a phase 2*theta0j;
     vector channels carry i*(2/3)*gamma*sqrt(P0x*P0y)*L and theta0x+theta0y.
-    The sinc argument of the YX channel enters its phase with a plus sign,
-    the other three with a minus sign.
-
-    Accepts a scalar or an array omega; returns complex of the same shape.
     """
-    omega = np.asarray(omega, dtype=float)
-    u = _sinc_argument(fiber, pump, channel, omega)
-    if channel is Channel.XX:
-        prefactor = fiber.gamma * pump.p0x * fiber.length
-        phase = 2.0 * pump.theta0x
-        sign = -1.0
-    elif channel is Channel.YY:
-        prefactor = fiber.gamma * pump.p0y * fiber.length
-        phase = 2.0 * pump.theta0y
-        sign = -1.0
-    else:
-        prefactor = (2.0 / 3.0) * fiber.gamma * np.sqrt(pump.p0x * pump.p0y) * fiber.length
-        phase = pump.theta0x + pump.theta0y
-        sign = -1.0 if channel is Channel.XY else 1.0
-    values = 1j * prefactor * np.exp(1j * (phase + sign * u)) * sinc(u)
-    if values.ndim == 0:
-        return complex(values)
-    return values
+    entry = coupling_table(fiber, pump, "HB")[channel.value]
+    return first_order_amplitude(entry, fiber, omega)
 
 
-def channel_prefactor(fiber: FiberParams, pump: PumpConfig, channel: Channel) -> float:
-    """Upper bound on |xi| for the channel: the amplitude at phase matching."""
-    if channel is Channel.XX:
-        return fiber.gamma * pump.p0x * fiber.length
-    if channel is Channel.YY:
-        return fiber.gamma * pump.p0y * fiber.length
-    return (2.0 / 3.0) * fiber.gamma * np.sqrt(pump.p0x * pump.p0y) * fiber.length
-
-
-@lru_cache(maxsize=None)
-def amplitude_on_grid(
-    fiber: FiberParams, pump: PumpConfig, channel: Channel, grid: FrequencyGrid
-) -> TwoPhotonAmplitude:
-    """Evaluate one channel on a grid, cached by the parameter set."""
-    values = xi_hb(fiber, pump, channel, grid.omegas)
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("two-photon amplitude is not finite on the grid")
-    bound = channel_prefactor(fiber, pump, channel)
-    if np.abs(values).max(initial=0.0) > bound * (1.0 + 1e-12):
-        raise FloatingPointError("two-photon amplitude exceeds its channel prefactor")
-    values.setflags(write=False)
-    return TwoPhotonAmplitude(
-        channel=channel,
-        grid=grid,
-        values=values,
-        params_hash=params_hash(fiber, pump, channel.value, grid),
-    )
-
-
-def _heaviside(omega):
-    """Theta(Omega) with the tie-break Theta(0) = 1/2."""
-    return np.heaviside(np.asarray(omega, dtype=float), 0.5)
+def pair_flux(table: dict, entries, fiber: FiberParams, omega):
+    """Flux density sum(|xi|^2)/2pi in ps/rad of the given pair entries."""
+    intensities = [
+        np.abs(first_order_amplitude(table[entry], fiber, omega)) ** 2 for entry in entries
+    ]
+    return sum(intensities[1:], intensities[0]) / (2.0 * np.pi)
 
 
 def flux_hb(fiber: FiberParams, pump: PumpConfig, omega):
     """Flux densities (f_x, f_y) at detuning omega from the four amplitudes.
 
-    f_x collects |xi_xx(Omega)|^2, the anti-Stokes part of the XY channel
-    for Omega > 0 and the Stokes part of the YX channel for Omega < 0;
-    f_y is the mirror combination.  At Omega = 0 both gates weigh 1/2,
-    which keeps the pairwise sum rule f_x + f_y continuous.
+    The a_x(+Omega) row of the generator couples to both creation operators,
+    so f_x = (|xi_xx|^2 + |xi_xy|^2)/2pi and f_y = (|xi_yx|^2 + |xi_yy|^2)/2pi,
+    the entries the exact flux reads from the transfer matrix.  Since
+    xi_xy(-Omega) = xi_yx(Omega), f_x holds the XY anti-Stokes photons for
+    Omega > 0 and the YX Stokes photons for Omega < 0.
     """
-    omega = np.asarray(omega, dtype=float)
-    theta_pos = _heaviside(omega)
-    theta_neg = _heaviside(-omega)
-    abs_xx = np.abs(xi_hb(fiber, pump, Channel.XX, omega))
-    abs_yy = np.abs(xi_hb(fiber, pump, Channel.YY, omega))
-    abs_xy = np.abs(xi_hb(fiber, pump, Channel.XY, omega))
-    abs_yx = np.abs(xi_hb(fiber, pump, Channel.YX, omega))
-    abs_xy_neg = np.abs(xi_hb(fiber, pump, Channel.XY, -omega))
-    abs_yx_neg = np.abs(xi_hb(fiber, pump, Channel.YX, -omega))
-    f_x = (abs_xx**2 + theta_pos * abs_xy**2 + theta_neg * abs_yx_neg**2) / (2.0 * np.pi)
-    f_y = (abs_yy**2 + theta_pos * abs_yx**2 + theta_neg * abs_xy_neg**2) / (2.0 * np.pi)
-    if f_x.ndim == 0:
+    table = coupling_table(fiber, pump, "HB")
+    f_x = pair_flux(table, [Channel.XX.value, Channel.XY.value], fiber, omega)
+    f_y = pair_flux(table, [Channel.YY.value, Channel.YX.value], fiber, omega)
+    if np.ndim(f_x) == 0:
         return float(f_x), float(f_y)
     return f_x, f_y
 
@@ -226,20 +176,15 @@ def total_scatter_probability(
 
 def vector_peak_detuning(fiber: FiberParams, pump: PumpConfig) -> float:
     """Detuning of the far vector peaks, (delta_beta1/|beta2|)*(1 - alpha)."""
-    if fiber.delta_beta1 == 0:
-        raise DegenerateBirefringence("vector peaks require delta_beta1 > 0")
+    alpha = alpha_param(fiber, pump)
     if fiber.beta2 == 0:
         raise ZeroDispersion("vector peak estimate requires beta2 != 0")
-    alpha = fiber.beta2 * fiber.gamma * pump.total / fiber.delta_beta1**2
     return (fiber.delta_beta1 / abs(fiber.beta2)) * (1.0 - alpha)
 
 
 def overlapping_regime(fiber: FiberParams, pump: PumpConfig) -> bool:
     """True when |alpha| >= 1 and the scalar and vector bands overlap."""
-    if fiber.delta_beta1 == 0:
-        raise DegenerateBirefringence("alpha is undefined for delta_beta1 = 0")
-    alpha = fiber.beta2 * fiber.gamma * pump.total / fiber.delta_beta1**2
-    return abs(alpha) >= 1.0
+    return abs(alpha_param(fiber, pump)) >= 1.0
 
 
 def bandwidths(

@@ -13,18 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoFarDetunedPeak, PumpNotOnAxis
-from .fiber import FiberParams, FrequencyGrid, PumpConfig
-from .hb import Channel, SpectrumRecord, sinc, xi_hb
-
-
-def _lb_sinc_argument(fiber: FiberParams, p0: float, omega):
-    omega = np.asarray(omega, dtype=float)
-    rate = (
-        fiber.beta2 * omega**2
-        - (2.0 / 3.0) * fiber.gamma * p0
-        - 2.0 * fiber.delta_beta0
-    )
-    return rate * 0.5 * fiber.length
+from .fiber import FiberParams, FrequencyGrid, PumpConfig, coupling_table, swap_axes
+from .hb import Channel, SpectrumRecord, first_order_amplitude, pair_flux
 
 
 def xi_lb_yy(fiber: FiberParams, pump: PumpConfig, omega):
@@ -34,18 +24,13 @@ def xi_lb_yy(fiber: FiberParams, pump: PumpConfig, omega):
     (beta2*Omega^2 - (2/3)*gamma*P0 - 2*delta_beta0)*L/2 vanishes at the
     far-detuned phase-matching points when delta_beta0*beta2 > 0.
     """
-    if pump.p0y != 0:
-        raise PumpNotOnAxis(f"pump must be on the x axis, got p0y = {pump.p0y}")
-    omega = np.asarray(omega, dtype=float)
-    u = _lb_sinc_argument(fiber, pump.p0x, omega)
-    prefactor = fiber.gamma * pump.p0x * fiber.length / 3.0
-    values = 1j * prefactor * np.exp(1j * (2.0 * pump.theta0x - u)) * sinc(u)
-    if values.ndim == 0:
-        return complex(values)
-    return values
+    entry = coupling_table(fiber, pump, "LB")[Channel.YY.value]
+    return first_order_amplitude(entry, fiber, omega)
 
 
-def _as_x_pump(fiber: FiberParams, pump: PumpConfig) -> tuple[FiberParams, PumpConfig, bool]:
+def as_x_pump(
+    fiber: FiberParams, pump: PumpConfig
+) -> tuple[FiberParams, PumpConfig, bool]:
     """Relabel axes so the pump sits on x; flag whether a swap happened."""
     if pump.p0y == 0:
         return fiber, pump, False
@@ -53,22 +38,7 @@ def _as_x_pump(fiber: FiberParams, pump: PumpConfig) -> tuple[FiberParams, PumpC
         raise PumpNotOnAxis(
             f"pump must be on a single axis, got ({pump.p0x}, {pump.p0y})"
         )
-    relabeled_fiber = FiberParams(
-        gamma=fiber.gamma,
-        beta2=fiber.beta2,
-        length=fiber.length,
-        delta_beta0=-fiber.delta_beta0,
-        delta_beta1=-fiber.delta_beta1,
-        beta1_ref=fiber.beta1_ref + fiber.delta_beta1,
-    )
-    relabeled_pump = PumpConfig(
-        p0x=pump.p0y,
-        p0y=0.0,
-        theta0x=pump.theta0y,
-        theta0y=pump.theta0x,
-        duration=pump.duration,
-    )
-    return relabeled_fiber, relabeled_pump, True
+    return (*swap_axes(fiber, pump), True)
 
 
 def flux_lb(fiber: FiberParams, pump: PumpConfig, omega):
@@ -78,11 +48,10 @@ def flux_lb(fiber: FiberParams, pump: PumpConfig, omega):
     orthogonal axis |xi_yy|^2/2pi; the two perturbations are uncoupled, so
     neither spectrum depends on the pump phase.
     """
-    fiber, pump, swapped = _as_x_pump(fiber, pump)
-    scalar = np.abs(xi_hb(fiber, pump, Channel.XX, omega))
-    vector = np.abs(xi_lb_yy(fiber, pump, omega))
-    f_pump = scalar**2 / (2.0 * np.pi)
-    f_orth = vector**2 / (2.0 * np.pi)
+    fiber, pump, swapped = as_x_pump(fiber, pump)
+    table = coupling_table(fiber, pump, "LB")
+    f_pump = pair_flux(table, [Channel.XX.value], fiber, omega)
+    f_orth = pair_flux(table, [Channel.YY.value], fiber, omega)
     if swapped:
         f_pump, f_orth = f_orth, f_pump
     if np.ndim(f_pump) == 0:
@@ -103,7 +72,7 @@ def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, floa
     Both exist only when delta_beta0 and beta2 share a sign (slow-axis pump
     with normal dispersion, or fast-axis pump with anomalous dispersion).
     """
-    fiber, pump, _ = _as_x_pump(fiber, pump)
+    fiber, pump, _ = as_x_pump(fiber, pump)
     product = fiber.delta_beta0 * fiber.beta2
     if product <= 0:
         raise NoFarDetunedPeak(

@@ -164,7 +164,9 @@ OVERFLOW_SCENARIO = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# A numpy warning raised as an error would escape main(), so these runs
+# also show that no RuntimeWarning reaches stderr.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -179,8 +181,31 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys, argv):
     path = write_scenario(tmp_path, OVERFLOW_SCENARIO)
     rc, out, err = run(capsys, *argv, "--scenario", path)
     assert rc == 3
-    assert "numerical failure" in err
+    assert err.startswith("fps: numerical failure: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert "inf" not in out and "nan" not in out
+
+
+def test_high_gain_exact_spectrum_is_accepted(tmp_path, capsys):
+    # g*L = 13.5: fluxes near 2e10, where roundoff alone puts the absolute
+    # defect |M J M^dag - J| above DEFECT_LIMIT
+    scenario = {
+        "fiber": {"gamma_per_W_km": 3.0, "beta2_ps2_per_km": -20.0, "length_km": 15.0},
+        "pump": {"p0x_W": 0.3},
+        "grid": {"omega_min": 0.29, "omega_max": 0.31, "n_points": 5},
+        "regime": "HB",
+        "method": "all",
+    }
+    path = write_scenario(tmp_path, scenario)
+    rc, out, err = run(capsys, "spectrum", "--scenario", path)
+    assert rc == 0 and err == ""
+    _, rows = data_rows(out)
+    f_x = {
+        method: [float(row[1]) for row in rows if row[3] == method]
+        for method in ("exact-ode", "closed-form")
+    }
+    assert min(f_x["closed-form"]) > 1.9e10
+    np.testing.assert_allclose(f_x["exact-ode"], f_x["closed-form"], rtol=1e-9)
 
 
 @pytest.mark.parametrize("steps", ["0", "-4"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fps import (
+    Channel,
     FiberParams,
     NumericalFailure,
     PumpConfig,
@@ -30,6 +31,8 @@ from fps import (
     mi_support_edge,
     spectrum_exact,
     symplectic_defect,
+    xi_hb,
+    xi_lb_yy,
 )
 from fps.dynamics import J_METRIC, MIN_STEPS, default_step_count
 from fps.fiber import FrequencyGrid
@@ -221,6 +224,42 @@ def test_expm_matches_rk4_oracle(case):
     assert used == oracle_steps
     assert np.abs(exact - oracle).max() <= 1e-10
     assert symplectic_defect(exact) <= 1e-12
+
+
+FIRST_ORDER_CASES = {
+    "hb-phases": (
+        FiberParams(gamma=3.0, beta2=15.0, length=0.1, delta_beta1=200.0),
+        PumpConfig(p0x=0.02, p0y=0.01, theta0x=0.4, theta0y=-1.1),
+        "HB",
+        np.array([-13.3, -1.0, 1.0, 7.0, 13.3]),
+    ),
+    "lb": (
+        FiberParams(gamma=3.0, beta2=5.0, length=0.05, delta_beta0=2000.0),
+        PumpConfig(p0x=0.1, theta0x=0.7),
+        "LB",
+        np.array([-28.3, -10.0, 0.5, 28.3]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ORDER_CASES))
+def test_first_order_amplitudes_are_transfer_entries(case):
+    """Each pair amplitude is its entry of M(L) - 1 up to O((gamma P0 L)^2)."""
+    fiber, pump, regime, omegas = FIRST_ORDER_CASES[case]
+    mats, _ = integrate_transfer_grid(fiber, pump, regime, omegas)
+    if regime == "HB":
+        amplitudes = {ch: xi_hb(fiber, pump, ch, omegas) for ch in Channel}
+    else:
+        amplitudes = {
+            Channel.XX: xi_hb(fiber, pump, Channel.XX, omegas),
+            Channel.YY: xi_lb_yy(fiber, pump, omegas),
+        }
+    tol = (fiber.gamma * pump.total * fiber.length) ** 2
+    for channel, xi in amplitudes.items():
+        j, k = channel.value
+        # the bound is far below the amplitude, so a wrong phase would fail
+        assert np.abs(xi).max() > 20.0 * tol
+        np.testing.assert_allclose(mats[:, j, k], xi, rtol=0.0, atol=tol)
 
 
 def test_expm_at_band_edge_and_high_gain():

@@ -16,7 +16,6 @@ from fps import (
     nonlinear_length,
     normalize_convention,
 )
-from fps.fiber import params_hash
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e3, max_value=1e3)
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -160,16 +159,6 @@ def test_normalize_convention_is_identity_for_positive_mismatch():
     same_fiber, same_pump = normalize_convention(fiber, pump)
     assert same_fiber == fiber
     assert same_pump == pump
-
-
-def test_params_hash_is_deterministic_token():
-    fiber = FiberParams(gamma=3.0, beta2=15.0, length=0.2)
-    pump = PumpConfig(p0x=0.1)
-    token = params_hash(fiber, pump)
-    assert token == params_hash(fiber, pump)
-    assert len(token) == 16
-    assert all(c in "0123456789abcdef" for c in token)
-    assert token != params_hash(fiber, PumpConfig(p0x=0.2))
 
 
 def test_operations_are_pure():

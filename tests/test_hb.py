@@ -10,7 +10,6 @@ from fps import (
     FiberParams,
     PumpConfig,
     ZeroDispersion,
-    amplitude_on_grid,
     bandwidths,
     flux_hb,
     overlapping_regime,
@@ -22,7 +21,7 @@ from fps import (
     xi_hb,
 )
 from fps.fiber import FrequencyGrid
-from fps.hb import channel_prefactor, sinc
+from fps.hb import sinc
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,8 +80,15 @@ def test_yx_phase_matching_roots(fig2_fiber, fig2_pump):
 def test_amplitude_bounded_by_prefactor(px, py, omega, b2):
     fiber = _fiber(beta2=b2)
     pump = PumpConfig(p0x=px, p0y=py)
-    for channel in Channel:
-        bound = channel_prefactor(fiber, pump, channel)
+    gl = fiber.gamma * fiber.length
+    vector = (2.0 / 3.0) * gl * math.sqrt(px * py)
+    bounds = {
+        Channel.XX: gl * px,
+        Channel.YY: gl * py,
+        Channel.XY: vector,
+        Channel.YX: vector,
+    }
+    for channel, bound in bounds.items():
         assert abs(xi_hb(fiber, pump, channel, omega)) <= bound * (1.0 + 1e-12)
 
 
@@ -95,16 +101,6 @@ def test_vector_amplitudes_mirror_exactly(px, py, omega):
     left = abs(xi_hb(fiber, pump, Channel.XY, -omega))
     right = abs(xi_hb(fiber, pump, Channel.YX, omega))
     assert left == pytest.approx(right, rel=1e-12, abs=1e-300)
-
-
-def test_amplitude_grid_is_cached_and_frozen(fig2_fiber, fig2_pump):
-    grid = FrequencyGrid(-15.0, 15.0, 64)
-    first = amplitude_on_grid(fig2_fiber, fig2_pump, Channel.XX, grid)
-    second = amplitude_on_grid(fig2_fiber, fig2_pump, Channel.XX, grid)
-    assert first is second
-    assert not first.values.flags.writeable
-    other = amplitude_on_grid(fig2_fiber, fig2_pump, Channel.YX, grid)
-    assert other.params_hash != first.params_hash
 
 
 def test_flux_scalar_pump_only_x(fig1_fiber, pump_x03):
@@ -175,6 +171,26 @@ def test_pump_exchange_symmetry():
     g_x, g_y = flux_hb(relabeled, swapped, omegas)
     np.testing.assert_allclose(f_x, g_y, rtol=1e-12)
     np.testing.assert_allclose(f_y, g_x, rtol=1e-12)
+
+
+def test_pump_phases_enter_as_channel_phases(fig2_fiber):
+    # scalar channels take two photons from one axis, vector channels one from each
+    tx, ty = 0.4, -1.1
+    base = PumpConfig(p0x=0.15, p0y=0.15)
+    rotated = PumpConfig(p0x=0.15, p0y=0.15, theta0x=tx, theta0y=ty)
+    phases = {
+        Channel.XX: 2 * tx,
+        Channel.YY: 2 * ty,
+        Channel.XY: tx + ty,
+        Channel.YX: tx + ty,
+    }
+    omegas = np.array([-13.3, -1.0, 0.3, 5.0, 13.3])
+    for channel, phase in phases.items():
+        np.testing.assert_allclose(
+            xi_hb(fig2_fiber, rotated, channel, omegas),
+            np.exp(1j * phase) * xi_hb(fig2_fiber, base, channel, omegas),
+            rtol=1e-12,
+        )
 
 
 @settings(max_examples=30)
