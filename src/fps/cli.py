@@ -3,12 +3,15 @@
 Subcommands: spectrum (flux-density sweeps as CSV), compare (first-order
 vs exact deviation report as JSON), classify (filtered-pair entanglement
 report as JSON), mi (gain curve as CSV), presets (list built-in parameter
-sets).  Output formatting is fixed (9 significant digits, '.' decimal,
-'\\n' line endings, ordered rows), so repeated runs are byte-identical
-regardless of worker count.
+sets).  Output formatting is fixed ('.' decimal, '\\n' line endings, ordered
+rows, sorted JSON keys), so repeated runs are byte-identical regardless of
+worker count.  CSV values and header echoes have 9 significant digits; the
+compare and classify JSON reports print floats at full repr precision (up
+to 17 significant digits), so a last-bit change shows there first.
 
 Exit codes: 0 success, 2 input validation, 3 numerical failure (symplectic
-defect above tolerance or a non-finite result).
+defect above tolerance, a non-finite result, or an OverflowError from a
+closed form).
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .dynamics import (
 from .entangle import BASIS, bell_phase, classify, filtered_state
 from .errors import FpsError, NumericalFailure
 from .fiber import FiberParams, FrequencyGrid, PumpConfig, normalize_convention
-from .hb import spectrum_hb
-from .lb import as_x_pump, spectrum_lb
+from .hb import flux_hb
+from .lb import as_x_pump, flux_lb
 
 METHOD_ORDER = ("first-order", "exact-ode", "closed-form")
 
@@ -167,6 +170,14 @@ def _flatten(obj: dict, prefix: str = "") -> dict:
     return flat
 
 
+def _finite_float(value) -> float:
+    """float(value), with NaN and infinity (which json.load accepts) rejected."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
 def load_scenario(flat: dict) -> tuple[Scenario, dict]:
     """Validate a flat key/value mapping into a Scenario.
 
@@ -182,18 +193,16 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
             value = flat[key]
             try:
                 if convert is list:
-                    value = [float(entry) for entry in value]
+                    value = [_finite_float(entry) for entry in value]
                 elif convert is int:
                     if float(value) != int(value):
                         raise ValueError
                     value = int(value)
                 elif convert is float:
-                    value = float(value)
-                    if not math.isfinite(value):
-                        raise ValueError
+                    value = _finite_float(value)
                 else:
                     value = str(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ScenarioError(f"field {key}: cannot parse {flat[key]!r}") from None
             resolved[key] = value
         elif required:
@@ -317,10 +326,13 @@ def _header_lines(command: str, origin: list[str], resolved: dict) -> list[str]:
     return lines
 
 
-def _first_order_record(scenario: Scenario, fiber: FiberParams):
-    if scenario.regime == "LB":
-        return spectrum_lb(fiber, scenario.pump, scenario.grid)
-    return spectrum_hb(fiber, scenario.pump, scenario.grid)
+def _require_finite(what: str, *values) -> None:
+    """Raise NumericalFailure unless every entry of every value is finite.
+
+    Keeps inf and nan out of the CSV: the run exits 3 instead.
+    """
+    if not all(np.isfinite(value).all() for value in values):
+        raise NumericalFailure(f"{what} is not finite")
 
 
 def _closed_form_flux(scenario: Scenario, fiber: FiberParams):
@@ -346,8 +358,8 @@ def _spectrum_task(scenario: Scenario, method: str, length: float, steps: int | 
     fiber = replace(scenario.fiber, length=length)
     extra: list[str] = []
     if method == "first-order":
-        record = _first_order_record(scenario, fiber)
-        f_x, f_y = record.f_x, record.f_y
+        flux = flux_lb if scenario.regime == "LB" else flux_hb
+        f_x, f_y = flux(fiber, scenario.pump, scenario.grid.omegas)
     elif method == "exact-ode":
         pump = scenario.pump
         if scenario.regime == "LB":
@@ -363,8 +375,7 @@ def _spectrum_task(scenario: Scenario, method: str, length: float, steps: int | 
         extra.append(f"# steps.L={_fmt(length)} = {used_steps or 'expm'}")
     else:
         f_x, f_y = _closed_form_flux(scenario, fiber)
-    if not (np.isfinite(f_x).all() and np.isfinite(f_y).all()):
-        raise NumericalFailure(f"{method} flux at L={_fmt(length)} is not finite")
+    _require_finite(f"{method} flux at L={_fmt(length)}", f_x, f_y)
     return extra, f_x, f_y
 
 
@@ -458,12 +469,11 @@ def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) ->
 def run_mi(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
     power = scenario.pump.total
     curve = mi_gain_curve(scenario.fiber, power, scenario.grid)
+    ratio = bandwidth_ratio(scenario.fiber, power, scenario.fiber.length)
+    _require_finite("mi gain curve", curve.lambda_vals, ratio)
     lines = _header_lines("mi", origin, resolved)
     lines.append(f"# pump_total_W = {_fmt(power)}")
-    lines.append(
-        "# bandwidth_ratio = "
-        f"{_fmt(bandwidth_ratio(scenario.fiber, power, scenario.fiber.length))}"
-    )
+    lines.append(f"# bandwidth_ratio = {_fmt(ratio)}")
     lines.append("omega_rad_per_ps,gain_per_km,lambda_re_per_km,lambda_im_per_km")
     for omega, gain, lam in zip(curve.grid.omegas, curve.gain_vals, curve.lambda_vals):
         lines.append(f"{_fmt(omega)},{_fmt(gain)},{_fmt(lam.real)},{_fmt(lam.imag)}")
@@ -561,7 +571,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"fps: error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
+    except (NumericalFailure, OverflowError) as exc:
+        # OverflowError: Python-float powers beyond double range in the
+        # closed forms and the MI eigenvalue.
         print(f"fps: numerical failure: {exc}", file=sys.stderr)
         return 3
     except FpsError as exc:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import NumericalFailure, StepCountTooSmall, ZeroDispersion, ZeroGain
 from .fiber import FiberParams, FrequencyGrid, PumpConfig, coupling_table
-from .hb import SpectrumRecord
 
 #: Bogoliubov metric in the (a_x, a_x^dag, a_y, a_y^dag) basis.
 J_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
@@ -42,14 +41,6 @@ MIN_STEPS = 1000
 K_STEP = 20.0
 DEFECT_TARGET = 1e-9
 DEFECT_LIMIT = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class TransferMatrix:
-    """4x4 Bogoliubov map from z=0 to z=L at one detuning."""
-
-    omega: float
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +73,6 @@ def _coefficient_factors(
         rate[..., j, k] = entry.rate(fiber, w)
         rate[..., k, j] = -rate[..., j, k]
     return coeff, rate
-
-
-def build_coefficient_matrix(
-    fiber: FiberParams, pump: PumpConfig, regime: str, omega: float, z: float
-) -> np.ndarray:
-    """Coefficient matrix A(z) of d/dz v = A(z) v at one detuning."""
-    coeff, rate = _coefficient_factors(fiber, pump, regime, float(omega))
-    return coeff * np.exp(1j * rate * z)
 
 
 def default_step_count(
@@ -204,32 +187,12 @@ def integrate_transfer_grid(
     return matrices, steps or 0
 
 
-def integrate_transfer(
-    fiber: FiberParams,
-    pump: PumpConfig,
-    regime: str,
-    omega: float,
-    steps: int | None = None,
-) -> TransferMatrix:
-    """Transfer matrix M(L) at a single detuning."""
-    matrices, _ = integrate_transfer_grid(
-        fiber, pump, regime, np.array([float(omega)]), steps=steps
-    )
-    return TransferMatrix(omega=float(omega), matrix=matrices[0])
-
-
-def flux_from_transfer(m: TransferMatrix) -> tuple[float, float]:
-    """Vacuum photon-flux densities (f_x, f_y) in ps/rad from one matrix.
+def flux_from_matrices(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vacuum photon-flux densities (f_x, f_y) in ps/rad from a (..., 4, 4) stack.
 
     The flux on axis j at +Omega is the squared overlap of the a_j(+Omega)
     row with the two creation-operator columns, divided by 2 pi.
     """
-    f_x, f_y = flux_from_matrices(m.matrix)
-    return float(f_x), float(f_y)
-
-
-def flux_from_matrices(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized flux extraction from a (..., 4, 4) stack."""
     f_x = (np.abs(matrices[..., 0, 1]) ** 2 + np.abs(matrices[..., 0, 3]) ** 2) / (
         2.0 * np.pi
     )
@@ -237,19 +200,6 @@ def flux_from_matrices(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         2.0 * np.pi
     )
     return f_x, f_y
-
-
-def spectrum_exact(
-    fiber: FiberParams,
-    pump: PumpConfig,
-    regime: str,
-    grid: FrequencyGrid,
-    steps: int | None = None,
-) -> SpectrumRecord:
-    """Exact-ode spectrum record over a grid."""
-    matrices, _ = integrate_transfer_grid(fiber, pump, regime, grid.omegas, steps=steps)
-    f_x, f_y = flux_from_matrices(matrices)
-    return SpectrumRecord(grid=grid, f_x=f_x, f_y=f_y, method="exact-ode", regime=regime)
 
 
 def lambda_param(fiber: FiberParams, power: float, omega):

@@ -11,7 +11,6 @@ sqrt(ps) (continuous-mode normalization), flux densities in ps/rad.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -20,7 +19,6 @@ from .errors import DegenerateBirefringence, ZeroDispersion
 from .fiber import (
     Coupling,
     FiberParams,
-    FrequencyGrid,
     PumpConfig,
     alpha_param,
     coupling_table,
@@ -41,17 +39,6 @@ class Channel(enum.Enum):
     YY = (2, 3)
     XY = (0, 3)
     YX = (2, 1)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumRecord:
-    """Photon-flux spectral densities on both axes over a frequency grid."""
-
-    grid: FrequencyGrid
-    f_x: np.ndarray
-    f_y: np.ndarray
-    method: str
-    regime: str
 
 
 def sinc(u):
@@ -119,28 +106,6 @@ def flux_hb(fiber: FiberParams, pump: PumpConfig, omega):
     return f_x, f_y
 
 
-def spectrum_hb(fiber: FiberParams, pump: PumpConfig, grid: FrequencyGrid) -> SpectrumRecord:
-    """First-order HB spectrum record over a grid."""
-    f_x, f_y = flux_hb(fiber, pump, grid.omegas)
-    return SpectrumRecord(grid=grid, f_x=f_x, f_y=f_y, method="first-order", regime="HB")
-
-
-def scalar_flux_first_order(fiber: FiberParams, pump_axis_power: float, omega):
-    """Scalar-channel flux (gamma*P*L)^2 * sinc^2 / 2pi for a single-axis pump."""
-    pump = PumpConfig(p0x=pump_axis_power)
-    values = np.abs(xi_hb(fiber, pump, Channel.XX, omega))
-    return values**2 / (2.0 * np.pi)
-
-
-def pair_probability_density(fiber: FiberParams, pump: PumpConfig, omega):
-    """Spectral density of pair-creation probability per unit time, ps/rad.
-
-    Numerically equal to the scalar flux density of the x axis.
-    """
-    values = np.abs(xi_hb(fiber, pump, Channel.XX, omega))
-    return values**2 / (2.0 * np.pi)
-
-
 def total_scatter_probability(
     fiber: FiberParams, pump: PumpConfig, duration: float, mode: str = "analytic"
 ) -> float:
@@ -148,10 +113,10 @@ def total_scatter_probability(
 
     analytic mode evaluates the closed form
     (2/3)*(gamma*P0x*L)^2 * sqrt(T^2/(2*pi*|beta2|*L)), which neglects the
-    nonlinear term in the sinc argument; numeric mode integrates the pair
-    probability density over Omega >= 0 by Simpson quadrature on a grid
-    extending to five first-zero widths.  P_T must stay well below 1 for
-    first-order perturbation theory to hold.
+    nonlinear term in the sinc argument; numeric mode integrates the XX
+    pair-probability density |xi_xx|^2/2pi (ps/rad) over Omega >= 0 by
+    Simpson quadrature on a grid extending to five first-zero widths.  P_T
+    must stay well below 1 for first-order perturbation theory to hold.
     """
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
@@ -169,7 +134,8 @@ def total_scatter_probability(
             raise ZeroDispersion("quadrature window requires beta2 != 0 and L > 0")
         scalar_width, _ = bandwidths(fiber, pump, require_vector=False)
         omegas = np.linspace(0.0, 5.0 * scalar_width, 20001)
-        density = pair_probability_density(fiber, pump, omegas)
+        table = coupling_table(fiber, pump, "HB")
+        density = pair_flux(table, [Channel.XX.value], fiber, omegas)
         return duration * simpson(density, x=omegas)
     raise ValueError(f"mode must be 'analytic' or 'numeric', got {mode!r}")
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoFarDetunedPeak, PumpNotOnAxis
-from .fiber import FiberParams, FrequencyGrid, PumpConfig, coupling_table, swap_axes
-from .hb import Channel, SpectrumRecord, first_order_amplitude, pair_flux
+from .fiber import FiberParams, PumpConfig, coupling_table, swap_axes
+from .hb import Channel, first_order_amplitude, pair_flux
 
 
 def xi_lb_yy(fiber: FiberParams, pump: PumpConfig, omega):
@@ -57,12 +57,6 @@ def flux_lb(fiber: FiberParams, pump: PumpConfig, omega):
     if np.ndim(f_pump) == 0:
         return float(f_pump), float(f_orth)
     return f_pump, f_orth
-
-
-def spectrum_lb(fiber: FiberParams, pump: PumpConfig, grid: FrequencyGrid) -> SpectrumRecord:
-    """First-order LB spectrum record over a grid."""
-    f_x, f_y = flux_lb(fiber, pump, grid.omegas)
-    return SpectrumRecord(grid=grid, f_x=f_x, f_y=f_y, method="first-order", regime="LB")
 
 
 def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, float]:

@@ -35,7 +35,6 @@ from fps import (
     mi_gain,
     mi_peak,
     mi_support_edge,
-    scalar_flux_first_order,
     symplectic_defect,
     total_scatter_probability,
     vector_peak_detuning,
@@ -72,7 +71,7 @@ def test_criterion_02_first_order_error_small_and_growing():
     for length in (0.1, 0.2, 0.3):
         fiber = FiberParams(gamma=3.0, beta2=-20.0, length=length)
         exact = exact_scalar_flux(fiber, 0.3, omegas)
-        first = scalar_flux_first_order(fiber, 0.3, omegas)
+        first, _ = flux_hb(fiber, PumpConfig(p0x=0.3), omegas)
         deviations.append(np.max(np.abs(first - exact)) / exact.max())
     assert deviations[0] <= 0.02
     assert deviations[0] < deviations[1] < deviations[2]

@@ -3,14 +3,15 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fps import PumpConfig, flux_hb
-from fps.cli import PRESETS, load_scenario, main
+from fps.cli import METHOD_ORDER, PRESETS, load_scenario, main
 
 ALL_PRESETS = ("fig1a", "fig1b", "fig2", "fig3", "fig4a", "fig4b")
 
@@ -164,21 +165,42 @@ OVERFLOW_SCENARIO = {
 }
 
 
+def _fig1a_small(**fiber):
+    """fig1a's fiber and pump on an 8-point grid, with fiber fields replaced."""
+    base = {"gamma_per_W_km": 3.0, "beta2_ps2_per_km": -20.0, "length_km": 0.1}
+    return {
+        "fiber": {**base, **fiber},
+        "pump": {"p0x_W": 0.3},
+        "grid": {"omega_min": -2.0, "omega_max": 2.0, "n_points": 8},
+        "regime": "HB",
+    }
+
+
+OVERFLOW_CASES = [
+    (OVERFLOW_SCENARIO, ("spectrum", "--method", "exact-ode")),
+    (OVERFLOW_SCENARIO, ("spectrum", "--method", "exact-ode", "--steps", "200")),
+    (OVERFLOW_SCENARIO, ("spectrum", "--method", "closed-form")),
+    (OVERFLOW_SCENARIO, ("spectrum", "--method", "all")),
+    (OVERFLOW_SCENARIO, ("compare",)),
+    # beta2*Omega^2 beyond double range: lambda = i*inf
+    (_fig1a_small(beta2_ps2_per_km=1e300), ("mi",)),
+    # (gamma*P)^2 and L^2 are Python-float powers, which raise OverflowError
+    (_fig1a_small(gamma_per_W_km=1e200), ("mi",)),
+    (_fig1a_small(gamma_per_W_km=1e200), ("spectrum", "--method", "closed-form")),
+    (_fig1a_small(length_km=1e300), ("spectrum", "--method", "closed-form")),
+]
+
+
 # A numpy warning raised as an error would escape main(), so these runs
 # also show that no RuntimeWarning reaches stderr.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("spectrum", "--method", "exact-ode"),
-        ("spectrum", "--method", "exact-ode", "--steps", "200"),
-        ("spectrum", "--method", "closed-form"),
-        ("spectrum", "--method", "all"),
-        ("compare",),
-    ],
+    "scenario, argv",
+    OVERFLOW_CASES,
+    ids=[f"argv{index}" for index in range(len(OVERFLOW_CASES))],
 )
-def test_overflow_is_a_numerical_failure(tmp_path, capsys, argv):
-    path = write_scenario(tmp_path, OVERFLOW_SCENARIO)
+def test_overflow_is_a_numerical_failure(tmp_path, capsys, scenario, argv):
+    path = write_scenario(tmp_path, scenario)
     rc, out, err = run(capsys, *argv, "--scenario", path)
     assert rc == 3
     assert err.startswith("fps: numerical failure: ")
@@ -218,6 +240,14 @@ def test_nonpositive_steps_rejected(capsys, steps):
     assert out == ""
 
 
+COMMANDS = (("spectrum", "--method", "all"), ("mi",))
+#: fig1a's fiber and pump on an 8-point grid; the examples below replace fields.
+_FIG1A_SMALL_ARGS = dict(
+    gamma=3.0, beta2=-20.0, delta_beta0=0.0, delta_beta1=0.0, p0x=0.3, p0y=0.0,
+    theta0x=0.0, omega_a=-2.0, omega_b=2.0, n_points=8, lengths=[0.1], regime="HB",
+)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(
     max_examples=20,
@@ -225,6 +255,7 @@ def test_nonpositive_steps_rejected(capsys, steps):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
+    command=st.sampled_from(COMMANDS),
     gamma=st.floats(min_value=0.01, max_value=50.0),
     beta2=st.floats(min_value=-200.0, max_value=200.0),
     delta_beta0=st.floats(min_value=-3000.0, max_value=3000.0),
@@ -238,8 +269,14 @@ def test_nonpositive_steps_rejected(capsys, steps):
     lengths=st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=3),
     regime=st.sampled_from(["HB", "LB"]),
 )
+# Values beyond double range once squared or multiplied: inf in the MI
+# eigenvalue, OverflowError in the Python-float powers of the closed forms.
+@example(command=COMMANDS[1], **{**_FIG1A_SMALL_ARGS, "beta2": 1e300})
+@example(command=COMMANDS[1], **{**_FIG1A_SMALL_ARGS, "gamma": 1e200})
+@example(command=COMMANDS[0], **{**_FIG1A_SMALL_ARGS, "gamma": 1e200, "lengths": [1e-300]})
+@example(command=COMMANDS[0], **{**_FIG1A_SMALL_ARGS, "lengths": [1e300]})
 def test_extreme_scenarios_exit_cleanly(
-    gamma, beta2, delta_beta0, delta_beta1, p0x, p0y, theta0x,
+    command, gamma, beta2, delta_beta0, delta_beta1, p0x, p0y, theta0x,
     omega_a, omega_b, n_points, lengths, regime,
 ):
     """Any accepted scenario gives finite output, exit 2 or exit 3."""
@@ -267,15 +304,18 @@ def test_extreme_scenarios_exit_cleanly(
             json.dump(scenario, handle)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = main(
-                ["spectrum", "--scenario", path, "--method", "all", "--out", out]
-            )
+            rc = main([*command, "--scenario", path, "--out", out])
         assert rc in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
         if rc == 0:
             with open(out, encoding="utf-8") as handle:
-                _, rows = data_rows(handle.read())
-            values = np.array([[float(v) for v in row[:3]] for row in rows])
+                text = handle.read()
+            # header echoes included, e.g. the mi bandwidth_ratio line
+            assert re.search(r"\b(inf|nan)\b", text) is None
+            _, rows = data_rows(text)
+            values = np.array(
+                [[float(v) for v in row if v not in METHOD_ORDER] for row in rows]
+            )
             assert np.isfinite(values).all()
         else:
             assert not os.path.exists(out)
@@ -327,6 +367,9 @@ def test_unknown_field(tmp_path, capsys):
         {"method": "simpson"},
         {"lengths_km": [0.1, -0.2]},
         {"fiber": {**SMALL_SCALAR["fiber"], "beta2_ps2_per_km": "fast"}},
+        {"lengths_km": [float("nan")]},
+        {"lengths_km": [float("inf")]},
+        {"grid": {**SMALL_SCALAR["grid"], "n_points": float("inf")}},
     ],
 )
 def test_rejected_scenarios(tmp_path, capsys, patch):

@@ -11,17 +11,13 @@ from fps import (
     PumpConfig,
     PumpNotOnAxis,
     StepCountTooSmall,
-    TransferMatrix,
     ZeroDispersion,
     ZeroGain,
     bandwidth_ratio,
-    build_coefficient_matrix,
     exact_lb_orthogonal_flux,
     exact_scalar_flux,
     flux_from_matrices,
-    flux_from_transfer,
     flux_hb,
-    integrate_transfer,
     integrate_transfer_grid,
     lambda_param,
     mi_asymptotic_flux,
@@ -29,28 +25,39 @@ from fps import (
     mi_gain_curve,
     mi_peak,
     mi_support_edge,
-    spectrum_exact,
     symplectic_defect,
     xi_hb,
     xi_lb_yy,
 )
-from fps.dynamics import J_METRIC, MIN_STEPS, default_step_count
+from fps.dynamics import J_METRIC, MIN_STEPS, _coefficient_factors, default_step_count
 from fps.fiber import FrequencyGrid
 
 TWO_PI = 2.0 * math.pi
 
 
+def _generator(fiber, pump, regime, omega, z):
+    """Coefficient matrix A(z) = C exp(i R z) of d/dz v = A(z) v at one detuning."""
+    coeff, rate = _coefficient_factors(fiber, pump, regime, float(omega))
+    return coeff * np.exp(1j * rate * z)
+
+
+def _transfer(fiber, pump, regime, omega):
+    """Transfer matrix M(L) at one detuning."""
+    matrices, _ = integrate_transfer_grid(fiber, pump, regime, np.array([float(omega)]))
+    return matrices[0]
+
+
 def test_coefficient_entry_example():
     fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.1)
     pump = PumpConfig(p0x=0.3)
-    a = build_coefficient_matrix(fiber, pump, "HB", 1.0, 0.0)
+    a = _generator(fiber, pump, "HB", 1.0, 0.0)
     assert a[0, 1] == pytest.approx(1j * 0.9)
 
 
 def test_coefficient_scalar_pump_is_block_diagonal():
     fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.1, delta_beta1=50.0)
     pump = PumpConfig(p0x=0.3)
-    a = build_coefficient_matrix(fiber, pump, "HB", 2.0, 0.03)
+    a = _generator(fiber, pump, "HB", 2.0, 0.03)
     assert np.all(a[:2, 2:] == 0.0)
     assert np.all(a[2:, :2] == 0.0)
     assert np.all(a[2:, 2:] == 0.0)  # no y-pump, no y-block dynamics
@@ -70,7 +77,7 @@ def test_generator_preserves_commutators(px, py, tx, ty, omega, z, b2):
     """A J + J A^dag = 0: the flow generator is in the Bogoliubov algebra."""
     fiber = FiberParams(gamma=3.0, beta2=b2, length=0.2, delta_beta1=200.0)
     pump = PumpConfig(p0x=px, p0y=py, theta0x=tx, theta0y=ty)
-    a = build_coefficient_matrix(fiber, pump, "HB", omega, z)
+    a = _generator(fiber, pump, "HB", omega, z)
     residue = a @ J_METRIC + J_METRIC @ a.conj().T
     assert np.abs(residue).max() < 1e-12 * max(1.0, np.abs(a).max())
 
@@ -79,16 +86,16 @@ def test_generator_lb_preserves_commutators():
     fiber = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
     pump = PumpConfig(p0x=1.0, theta0x=0.7)
     for z in (0.0, 0.04, 0.11):
-        a = build_coefficient_matrix(fiber, pump, "LB", 28.0, z)
+        a = _generator(fiber, pump, "LB", 28.0, z)
         residue = a @ J_METRIC + J_METRIC @ a.conj().T
         assert np.abs(residue).max() < 1e-14
 
 
 def test_zero_length_gives_identity():
     fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.0)
-    m = integrate_transfer(fiber, PumpConfig(p0x=0.3), "HB", 1.0)
-    np.testing.assert_array_equal(m.matrix, np.eye(4))
-    assert flux_from_transfer(m) == (0.0, 0.0)
+    m = _transfer(fiber, PumpConfig(p0x=0.3), "HB", 1.0)
+    np.testing.assert_array_equal(m, np.eye(4))
+    assert flux_from_matrices(m) == (0.0, 0.0)
 
 
 def test_zero_gamma_gives_identity():
@@ -114,10 +121,10 @@ def test_transfer_matches_scalar_closed_form():
 def test_transfer_flux_even_for_scalar_pump():
     fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.2)
     pump = PumpConfig(p0x=0.3)
-    m_pos = integrate_transfer(fiber, pump, "HB", 1.3)
-    m_neg = integrate_transfer(fiber, pump, "HB", -1.3)
-    assert flux_from_transfer(m_pos)[0] == pytest.approx(
-        flux_from_transfer(m_neg)[0], rel=1e-10
+    m_pos = _transfer(fiber, pump, "HB", 1.3)
+    m_neg = _transfer(fiber, pump, "HB", -1.3)
+    assert flux_from_matrices(m_pos)[0] == pytest.approx(
+        flux_from_matrices(m_neg)[0], rel=1e-10
     )
 
 
@@ -297,15 +304,7 @@ def test_step_policy_floor_and_growth():
 
 
 def test_flux_from_identity_is_vacuum():
-    m = TransferMatrix(omega=1.0, matrix=np.eye(4, dtype=complex))
-    assert flux_from_transfer(m) == (0.0, 0.0)
-
-
-def test_spectrum_exact_record():
-    fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.1)
-    record = spectrum_exact(fiber, PumpConfig(p0x=0.3), "HB", FrequencyGrid(-2.0, 2.0, 16))
-    assert record.method == "exact-ode"
-    assert record.f_x.shape == (16,)
+    assert flux_from_matrices(np.eye(4, dtype=complex)) == (0.0, 0.0)
 
 
 def test_lambda_param_branches():

@@ -13,9 +13,6 @@ from fps import (
     bandwidths,
     flux_hb,
     overlapping_regime,
-    pair_probability_density,
-    scalar_flux_first_order,
-    spectrum_hb,
     total_scatter_probability,
     vector_peak_detuning,
     xi_hb,
@@ -107,9 +104,8 @@ def test_flux_scalar_pump_only_x(fig1_fiber, pump_x03):
     omegas = np.linspace(-2.0, 2.0, 41)
     f_x, f_y = flux_hb(fig1_fiber, pump_x03, omegas)
     assert np.all(f_y == 0.0)
-    np.testing.assert_allclose(
-        f_x, scalar_flux_first_order(fig1_fiber, 0.3, omegas), rtol=1e-14
-    )
+    xx = np.abs(xi_hb(fig1_fiber, pump_x03, Channel.XX, omegas)) ** 2 / TWO_PI
+    np.testing.assert_allclose(f_x, xx, rtol=1e-14)
     fx0, _ = flux_hb(fig1_fiber, pump_x03, 0.0)
     assert fx0 == pytest.approx(1.2857e-3, rel=1e-4)
 
@@ -208,19 +204,19 @@ def test_flux_ignores_pump_phases(tx, ty):
 
 def test_spectrum_record_fields(fig2_fiber, fig2_pump):
     grid = FrequencyGrid(-15.0, 15.0, 100)
-    record = spectrum_hb(fig2_fiber, fig2_pump, grid)
-    assert record.method == "first-order"
-    assert record.regime == "HB"
-    assert np.all(record.f_x >= 0.0) and np.all(record.f_y >= 0.0)
-    assert record.f_x.shape == (100,)
+    f_x, f_y = flux_hb(fig2_fiber, fig2_pump, grid.omegas)
+    assert np.all(f_x >= 0.0) and np.all(f_y >= 0.0)
+    assert f_x.shape == f_y.shape == (100,)
 
 
-def test_pair_probability_density_equals_scalar_flux(fig1_fiber, pump_x03):
-    omegas = np.linspace(-2.0, 2.0, 21)
-    np.testing.assert_array_equal(
-        pair_probability_density(fig1_fiber, pump_x03, omegas),
-        scalar_flux_first_order(fig1_fiber, 0.3, omegas),
+def test_pair_probability_density_equals_scalar_flux(fig1_fiber):
+    # P_T integrates the XX density alone: a y pump adds the vector term
+    # |xi_xy|^2 to f_x but leaves |xi_xx|^2, and so P_T, unchanged.
+    x_only = total_scatter_probability(fig1_fiber, PumpConfig(p0x=0.3), 100.0, "numeric")
+    both = total_scatter_probability(
+        fig1_fiber, PumpConfig(p0x=0.3, p0y=0.3), 100.0, "numeric"
     )
+    assert both == x_only
 
 
 def test_total_scatter_probability_analytic(fig1_fiber, pump_x03):

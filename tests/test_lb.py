@@ -9,12 +9,10 @@ from fps import (
     PumpConfig,
     PumpNotOnAxis,
     flux_lb,
+    flux_hb,
     lb_peak_and_width,
-    scalar_flux_first_order,
-    spectrum_lb,
     xi_lb_yy,
 )
-from fps.fiber import FrequencyGrid
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,7 +54,7 @@ def test_scalar_channel_is_the_hb_scalar(fig4a_fiber, pump_x1):
     # same code path as the HB xx channel, so equality is exact
     omegas = np.linspace(-30.0, 30.0, 301)
     f_x, _ = flux_lb(fig4a_fiber, pump_x1, omegas)
-    np.testing.assert_array_equal(f_x, scalar_flux_first_order(fig4a_fiber, 1.0, omegas))
+    np.testing.assert_array_equal(f_x, flux_hb(fig4a_fiber, PumpConfig(p0x=1.0), omegas)[0])
 
 
 def test_pump_phase_changes_neither_spectrum(fig4a_fiber):
@@ -74,12 +72,6 @@ def test_orthogonal_flux_even_and_bounded(fig4a_fiber, pump_x1):
     np.testing.assert_allclose(f_pos, f_neg, rtol=1e-14)
     bound = (fig4a_fiber.gamma * 1.0 * fig4a_fiber.length / 3.0) ** 2 / TWO_PI
     assert np.all(f_pos <= bound * (1.0 + 1e-12))
-
-
-def test_spectrum_record(fig4a_fiber, pump_x1):
-    record = spectrum_lb(fig4a_fiber, pump_x1, FrequencyGrid(-32.0, 32.0, 64))
-    assert record.regime == "LB"
-    assert record.method == "first-order"
 
 
 def test_peak_and_width_values(fig4a_fiber, pump_x1):
