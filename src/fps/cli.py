@@ -435,6 +435,10 @@ def run_compare(scenario: Scenario, resolved: dict, origin: list[str], args) -> 
 
 
 def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
+    for name in ("omega", "duration", "tol"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ScenarioError(f"--{name} must be finite, got {value}")
     duration = args.duration
     if duration is None:
         duration = scenario.pump.duration
@@ -463,6 +467,12 @@ def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) ->
             label: float(abs(coeff) ** 2) for label, coeff in zip(BASIS, state.coeffs)
         },
     }
+    _require_finite(
+        "classify report",
+        payload["concurrence"],
+        payload["generation_probability"],
+        list(payload["coeff_abs2"].values()),
+    )
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -106,6 +106,50 @@ def _relative_defect(matrix: np.ndarray) -> float:
     return float((residual / scale).max())
 
 
+#: Degree-13 Pade coefficients b_0..b_13 and the 1-norm bound theta_13 up
+#: to which that approximant is accurate to double precision without
+#: scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a (..., n, n) stack by Pade-13 scaling and squaring.
+
+    Each matrix is scaled by 2^-s with s = max(0, ceil(log2(|A|_1/theta_13))),
+    replaced by its degree-13 Pade approximant, and squared s times.  The
+    scaling uses finite norms only (a non-finite norm counts as 0), so s is
+    at most 1022 whatever the input; non-finite entries come out as
+    non-finite matrices, which callers must reject.
+    """
+    b = _PADE13
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    norm = np.where(np.isfinite(norm), norm, 0.0)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    a = a * np.exp2(-s)[..., None, None]
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    result = np.linalg.solve(v - u, v + u)
+    for squaring in range(int(s.max(initial=0))):
+        more = s > squaring
+        result[more] = result[more] @ result[more]
+    return result
+
+
 def _mode_offsets(rate: np.ndarray) -> np.ndarray:
     """Per-mode wave-number offsets phi with rate[j, k] = phi[k] - phi[j].
 
@@ -129,14 +173,15 @@ def integrate_transfer_grid(
 
     Without `steps`, the exact rotating-frame propagator
     M(L) = diag(exp(-i phi L)) expm((C + i diag(phi)) L) for the whole batch
-    in one `scipy.linalg.expm` call (scaling and squaring, accurate also at
-    the MI band edge where eigenvectors coalesce); the returned step count
-    is 0.  With `steps`, fixed-step RK4 with that shared step count, the
-    independent oracle (`default_step_count` sizes one): the phase factors
-    exp(i R z) are advanced incrementally by half-step multipliers, so each
-    step costs two elementwise updates and four batched 4x4
-    multiplications.  Returns (matrices, steps) with matrices of shape
-    omegas.shape + (4, 4).
+    in one call of the numpy Pade-13 scaling-and-squaring kernel `_expm`
+    (accurate also at the MI band edge where eigenvectors coalesce, unlike
+    an eigendecomposition); a generator with a non-finite entry raises
+    NumericalFailure first.  The returned step count is 0.  With `steps`,
+    fixed-step RK4 with that shared step count, the independent oracle
+    (`default_step_count` sizes one): the phase factors exp(i R z) are
+    advanced incrementally by half-step multipliers, so each step costs two
+    elementwise updates and four batched 4x4 multiplications.  Returns
+    (matrices, steps) with matrices of shape omegas.shape + (4, 4).
 
     The symplectic defect of each matrix, relative to max(1, max |M|^2), is
     checked afterwards: one above DEFECT_LIMIT, or a non-finite one, raises
@@ -152,13 +197,11 @@ def integrate_transfer_grid(
     if fiber.length == 0:
         return matrices, steps or 0
     if steps is None:
-        from scipy.linalg import expm
-
         phi = _mode_offsets(rate)
-        generator = coeff + 1j * phi[..., None] * np.eye(4)
-        matrices = np.exp(-1j * phi * fiber.length)[..., None] * expm(
-            generator * fiber.length
-        )
+        generator = (coeff + 1j * phi[..., None] * np.eye(4)) * fiber.length
+        if not np.isfinite(generator).all():
+            raise NumericalFailure("coupled-mode generator is not finite")
+        matrices = np.exp(-1j * phi * fiber.length)[..., None] * _expm(generator)
         error, propagator = NumericalFailure, "the matrix exponential"
     else:
         h = fiber.length / steps

@@ -11,12 +11,20 @@ amplitudes in sqrt(ps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateBirefringence, PumpNotOnAxis, ZeroPower
+
+
+def _require_finite_fields(params) -> None:
+    """Raise ValueError if any numeric field of a parameter container is NaN or inf."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,7 @@ class FiberParams:
     beta1_ref: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         # gamma=0 and length=0 stay representable: several degenerate
         # limits (linear propagation, zero-length identity map) are
         # exercised by tests.  Scenario loading enforces strict positivity.
@@ -74,6 +83,7 @@ class PumpConfig:
     duration: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.p0x < 0 or self.p0y < 0:
             raise ValueError(f"pump powers must be >= 0, got ({self.p0x}, {self.p0y})")
         if self.duration is not None and self.duration <= 0:
@@ -94,6 +104,7 @@ class FrequencyGrid:
     n_points: int
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
         if not self.omega_min < self.omega_max:

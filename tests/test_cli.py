@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -188,6 +190,12 @@ OVERFLOW_CASES = [
     (_fig1a_small(gamma_per_W_km=1e200), ("mi",)),
     (_fig1a_small(gamma_per_W_km=1e200), ("spectrum", "--method", "closed-form")),
     (_fig1a_small(length_km=1e300), ("spectrum", "--method", "closed-form")),
+    # beta2*Omega^2 = inf in the generator, caught before the matrix exponential
+    (
+        {**_fig1a_small(beta2_ps2_per_km=1e300), "grid": {
+            "omega_min": -1e5, "omega_max": 1e5, "n_points": 8}},
+        ("spectrum", "--method", "exact-ode"),
+    ),
 ]
 
 
@@ -504,6 +512,24 @@ def test_classify_rejects_nonpositive_omega(capsys):
     assert "omega" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--omega", "inf"), 2),
+        (("--omega", "1e300"), 3),  # beta2*Omega^2 = inf: NaN amplitudes
+        (("--omega", "1.0", "--duration", "1e-320"), 3),  # probability = inf
+        (("--omega", "1.0", "--duration", "inf"), 2),
+        (("--omega", "1.0", "--tol", "nan"), 2),
+    ],
+)
+def test_classify_non_finite_is_rejected(capsys, argv, code):
+    rc, out, err = run(capsys, "classify", "--preset", "fig2", *argv)
+    assert rc == code
+    assert err.startswith("fps: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert re.search(r"NaN|Infinity", out) is None
+
+
 def test_compare_report(capsys):
     rc, out, _ = run(capsys, "compare", "--preset", "fig1a")
     assert rc == 0
@@ -528,3 +554,38 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert rc == 0
     assert captured.out == ""
     assert target.read_text(encoding="utf-8") == stdout_text
+
+
+#: scipy is a test oracle only: no subcommand may import it at run time.
+NO_SCIPY_CHECK = """
+import sys
+from fps.cli import main
+rc = main(sys.argv[1:])
+loaded = [name for name in sys.modules if name == "scipy" or name.startswith("scipy.")]
+print(rc, loaded, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--preset", "fig3", "--method", "all"),
+        ("compare", "--preset", "fig1a"),
+        ("classify", "--preset", "fig2", "--omega", "1.0"),
+        ("mi", "--preset", "fig1a"),
+        ("presets",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommand_runs_without_scipy(tmp_path, argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHECK, *argv, "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "0 []"

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm as scipy_expm
 
 from fps import (
     Channel,
@@ -29,7 +31,14 @@ from fps import (
     xi_hb,
     xi_lb_yy,
 )
-from fps.dynamics import J_METRIC, MIN_STEPS, _coefficient_factors, default_step_count
+from fps.dynamics import (
+    J_METRIC,
+    MIN_STEPS,
+    _coefficient_factors,
+    _expm,
+    _mode_offsets,
+    default_step_count,
+)
 from fps.fiber import FrequencyGrid
 
 TWO_PI = 2.0 * math.pi
@@ -279,6 +288,52 @@ def test_expm_at_band_edge_and_high_gain():
     mats, _ = integrate_transfer_grid(fiber, PumpConfig(p0x=1.0), "HB", omegas)
     f_x, _ = flux_from_matrices(mats)
     np.testing.assert_allclose(f_x, exact_scalar_flux(fiber, 1.0, omegas), rtol=1e-10)
+
+
+#: The oracle grids plus lambda = 0 at Omega = 0 and at the band edge
+#: Omega = 2, where eigenvectors coalesce, and g*L = 5 at Omega = sqrt(2).
+EXPM_CASES = {
+    **ORACLE_CASES,
+    "band-edge-gl5": (
+        FiberParams(gamma=1.0, beta2=-1.0, length=5.0),
+        PumpConfig(p0x=1.0),
+        "HB",
+        np.array([0.0, 2.0, math.sqrt(2.0)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPM_CASES))
+def test_numpy_expm_matches_scipy(case):
+    fiber, pump, regime, omegas = EXPM_CASES[case]
+    coeff, rate = _coefficient_factors(fiber, pump, regime, omegas)
+    generator = (coeff + 1j * _mode_offsets(rate)[..., None] * np.eye(4)) * fiber.length
+    reference = scipy_expm(generator)
+    scale = np.maximum(1.0, np.abs(reference))
+    assert (np.abs(_expm(generator) - reference) / scale).max() <= 1e-12
+
+
+def test_expm_terminates_on_non_finite_and_huge_input():
+    # a non-finite norm must not reach the squaring count, and a 1e300 norm
+    # asks for about 1000 squarings, not an unbounded loop
+    batch = np.zeros((3, 4, 4), dtype=complex)
+    batch[0, 0, 1] = np.inf
+    batch[1, 2, 3] = np.nan
+    batch[2, 1, 0] = 1e300
+    start = time.perf_counter()
+    with np.errstate(all="ignore"):
+        result = _expm(batch)
+    assert time.perf_counter() - start < 1.0
+    assert result.shape == (3, 4, 4)
+    assert not np.isfinite(result[0]).all() and not np.isfinite(result[1]).all()
+
+
+def test_non_finite_generator_is_a_numerical_failure():
+    # beta2 * Omega^2 = inf: the default path raises before the kernel runs
+    fiber = FiberParams(gamma=3.0, beta2=1e300, length=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure, match="generator is not finite"):
+            integrate_transfer_grid(fiber, PumpConfig(p0x=0.3), "HB", np.array([1.0, 1e5]))
 
 
 def test_overflowed_transfer_fails_defect_check():

@@ -44,6 +44,29 @@ def test_pump_validation():
     assert PumpConfig(p0x=0.1, p0y=0.2).total == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", ["gamma", "beta2", "length", "delta_beta0", "delta_beta1", "beta1_ref"]
+)
+def test_fiber_rejects_non_finite_fields(field, bad):
+    fields = dict(gamma=3.0, beta2=-20.0, length=0.1)
+    with pytest.raises(ValueError, match=field):
+        FiberParams(**{**fields, field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["p0x", "p0y", "theta0x", "theta0y", "duration"])
+def test_pump_rejects_non_finite_fields(field, bad):
+    with pytest.raises(ValueError, match=field):
+        PumpConfig(**{"p0x": 0.3, field: bad})
+
+
+@pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+def test_grid_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="must be finite"):
+        FrequencyGrid(*bounds, 10)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         FrequencyGrid(-1.0, 1.0, 1)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import simpson
 
 from fps import (
     Channel,
@@ -17,8 +18,8 @@ from fps import (
     vector_peak_detuning,
     xi_hb,
 )
-from fps.fiber import FrequencyGrid
-from fps.hb import sinc
+from fps.fiber import FrequencyGrid, coupling_table
+from fps.hb import pair_flux, sinc
 
 TWO_PI = 2.0 * math.pi
 
@@ -229,6 +230,17 @@ def test_total_scatter_probability_numeric_close(fig1_fiber, pump_x03):
     analytic = total_scatter_probability(fig1_fiber, pump_x03, 100.0, mode="analytic")
     numeric = total_scatter_probability(fig1_fiber, pump_x03, 100.0, mode="numeric")
     assert numeric == pytest.approx(analytic, rel=0.25)
+
+
+@pytest.mark.parametrize("beta2, power", [(-20.0, 0.3), (15.0, 0.15), (-139.0, 20.0)])
+def test_numeric_total_probability_matches_scipy_simpson(beta2, power):
+    fiber = FiberParams(gamma=3.0, beta2=beta2, length=0.1)
+    pump = PumpConfig(p0x=power)
+    omegas = np.linspace(0.0, 5.0 * bandwidths(fiber, pump, require_vector=False)[0], 20001)
+    density = pair_flux(coupling_table(fiber, pump, "HB"), [Channel.XX.value], fiber, omegas)
+    reference = 100.0 * simpson(density, x=omegas)
+    numeric = total_scatter_probability(fiber, pump, 100.0, mode="numeric")
+    assert numeric == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
 def test_total_scatter_probability_errors(pump_x03):
