@@ -9,9 +9,9 @@ worker count.  CSV values and header echoes have 9 significant digits; the
 compare and classify JSON reports print floats at full repr precision (up
 to 17 significant digits), so a last-bit change shows there first.
 
-Exit codes: 0 success, 2 input validation, 3 numerical failure (symplectic
-defect above tolerance, a non-finite result, or an OverflowError from a
-closed form).
+Exit codes: 0 success, 2 input validation (the cost caps included), 3
+numerical failure (symplectic defect above tolerance, a non-finite result,
+or an OverflowError from a closed form).
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ from .hb import flux_hb
 from .lb import as_x_pump, flux_lb
 
 METHOD_ORDER = ("first-order", "exact-ode", "closed-form")
+
+#: Cap on the spectral points of one call: grid points x lengths x methods
+#: for spectrum (two methods for compare), the grid once for mi and
+#: classify.  The matrix exponential needs about 3.6 KB and 17 us per point,
+#: so a call at the cap stays below ~1 GB and a few seconds.  Exit 2 above it.
+MAX_SPECTRAL_POINTS = 250_000
+
+#: Cap on --steps x grid points x lengths of one RK4 run; at 2.4-3 us per
+#: step-point a run at the cap takes under a minute.  Exit 2 above it.
+MAX_STEP_POINTS = 20_000_000
 
 
 class ScenarioError(ValueError):
@@ -171,7 +181,9 @@ def _flatten(obj: dict, prefix: str = "") -> dict:
 
 
 def _finite_float(value) -> float:
-    """float(value), with NaN and infinity (which json.load accepts) rejected."""
+    """float(value), with booleans, NaN and infinity (which json.load accepts) rejected."""
+    if isinstance(value, bool):
+        raise ValueError
     value = float(value)
     if not math.isfinite(value):
         raise ValueError
@@ -193,9 +205,11 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
             value = flat[key]
             try:
                 if convert is list:
+                    if not isinstance(value, (list, tuple)):
+                        raise ValueError
                     value = [_finite_float(entry) for entry in value]
                 elif convert is int:
-                    if float(value) != int(value):
+                    if isinstance(value, bool) or float(value) != int(value):
                         raise ValueError
                     value = int(value)
                 elif convert is float:
@@ -302,7 +316,9 @@ def _resolve_scenario(args) -> tuple[Scenario, dict, list[str]]:
                 raw = json.load(handle)
         except OSError as exc:
             raise ScenarioError(f"cannot read scenario file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: JSONDecodeError, or an integer literal beyond
+            # Python's digit limit for int conversion.
             raise ScenarioError(f"scenario file is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ScenarioError("scenario file must contain a JSON object")
@@ -333,6 +349,42 @@ def _require_finite(what: str, *values) -> None:
     """
     if not all(np.isfinite(value).all() for value in values):
         raise NumericalFailure(f"{what} is not finite")
+
+
+def _spectrum_methods(scenario: Scenario) -> tuple[str, ...]:
+    """Methods a spectrum call runs; "all" skips closed-form for a two-axis HB pump."""
+    if scenario.method != "all":
+        return (scenario.method,)
+    if scenario.regime == "HB" and scenario.pump.p0x != 0 and scenario.pump.p0y != 0:
+        return ("first-order", "exact-ode")
+    return METHOD_ORDER
+
+
+def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
+    """Raise ScenarioError above MAX_SPECTRAL_POINTS or MAX_STEP_POINTS.
+
+    Runs before any grid is built, so an oversized request allocates nothing.
+    """
+    n_points, n_lengths = scenario.grid.n_points, len(scenario.lengths)
+    if command == "spectrum":
+        methods = _spectrum_methods(scenario)
+    elif command == "compare":
+        methods = ("first-order", "exact-ode")
+    else:  # mi reads the grid once, classify not at all
+        methods = ()
+    points = n_points * n_lengths * len(methods) if methods else n_points
+    if points > MAX_SPECTRAL_POINTS:
+        raise ScenarioError(
+            f"{points} spectral points (grid x lengths x methods) exceed the cap "
+            f"{MAX_SPECTRAL_POINTS}"
+        )
+    if steps is not None and "exact-ode" in methods:
+        step_points = steps * n_points * n_lengths
+        if step_points > MAX_STEP_POINTS:
+            raise ScenarioError(
+                f"{step_points} RK4 step-points (--steps x grid x lengths) exceed the cap "
+                f"{MAX_STEP_POINTS}"
+            )
 
 
 def _closed_form_flux(scenario: Scenario, fiber: FiberParams):
@@ -380,10 +432,7 @@ def _spectrum_task(scenario: Scenario, method: str, length: float, steps: int | 
 
 
 def run_spectrum(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
-    methods = METHOD_ORDER if scenario.method == "all" else (scenario.method,)
-    if scenario.method == "all" and scenario.regime == "HB":
-        if scenario.pump.p0x != 0 and scenario.pump.p0y != 0:
-            methods = ("first-order", "exact-ode")
+    methods = _spectrum_methods(scenario)
     tasks = [(method, length) for method in methods for length in scenario.lengths]
     results = [
         _spectrum_task(scenario, method, length, args.steps) for method, length in tasks
@@ -571,6 +620,7 @@ def main(argv=None) -> int:
                 text = run_presets(args)
             else:
                 scenario, resolved, origin = _resolve_scenario(args)
+                _check_cost(scenario, args.command, args.steps)
                 runner = {
                     "spectrum": run_spectrum,
                     "compare": run_compare,

@@ -27,6 +27,9 @@ BELL_CONCURRENCE_MIN = 0.99
 #: Basis labels in coefficient order.
 BASIS = ("xx", "yy", "xy", "yx")
 
+#: Coupling-table entries of the basis, in coefficient order.
+_BASIS_ENTRIES = tuple(channel.value for channel in Channel)
+
 _CLASS_BY_PATTERN = {
     (True, False, False, False): "scalar-only-x",
     (False, True, False, False): "scalar-only-y",
@@ -81,13 +84,13 @@ def filtered_state(
     table = coupling_table(fiber, pump, regime)
     raw = np.array(
         [
-            first_order_amplitude(table[channel.value], fiber, omega)
-            if channel.value in table
-            else 0.0
-            for channel in Channel
+            first_order_amplitude(table[entry], fiber, omega) if entry in table else 0.0
+            for entry in _BASIS_ENTRIES
         ],
         dtype=complex,
     )
+    # The norm and the division stay in numpy: its complex abs and division
+    # round differently from CPython's, and the coefficients must not move.
     norm_sq = float(np.sum(np.abs(raw) ** 2))
     if norm_sq == 0:
         raise EmptyState(f"all four amplitudes vanish at omega = {omega}")
@@ -102,7 +105,7 @@ def filtered_state(
     )
 
 
-def concurrence(coeffs: np.ndarray) -> float:
+def concurrence(coeffs) -> float:
     """Pure-state concurrence 2|c_xx c_yy - c_xy c_yx| of a normalized state."""
     c_xx, c_yy, c_xy, c_yx = coeffs
     return float(2.0 * abs(c_xx * c_yy - c_xy * c_yx))
@@ -119,8 +122,9 @@ def classify(state: FilteredPairState, tol: float = 1e-3) -> EntanglementReport:
     vanishes.
     """
     coeffs = state.coeffs
-    conc = concurrence(coeffs)
-    significant = tuple(bool(abs(c) ** 2 >= tol) for c in coeffs)
+    values = coeffs.tolist()  # Python complex: no numpy scalar overhead
+    conc = concurrence(values)
+    significant = tuple(abs(c) ** 2 >= tol for c in values)
     classification = _CLASS_BY_PATTERN.get(significant)
     if classification is None:
         scalar_pair = significant[0] and significant[1]
@@ -129,7 +133,8 @@ def classify(state: FilteredPairState, tol: float = 1e-3) -> EntanglementReport:
             classification = "bell-like"
         else:
             classification = "partial"
-    if coeffs[0] != 0 and coeffs[1] != 0:
+    if values[0] != 0 and values[1] != 0:
+        # numpy's complex division rounds differently from CPython's.
         relative_phase = _wrap_phase(float(np.angle(coeffs[1] / coeffs[0])))
     else:
         relative_phase = float("nan")

@@ -227,19 +227,27 @@ class Coupling(NamedTuple):
     d: float = 0.0
 
     def rate(self, fiber: FiberParams, omega):
-        """Phase rate R(Omega) in 1/km, with the shape of omega.
+        """Phase rate R(Omega) in 1/km, with the shape of omega (a float for a float).
 
         Terms with a zero selector are left out rather than added as zeros,
         so every rate keeps the rounding of its written-out formula.
         """
-        w = np.asarray(omega, dtype=float)
+        # A Python-float omega stays a Python float: the scalar amplitudes of
+        # `filtered_state` would spend most of their time in numpy's 0-d
+        # overhead.  w * w rounds exactly as numpy's square, and the terms
+        # are added left to right in both forms (not by `sum`, which
+        # compensates float sums from Python 3.12 on).
+        w = float(omega) if isinstance(omega, float) else np.asarray(omega, dtype=float)
         terms = [self.s * fiber.delta_beta1 * w] if self.s else []
         if self.t:
-            terms.append(self.t * fiber.beta2 * w**2)
+            terms.append(self.t * fiber.beta2 * (w * w))
         terms.append(self.k)
         if self.d:
             terms.append(self.d * fiber.delta_beta0)
-        return -sum(terms[1:], terms[0])
+        rate = terms[0]
+        for term in terms[1:]:
+            rate = rate + term
+        return -rate
 
 
 def coupling_table(

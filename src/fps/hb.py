@@ -10,11 +10,13 @@ sqrt(ps) (continuous-mode normalization), flux densities in ps/rad.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 
 import numpy as np
 
-from .errors import DegenerateBirefringence, ZeroDispersion
+from .errors import DegenerateBirefringence, PumpNotOnAxis, ZeroDispersion
 from .fiber import (
     Coupling,
     FiberParams,
@@ -42,11 +44,15 @@ class Channel(enum.Enum):
 
 def sinc(u):
     """sin(u)/u with the removable singularity handled by series."""
-    if np.ndim(u) == 0:
-        # Same arithmetic as the array form, without its per-call overhead,
-        # which dominates the scalar amplitudes of `filtered_state`.
-        u = float(u)
-        return 1.0 - u * u / 6.0 if abs(u) < _SINC_SERIES_CUTOFF else float(np.sin(u) / u)
+    if isinstance(u, float):
+        # Python floats skip numpy's per-call overhead, which dominates the
+        # scalar amplitudes of `filtered_state`.  math.sin and np.sin give
+        # the same float64 values (tests/test_scalar_path.py pins the scalar
+        # path to the array path bit for bit); math.sin raises on inf, where
+        # np.sin gives NaN.
+        if abs(u) < _SINC_SERIES_CUTOFF:
+            return 1.0 - u * u / 6.0
+        return math.sin(u) / u if math.isfinite(u) else math.nan
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < _SINC_SERIES_CUTOFF
     safe = np.where(small, 1.0, u)
@@ -61,11 +67,15 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     first-order part of the same entry of the transfer matrix.
 
     Accepts a scalar or an array omega; returns complex of the same shape.
+    A Python-float omega runs in Python floats (cmath.exp for numpy's exp)
+    with results bit-identical to the array path; NaN when u is not finite.
     """
     u = entry.rate(fiber, omega) * (0.5 * fiber.length)
     envelope = sinc(u)  # before the complex temporaries, to lower peak memory
-    values = 1j * (entry.c * fiber.length) * np.exp(1j * (entry.theta + u)) * envelope
-    if values.ndim == 0:
+    # cmath.exp raises where np.exp gives NaN, so a non-finite u stays in numpy.
+    exp = cmath.exp if isinstance(u, float) and math.isfinite(u) else np.exp
+    values = 1j * (entry.c * fiber.length) * exp(1j * (entry.theta + u)) * envelope
+    if isinstance(values, complex):  # numpy's complex scalar included
         return complex(values)
     return values
 
@@ -117,9 +127,15 @@ def total_scatter_probability(
     composite Simpson quadrature on 20001 uniform points (an even number of
     intervals) extending to five first-zero widths.  P_T
     must stay well below 1 for first-order perturbation theory to hold.
+
+    Both modes count the x-pumped scalar channel only, so a pump on y
+    alone (p0x = 0 < p0y) raises PumpNotOnAxis instead of returning 0;
+    relabel the axes with `fiber.swap_axes` first.
     """
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
+    if pump.p0x == 0 < pump.p0y:
+        raise PumpNotOnAxis(f"P_T counts the x-pumped channel, got p0x = 0 < p0y = {pump.p0y}")
     if mode == "analytic":
         if fiber.beta2 == 0:
             raise ZeroDispersion("the closed form requires beta2 != 0")

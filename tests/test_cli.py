@@ -13,7 +13,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fps import PumpConfig, flux_hb
-from fps.cli import METHOD_ORDER, PRESETS, load_scenario, main
+from fps import cli
+from fps.cli import (
+    MAX_SPECTRAL_POINTS,
+    MAX_STEP_POINTS,
+    METHOD_ORDER,
+    PRESETS,
+    load_scenario,
+    main,
+)
 
 ALL_PRESETS = ("fig1a", "fig1b", "fig2", "fig3", "fig4a", "fig4b")
 
@@ -378,6 +386,13 @@ def test_unknown_field(tmp_path, capsys):
         {"lengths_km": [float("nan")]},
         {"lengths_km": [float("inf")]},
         {"grid": {**SMALL_SCALAR["grid"], "n_points": float("inf")}},
+        # a string is not a list of lengths (it used to run 1 km and 2 km)
+        {"lengths_km": "12"},
+        # JSON booleans are not numbers (true used to run gamma = 1)
+        {"fiber": {**SMALL_SCALAR["fiber"], "gamma_per_W_km": True}},
+        {"pump": {"p0x_W": 0.3, "p0y_W": True}},
+        {"grid": {**SMALL_SCALAR["grid"], "n_points": True}},
+        {"lengths_km": [0.1, True]},
     ],
 )
 def test_rejected_scenarios(tmp_path, capsys, patch):
@@ -385,6 +400,71 @@ def test_rejected_scenarios(tmp_path, capsys, patch):
     rc, _, err = run(capsys, "spectrum", "--scenario", str(path))
     assert rc == 2
     assert err.startswith("fps: error:")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "1" + "0" * 5000,  # beyond the int digit limit: ValueError, not JSONDecodeError
+        "[" * 100_000 + "]" * 100_000,  # RecursionError
+    ],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_json_that_python_cannot_load_is_rejected(tmp_path, capsys, value):
+    path = tmp_path / "scenario.json"
+    text = json.dumps(SMALL_SCALAR).replace('"n_points": 40', '"n_points": ' + value)
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "spectrum", "--scenario", str(path))
+    assert rc == 2
+    assert err.startswith("fps: error: scenario file is not valid JSON") and out == ""
+
+
+_THIRD = MAX_SPECTRAL_POINTS // 3  # "all" on a single-axis HB pump runs 3 methods
+
+
+@pytest.mark.parametrize(
+    "argv, n_points, n_lengths, allowed",
+    [
+        (("spectrum",), MAX_SPECTRAL_POINTS, 1, True),
+        (("spectrum",), MAX_SPECTRAL_POINTS + 1, 1, False),
+        (("spectrum",), MAX_SPECTRAL_POINTS // 2, 2, True),
+        (("spectrum",), MAX_SPECTRAL_POINTS // 2 + 1, 2, False),
+        (("spectrum", "--method", "all"), _THIRD, 1, True),
+        (("spectrum", "--method", "all"), _THIRD + 1, 1, False),
+        (("compare",), MAX_SPECTRAL_POINTS // 2, 1, True),
+        (("compare",), MAX_SPECTRAL_POINTS // 2 + 1, 1, False),
+        (("mi",), MAX_SPECTRAL_POINTS, 3, True),  # the grid counts once
+        (("mi",), MAX_SPECTRAL_POINTS + 1, 1, False),
+        (("classify", "--omega", "1.0", "--duration", "100"), MAX_SPECTRAL_POINTS, 3, True),
+        (("classify", "--omega", "1.0", "--duration", "100"), MAX_SPECTRAL_POINTS + 1, 1, False),
+        # --steps x grid points x lengths on the RK4 path
+        (("spectrum", "--method", "exact-ode", "--steps", str(MAX_STEP_POINTS // 4)), 2, 2, True),
+        (("spectrum", "--method", "exact-ode", "--steps", str(MAX_STEP_POINTS // 4 + 1)), 2, 2, False),
+        (("compare", "--steps", str(MAX_STEP_POINTS // 2)), 2, 1, True),
+        (("compare", "--steps", str(MAX_STEP_POINTS // 2 + 1)), 2, 1, False),
+        # no RK4 runs without exact-ode, so --steps costs nothing there
+        (("spectrum", "--steps", str(MAX_STEP_POINTS)), 2, 1, True),
+    ],
+)
+def test_cost_caps(tmp_path, capsys, monkeypatch, argv, n_points, n_lengths, allowed):
+    """At a cap the call reaches its runner; one unit above it exits 2 first.
+
+    The runners are stubbed, so neither case builds a grid or runs anything.
+    """
+    calls = []
+    monkeypatch.setattr(cli, f"run_{argv[0]}", lambda *args: calls.append(args) or "ran\n")
+    scenario = {
+        **SMALL_SCALAR,
+        "grid": {**SMALL_SCALAR["grid"], "n_points": n_points},
+        "lengths_km": [0.1] * n_lengths,
+    }
+    path = write_scenario(tmp_path, scenario)
+    rc, out, err = run(capsys, *argv[:1], "--scenario", path, *argv[1:])
+    if allowed:
+        assert (rc, out, len(calls)) == (0, "ran\n", 1)
+    else:
+        assert (rc, out, calls) == (2, "", [])
+        assert err.startswith("fps: error: ") and "exceed the cap" in err
 
 
 def test_closed_form_rejects_two_axis_pump(capsys):
@@ -589,3 +669,75 @@ def test_subcommand_runs_without_scipy(tmp_path, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "0 []"
+
+
+#: A valid scenario for every subcommand (classify reads the pump duration).
+FUZZ_BASE = {
+    "fiber.gamma_per_W_km": 3.0,
+    "fiber.beta2_ps2_per_km": -20.0,
+    "fiber.length_km": 0.1,
+    "pump.p0x_W": 0.3,
+    "pump.duration_ps": 100.0,
+    "grid.omega_min": -2.0,
+    "grid.omega_max": 2.0,
+    "grid.n_points": 8,
+    "regime": "HB",
+    "method": "first-order",
+    "lengths_km": [0.1],
+}
+FUZZ_KEYS = sorted(
+    {*FUZZ_BASE, "fiber.delta_beta0_per_km", "fiber.delta_beta1_ps_per_km", "pump.p0y_W",
+     "pump.theta0x_rad", "pump.theta0y_rad"}
+)
+FUZZ_COMMANDS = (("spectrum",), ("compare",), ("classify", "--omega", "1.0"), ("mi",))
+#: Free text without digits, so that no random string parses as a large grid.
+_NO_DIGITS = "abcxyzHBL .-_"
+malformed_st = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "12", "3.0", "nan", "Infinity", "1e400", "HB", "LB", "all"]),
+    st.text(alphabet=_NO_DIGITS, max_size=6),
+    st.lists(
+        st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.integers(-10**30, 10**30)),
+        max_size=4,
+    ),
+    st.dictionaries(st.text(alphabet="abc", min_size=1, max_size=2), st.integers(), max_size=2),
+    # huge integers, uniform in the exponent: beyond int64 and beyond double range
+    st.builds(lambda e, sign: sign * 10**e, st.integers(18, 400), st.sampled_from([1, -1])),
+)
+
+
+def _nested(flat: dict) -> dict:
+    nested: dict = {}
+    for key, value in flat.items():
+        section, _, name = key.rpartition(".")
+        (nested.setdefault(section, {}) if section else nested)[name] = value
+    return nested
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(FUZZ_COMMANDS),
+    patch=st.dictionaries(st.sampled_from(FUZZ_KEYS), malformed_st, max_size=3),
+    dropped=st.sets(st.sampled_from(["fiber", "pump", "grid", "regime"]), max_size=2),
+)
+def test_malformed_scenarios_exit_cleanly(command, patch, dropped):
+    """Wrong types, huge integers and missing sections end in exit 0, 2 or 3."""
+    flat = {
+        key: value
+        for key, value in {**FUZZ_BASE, **patch}.items()
+        if key.split(".")[0] not in dropped
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(_nested(flat), handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*command, "--scenario", path])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert re.search(r"\b(nan|inf|NaN|Infinity)\b", out.getvalue()) is None
+    if rc != 0:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1

@@ -10,6 +10,7 @@ from fps import (
     DegenerateBirefringence,
     FiberParams,
     PumpConfig,
+    PumpNotOnAxis,
     ZeroDispersion,
     bandwidths,
     flux_hb,
@@ -18,7 +19,7 @@ from fps import (
     vector_peak_detuning,
     xi_hb,
 )
-from fps.fiber import FrequencyGrid, coupling_table
+from fps.fiber import FrequencyGrid, coupling_table, swap_axes
 from fps.hb import pair_flux, sinc
 
 TWO_PI = 2.0 * math.pi
@@ -251,6 +252,18 @@ def test_total_scatter_probability_errors(pump_x03):
         total_scatter_probability(
             FiberParams(gamma=3.0, beta2=-20.0, length=0.1), pump_x03, 100.0, mode="bogus"
         )
+
+
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+def test_total_scatter_probability_rejects_y_axis_pump(fig1_fiber, mode):
+    # only the x-pumped channel is counted; a y pump used to give 0.0
+    with pytest.raises(PumpNotOnAxis):
+        total_scatter_probability(fig1_fiber, PumpConfig(p0x=0.0, p0y=0.3), 100.0, mode=mode)
+    # relabeled onto x it is the x-pump value
+    fiber_x, pump_x = swap_axes(fig1_fiber, PumpConfig(p0x=0.0, p0y=0.3))
+    expected = total_scatter_probability(fig1_fiber, PumpConfig(p0x=0.3), 100.0, mode=mode)
+    assert total_scatter_probability(fiber_x, pump_x, 100.0, mode=mode) == expected
+    assert expected > 0.15
 
 
 def test_vector_peak_estimate_matches_quadratic_root(fig2_fiber, fig2_pump):

@@ -1,0 +1,126 @@
+"""The Python-float path of the first-order amplitudes against the array path.
+
+A float omega runs `Coupling.rate`, `hb.sinc` and `first_order_amplitude`
+in Python floats (math.sin, cmath.exp) instead of numpy.  These tests pin
+that path to element 0 of the same call on a one-point array, bit for bit,
+and the filtered pair state built from it to the same state built from
+array-path amplitudes.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from fps import Channel, FiberParams, PumpConfig, filtered_state
+from fps.fiber import coupling_table
+from fps.hb import first_order_amplitude, sinc
+
+N_SETS = 2000
+PAIR_ENTRIES = tuple(channel.value for channel in Channel)
+
+
+def _bits(value) -> bytes:
+    return np.complex128(value).tobytes()
+
+
+def _draw(rng: np.random.Generator, index: int):
+    """One seeded (fiber, pump, regime, omega) set, HB and LB alternating."""
+    regime = "HB" if index % 2 == 0 else "LB"
+    fiber = FiberParams(
+        gamma=10 ** rng.uniform(-2, 1.7),
+        beta2=rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1, 2.3),
+        length=10 ** rng.uniform(-5, 0),
+        delta_beta0=rng.uniform(-3000, 3000) if regime == "LB" else 0.0,
+        delta_beta1=rng.uniform(0, 500) if regime == "HB" else 0.0,
+    )
+    pump = PumpConfig(
+        p0x=rng.uniform(0.01, 30),
+        p0y=rng.uniform(0, 30) if regime == "HB" else 0.0,
+        theta0x=rng.uniform(-math.pi, math.pi),
+        theta0y=rng.uniform(-math.pi, math.pi),
+    )
+    omega = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-6, 2))
+    return fiber, pump, regime, omega
+
+
+def _near_matched(entry, fiber, omega: float, rng: np.random.Generator):
+    """The entry with its Kerr term set so that R(omega) is 0 or tiny.
+
+    k = -(s*delta_beta1*omega + t*beta2*omega^2) makes the rate exactly
+    -0.0; adding a small offset puts |u| = |R| L/2 below the sinc series
+    cutoff of 1e-8.
+    """
+    dispersive = []
+    if entry.s:
+        dispersive.append(entry.s * fiber.delta_beta1 * omega)
+    if entry.t:
+        dispersive.append(entry.t * fiber.beta2 * (omega * omega))
+    phase = dispersive[0] if len(dispersive) == 1 else dispersive[0] + dispersive[1]
+    offset = 0.0 if rng.random() < 0.5 else rng.uniform(-1e-9, 1e-9) / fiber.length
+    return entry._replace(k=-phase + offset, d=0.0)
+
+
+def test_scalar_amplitude_is_array_element_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    series_hits = zero_hits = compared = 0
+    for index in range(N_SETS):
+        fiber, pump, regime, omega = _draw(rng, index)
+        entries = list(coupling_table(fiber, pump, regime).values())
+        if index % 4 == 1:
+            entries = [_near_matched(entry, fiber, omega, rng) for entry in entries]
+        for entry in entries:
+            u = entry.rate(fiber, omega) * (0.5 * fiber.length)
+            series_hits += abs(u) < 1e-8
+            zero_hits += u == 0.0
+            scalar = first_order_amplitude(entry, fiber, omega)
+            array = first_order_amplitude(entry, fiber, np.array([omega]))
+            assert type(scalar) is complex
+            assert _bits(scalar) == _bits(array[0]), (fiber, pump, regime, omega, entry)
+            compared += 1
+    assert compared > 7000
+    assert series_hits > 500 and zero_hits > 250  # the series branch and u = 0 ran
+
+
+def test_filtered_state_matches_array_path_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for index in range(N_SETS):
+        fiber, pump, regime, omega = _draw(rng, index)
+        omega, duration = abs(omega), 10 ** rng.uniform(0, 3)
+        table = coupling_table(fiber, pump, regime)
+        raw = np.array(
+            [
+                first_order_amplitude(table[entry], fiber, np.array([omega]))[0]
+                if entry in table
+                else 0.0
+                for entry in PAIR_ENTRIES
+            ],
+            dtype=complex,
+        )
+        norm_sq = float(np.sum(np.abs(raw) ** 2))
+        norm = math.sqrt(norm_sq)
+        state = filtered_state(fiber, pump, regime, omega, duration)
+        assert state.coeffs.tobytes() == (raw / norm).tobytes()
+        assert state.norm.hex() == norm.hex()
+        assert state.generation_probability.hex() == (norm_sq / duration).hex()
+
+
+@pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
+def test_scalar_sinc_is_nan_for_non_finite_argument(u):
+    assert math.isnan(sinc(u))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(sinc(np.array([u]))[0])
+
+
+def test_scalar_amplitude_is_nan_beyond_double_range():
+    # omega^2 overflows, so u is infinite: NaN (exit 3 in the CLI), not the
+    # ValueError math.sin and cmath.exp raise for an infinite argument
+    fiber = FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0)
+    pump = PumpConfig(p0x=0.15, p0y=0.15)
+    table = coupling_table(fiber, pump, "HB")
+    with np.errstate(invalid="ignore"):
+        for entry in PAIR_ENTRIES:
+            assert cmath.isnan(first_order_amplitude(table[entry], fiber, 1e300))
+        state = filtered_state(fiber, pump, "HB", 1e300, 100.0)
+    assert math.isnan(state.generation_probability)
