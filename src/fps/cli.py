@@ -46,8 +46,11 @@ METHOD_ORDER = ("first-order", "exact-ode", "closed-form")
 #: so a call at the cap stays below ~1 GB and a few seconds.  Exit 2 above it.
 MAX_SPECTRAL_POINTS = 250_000
 
-#: Cap on --steps x grid points x lengths of one RK4 run; at 2.4-3 us per
-#: step-point a run at the cap takes under a minute.  Exit 2 above it.
+#: Cap on --steps x grid points x lengths of one RK4 run.  The oracle
+#: powers its one-step matrix in about 2 log2(--steps) batched 4x4 products
+#: per point (about 19 us per point at 2000 steps), so its time, like the
+#: matrix exponential's, is bounded through MAX_SPECTRAL_POINTS; this cap
+#: bounds the step count asked of it.  Exit 2 above it.
 MAX_STEP_POINTS = 20_000_000
 
 
@@ -181,8 +184,8 @@ def _flatten(obj: dict, prefix: str = "") -> dict:
 
 
 def _finite_float(value) -> float:
-    """float(value), with booleans, NaN and infinity (which json.load accepts) rejected."""
-    if isinstance(value, bool):
+    """float(value); booleans, strings, NaN and infinity (json.load accepts them) are rejected."""
+    if isinstance(value, (bool, str)):
         raise ValueError
     value = float(value)
     if not math.isfinite(value):
@@ -209,7 +212,7 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
                         raise ValueError
                     value = [_finite_float(entry) for entry in value]
                 elif convert is int:
-                    if isinstance(value, bool) or float(value) != int(value):
+                    if isinstance(value, (bool, str)) or float(value) != int(value):
                         raise ValueError
                     value = int(value)
                 elif convert is float:
@@ -559,7 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_method: bool = True) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, with_method: bool = True, with_steps: bool = True
+    ) -> None:
         p.add_argument("--scenario", help="JSON scenario file")
         p.add_argument("--preset", help="built-in parameter set name")
         p.add_argument("--out", help="output file (default: stdout)")
@@ -569,12 +574,13 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=METHOD_ORDER + ("all",),
                 help="override the scenario method",
             )
-        p.add_argument(
-            "--steps",
-            type=int,
-            help="run exact-ode with the fixed-step RK4 oracle at this step count "
-            "instead of the matrix exponential",
-        )
+        if with_steps:
+            p.add_argument(
+                "--steps",
+                type=int,
+                help="run exact-ode with the fixed-step RK4 oracle at this step count "
+                "instead of the matrix exponential",
+            )
 
     p_spectrum = sub.add_parser("spectrum", help="flux-density sweep as CSV")
     add_common(p_spectrum)
@@ -590,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_compare, with_method=False)
 
     p_classify = sub.add_parser("classify", help="filtered-pair entanglement report")
-    add_common(p_classify, with_method=False)
+    add_common(p_classify, with_method=False, with_steps=False)
     p_classify.add_argument("--omega", type=float, required=True, help="detuning rad/ps")
     p_classify.add_argument("--duration", type=float, help="pump duration ps")
     p_classify.add_argument(
@@ -598,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_mi = sub.add_parser("mi", help="modulation-instability gain curve as CSV")
-    add_common(p_mi, with_method=False)
+    add_common(p_mi, with_method=False, with_steps=False)
 
     p_presets = sub.add_parser("presets", help="list built-in parameter sets")
     p_presets.add_argument("--name", help="show a single preset")
@@ -611,8 +617,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "steps", None) is not None and args.steps < 1:
-            raise ScenarioError(f"--steps must be >= 1, got {args.steps}")
+        steps = getattr(args, "steps", None)
+        if steps is not None and steps < 1:
+            raise ScenarioError(f"--steps must be >= 1, got {steps}")
         # Overflow and NaN are reported by the finiteness guard and the
         # defect check, as one exit-3 line rather than numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -620,7 +627,7 @@ def main(argv=None) -> int:
                 text = run_presets(args)
             else:
                 scenario, resolved, origin = _resolve_scenario(args)
-                _check_cost(scenario, args.command, args.steps)
+                _check_cost(scenario, args.command, steps)
                 runner = {
                     "spectrum": run_spectrum,
                     "compare": run_compare,

@@ -256,6 +256,21 @@ def test_nonpositive_steps_rejected(capsys, steps):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("mi", "--preset", "fig1a"), ("classify", "--preset", "fig2", "--omega", "1.0")],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("steps", ["5", "0"])
+def test_steps_is_rejected_where_no_exact_ode_runs(capsys, argv, steps):
+    """mi and classify never run RK4, so --steps is an unknown option there."""
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--steps", steps])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == "" and "unrecognized arguments: --steps" in captured.err
+
+
 COMMANDS = (("spectrum", "--method", "all"), ("mi",))
 #: fig1a's fiber and pump on an 8-point grid; the examples below replace fields.
 _FIG1A_SMALL_ARGS = dict(
@@ -393,6 +408,10 @@ def test_unknown_field(tmp_path, capsys):
         {"pump": {"p0x_W": 0.3, "p0y_W": True}},
         {"grid": {**SMALL_SCALAR["grid"], "n_points": True}},
         {"lengths_km": [0.1, True]},
+        # JSON strings are not numbers ("8" used to run 8 points)
+        {"grid": {**SMALL_SCALAR["grid"], "n_points": "8"}},
+        {"fiber": {**SMALL_SCALAR["fiber"], "gamma_per_W_km": "3.0"}},
+        {"lengths_km": ["0.1"]},
     ],
 )
 def test_rejected_scenarios(tmp_path, capsys, patch):

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,8 +38,10 @@ from fps.dynamics import (
     _coefficient_factors,
     _expm,
     _mode_offsets,
+    _relative_defect,
     default_step_count,
 )
+from fps.cli import PRESETS, load_scenario
 from fps.fiber import FrequencyGrid
 
 TWO_PI = 2.0 * math.pi
@@ -240,6 +243,73 @@ def test_expm_matches_rk4_oracle(case):
     assert used == oracle_steps
     assert np.abs(exact - oracle).max() <= 1e-10
     assert symplectic_defect(exact) <= 1e-12
+
+
+def _stepwise_rk4(fiber, pump, regime, omegas, steps):
+    """Fixed-step RK4, one step at a time, from the phase rates R alone.
+
+    The sampled coefficients C exp(i R z) are advanced by half-step
+    factors; the mode offsets phi, which the powered oracle shares with the
+    matrix exponential, are never used.
+    """
+    coeff, rate = _coefficient_factors(fiber, pump, regime, omegas)
+    matrices = np.zeros(omegas.shape + (4, 4), dtype=complex)
+    matrices[...] = np.eye(4)
+    h = fiber.length / steps
+    phase = np.ones_like(coeff)
+    half_step_factor = np.exp(1j * rate * (0.5 * h))
+    for _ in range(steps):
+        a_start = coeff * phase
+        phase_mid = phase * half_step_factor
+        a_mid = coeff * phase_mid
+        phase = phase_mid * half_step_factor
+        a_end = coeff * phase
+        k1 = a_start @ matrices
+        k2 = a_mid @ (matrices + (0.5 * h) * k1)
+        k3 = a_mid @ (matrices + (0.5 * h) * k2)
+        k4 = a_end @ (matrices + h * k3)
+        matrices = matrices + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return matrices
+
+
+def _relative_gap(matrices, reference):
+    """Largest |matrices - reference| per matrix over max(1, max |reference|)."""
+    scale = np.maximum(1.0, np.abs(reference).max(axis=(-2, -1), keepdims=True))
+    return (np.abs(matrices - reference) / scale).max()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 25, 1000, 1001, 2047])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_powered_rk4_matches_stepwise_loop(case, steps):
+    """The telescoped power is the same discrete map as N separate RK4 steps."""
+    fiber, pump, regime, omegas = ORACLE_CASES[case]
+    powered, used = integrate_transfer_grid(
+        fiber, pump, regime, omegas, steps=steps, check_defect=False
+    )
+    stepwise = _stepwise_rk4(fiber, pump, regime, omegas, steps)
+    assert used == steps
+    assert _relative_gap(powered, stepwise) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_rk4_oracle_matches_expm_on_every_preset_grid(name):
+    """RK4 at the default step count on each preset's full grid and lengths.
+
+    Powering the one-step matrix as an offset from the identity keeps the
+    relative defect below 1e-12 here (fig2 at 38,259 steps: 7.7e-13); with
+    the identity added to the step first it reaches 1.5e-11.
+    """
+    scenario, _ = load_scenario(dict(PRESETS[name]))
+    omegas = scenario.grid.omegas
+    for length in scenario.lengths:
+        fiber = replace(scenario.fiber, length=length)
+        steps = default_step_count(fiber, scenario.pump, scenario.regime, omegas)
+        exact, _ = integrate_transfer_grid(fiber, scenario.pump, scenario.regime, omegas)
+        oracle, _ = integrate_transfer_grid(
+            fiber, scenario.pump, scenario.regime, omegas, steps=steps
+        )
+        assert _relative_gap(oracle, exact) <= 1e-10
+        assert _relative_defect(oracle) <= 5e-12
 
 
 FIRST_ORDER_CASES = {
