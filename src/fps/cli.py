@@ -4,10 +4,10 @@ Subcommands: spectrum (flux-density sweeps as CSV), compare (first-order
 vs exact deviation report as JSON), classify (filtered-pair entanglement
 report as JSON), mi (gain curve as CSV), presets (list built-in parameter
 sets).  Output formatting is fixed ('.' decimal, '\\n' line endings, ordered
-rows, sorted JSON keys), so repeated runs are byte-identical regardless of
-worker count.  CSV values and header echoes have 9 significant digits; the
-compare and classify JSON reports print floats at full repr precision (up
-to 17 significant digits), so a last-bit change shows there first.
+rows, sorted JSON keys), so repeated runs are byte-identical.  CSV values
+and header echoes have 9 significant digits; the compare and classify JSON
+reports print floats at full repr precision (up to 17 significant digits),
+so a last-bit change shows there first.
 
 Exit codes: 0 success, 2 input validation (the cost caps included), 3
 numerical failure (symplectic defect above tolerance, a non-finite result,
@@ -36,7 +36,7 @@ from .entangle import BASIS, bell_phase, classify, filtered_state
 from .errors import FpsError, NumericalFailure
 from .fiber import FiberParams, FrequencyGrid, PumpConfig, normalize_convention
 from .hb import flux_hb
-from .lb import as_x_pump, flux_lb
+from .lb import flux_lb
 
 METHOD_ORDER = ("first-order", "exact-ode", "closed-form")
 
@@ -367,6 +367,7 @@ def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
     """Raise ScenarioError above MAX_SPECTRAL_POINTS or MAX_STEP_POINTS.
 
     Runs before any grid is built, so an oversized request allocates nothing.
+    --steps where no exact-ode runs, which nothing would read, is rejected too.
     """
     n_points, n_lengths = scenario.grid.n_points, len(scenario.lengths)
     if command == "spectrum":
@@ -381,31 +382,40 @@ def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
             f"{points} spectral points (grid x lengths x methods) exceed the cap "
             f"{MAX_SPECTRAL_POINTS}"
         )
-    if steps is not None and "exact-ode" in methods:
-        step_points = steps * n_points * n_lengths
-        if step_points > MAX_STEP_POINTS:
-            raise ScenarioError(
-                f"{step_points} RK4 step-points (--steps x grid x lengths) exceed the cap "
-                f"{MAX_STEP_POINTS}"
-            )
+    if steps is None:
+        return
+    if "exact-ode" not in methods:
+        raise ScenarioError(
+            f"--steps applies to exact-ode only; this {command} runs {', '.join(methods)}"
+        )
+    step_points = steps * n_points * n_lengths
+    if step_points > MAX_STEP_POINTS:
+        raise ScenarioError(
+            f"{step_points} RK4 step-points (--steps x grid x lengths) exceed the cap "
+            f"{MAX_STEP_POINTS}"
+        )
 
 
 def _closed_form_flux(scenario: Scenario, fiber: FiberParams):
+    """(f_x, f_y) from the x-pump closed forms, kept independent of the coupling table.
+
+    A y pump feeds them its own power and, for the orthogonal form, -delta_beta0.
+    """
     pump = scenario.pump
     omegas = scenario.grid.omegas
-    if scenario.regime == "LB":
-        fiber_x, pump_x, swapped = as_x_pump(fiber, pump)
-        f_pump = exact_scalar_flux(fiber_x, pump_x.p0x, omegas)
-        f_orth = exact_lb_orthogonal_flux(fiber_x, pump_x.p0x, omegas)
-        return (f_orth, f_pump) if swapped else (f_pump, f_orth)
-    if pump.p0x != 0 and pump.p0y != 0:
+    if pump.p0x != 0 and pump.p0y != 0:  # LB scenarios never get here
         raise ScenarioError(
             "closed-form method requires a single-axis pump in the HB regime"
         )
-    zeros = np.zeros_like(omegas)
-    if pump.p0y == 0:
-        return exact_scalar_flux(fiber, pump.p0x, omegas), zeros
-    return zeros, exact_scalar_flux(fiber, pump.p0y, omegas)
+    on_y = pump.p0y != 0
+    power = pump.p0y if on_y else pump.p0x
+    f_pump = exact_scalar_flux(fiber, power, omegas)
+    if scenario.regime == "LB":
+        x_frame = replace(fiber, delta_beta0=-fiber.delta_beta0) if on_y else fiber
+        f_orth = exact_lb_orthogonal_flux(x_frame, power, omegas)
+    else:
+        f_orth = np.zeros_like(omegas)
+    return (f_orth, f_pump) if on_y else (f_pump, f_orth)
 
 
 def _spectrum_task(scenario: Scenario, method: str, length: float, steps: int | None):
@@ -416,17 +426,10 @@ def _spectrum_task(scenario: Scenario, method: str, length: float, steps: int | 
         flux = flux_lb if scenario.regime == "LB" else flux_hb
         f_x, f_y = flux(fiber, scenario.pump, scenario.grid.omegas)
     elif method == "exact-ode":
-        pump = scenario.pump
-        if scenario.regime == "LB":
-            fiber, pump, swapped = as_x_pump(fiber, pump)
-        else:
-            swapped = False
         matrices, used_steps = integrate_transfer_grid(
-            fiber, pump, scenario.regime, scenario.grid.omegas, steps=steps
+            fiber, scenario.pump, scenario.regime, scenario.grid.omegas, steps=steps
         )
         f_x, f_y = flux_from_matrices(matrices)
-        if swapped:
-            f_x, f_y = f_y, f_x
         extra.append(f"# steps.L={_fmt(length)} = {used_steps or 'expm'}")
     else:
         f_x, f_y = _closed_form_flux(scenario, fiber)

@@ -323,7 +323,10 @@ def exact_scalar_flux(fiber: FiberParams, power: float, omega):
 
 
 def exact_lb_orthogonal_flux(fiber: FiberParams, power: float, omega):
-    """Closed-form flux of the LB orthogonal channel (coupling gamma*P/3)."""
+    """Closed-form flux of the LB orthogonal channel (coupling gamma*P/3), pump on x.
+
+    For a pump on y, pass the fiber with delta_beta0 negated.
+    """
     omega = np.asarray(omega, dtype=float)
     coupling = fiber.gamma * power / 3.0
     rate = (

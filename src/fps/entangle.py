@@ -74,7 +74,8 @@ def filtered_state(
 
     Coefficients are the four amplitudes (xi_xx, xi_yy, xi_xy, xi_yx) at
     +omega, normalized; in the LB regime the vector entries are zero and
-    xi_yy is the orthogonal-channel amplitude.  The generation probability
+    the scalar amplitude of the unpumped axis (xi_yy for an x pump, xi_xx
+    for a y pump) is the orthogonal-channel one.  The generation probability
     per discrete mode is sum |xi|^2 * dw / 2pi with dw = 2pi/T.
     """
     if not omega > 0:

@@ -259,25 +259,33 @@ def coupling_table(
     pair channels are XX (0, 1), YY (2, 3), XY (0, 3) and YX (2, 1); in HB
     the entries (0, 2) and (1, 3) convert frequency between the axes.  The
     remaining entries follow from the Bogoliubov structure A = -J A^dag J.
-    LB needs the pump on x and keeps the scalar channel plus the orthogonal
-    channel (2, 3), which the linear birefringence mismatches.
+    LB needs the pump on a single axis (a pump on neither counts as x).  It
+    keeps the scalar channel of the pumped axis plus the orthogonal channel
+    on the other axis, which the linear birefringence mismatches by
+    d*delta_beta0 with d = -2 for an x pump and +2 for a y pump.
     """
     g = fiber.gamma
     px, py, tx, ty = pump.p0x, pump.p0y, pump.theta0x, pump.theta0y
-    xx = Coupling(g * px, 2.0 * tx, s=0.0, t=1.0, k=2.0 * g * px)
+
+    def scalar(p: float, theta: float) -> Coupling:
+        return Coupling(g * p, 2.0 * theta, s=0.0, t=1.0, k=2.0 * g * p)
+
     if regime == "LB":
-        if py != 0:
-            raise PumpNotOnAxis(f"regime LB requires the pump on x, got p0y = {py}")
-        kerr_yy = -(2.0 / 3.0) * g * px
-        yy = Coupling(g * px / 3.0, 2.0 * tx, s=0.0, t=1.0, k=kerr_yy, d=-2.0)
-        return {(0, 1): xx, (2, 3): yy}
+        if px != 0 and py != 0:
+            raise PumpNotOnAxis(f"regime LB requires a single-axis pump, got ({px}, {py})")
+        on_y = py != 0
+        p, theta = (py, ty) if on_y else (px, tx)
+        d = 2.0 if on_y else -2.0
+        orth = Coupling(g * p / 3.0, 2.0 * theta, s=0.0, t=1.0, k=-(2.0 / 3.0) * g * p, d=d)
+        pumped, other = ((2, 3), (0, 1)) if on_y else ((0, 1), (2, 3))
+        return {pumped: scalar(p, theta), other: orth}
     if regime != "HB":
         raise ValueError(f"regime must be 'HB' or 'LB', got {regime!r}")
     cross = (2.0 / 3.0) * g * math.sqrt(px * py)
     kerr = g * (px + py)
     return {
-        (0, 1): xx,
-        (2, 3): Coupling(g * py, 2.0 * ty, s=0.0, t=1.0, k=2.0 * g * py),
+        (0, 1): scalar(px, tx),
+        (2, 3): scalar(py, ty),
         (0, 3): Coupling(cross, tx + ty, s=1.0, t=1.0, k=kerr),
         (2, 1): Coupling(cross, tx + ty, s=-1.0, t=1.0, k=kerr),
         (0, 2): Coupling(cross, tx - ty, s=1.0, t=0.0, k=g * (px - py)),

@@ -91,28 +91,35 @@ def xi_hb(fiber: FiberParams, pump: PumpConfig, channel: Channel, omega):
 
 
 def pair_flux(table: dict, entries, fiber: FiberParams, omega):
-    """Flux density sum(|xi|^2)/2pi in ps/rad of the given pair entries."""
+    """Flux density sum(|xi|^2)/2pi in ps/rad of those given pair entries the table has."""
     intensities = [
-        np.abs(first_order_amplitude(table[entry], fiber, omega)) ** 2 for entry in entries
+        np.abs(first_order_amplitude(table[entry], fiber, omega)) ** 2
+        for entry in entries
+        if entry in table
     ]
     return sum(intensities[1:], intensities[0]) / (2.0 * np.pi)
 
 
-def flux_hb(fiber: FiberParams, pump: PumpConfig, omega):
-    """Flux densities (f_x, f_y) at detuning omega from the four amplitudes.
+def _axis_fluxes(fiber: FiberParams, pump: PumpConfig, regime: str, omega):
+    """Flux densities (f_x, f_y) in ps/rad from the pair entries of the regime's table.
 
-    The a_x(+Omega) row of the generator couples to both creation operators,
-    so f_x = (|xi_xx|^2 + |xi_xy|^2)/2pi and f_y = (|xi_yx|^2 + |xi_yy|^2)/2pi,
-    the entries the exact flux reads from the transfer matrix.  Since
-    xi_xy(-Omega) = xi_yx(Omega), f_x holds the XY anti-Stokes photons for
-    Omega > 0 and the YX Stokes photons for Omega < 0.
+    The a_j(+Omega) row of the generator couples to both creation operators,
+    so f_x = (|xi_01|^2 + |xi_03|^2)/2pi and f_y = (|xi_23|^2 + |xi_21|^2)/2pi,
+    the entries the exact flux reads from the transfer matrix (LB has one of
+    each pair).  Since xi_03(-Omega) = xi_21(Omega), in HB f_x holds the XY
+    anti-Stokes photons for Omega > 0 and the YX Stokes photons for Omega < 0.
     """
-    table = coupling_table(fiber, pump, "HB")
+    table = coupling_table(fiber, pump, regime)
     f_x = pair_flux(table, [Channel.XX.value, Channel.XY.value], fiber, omega)
     f_y = pair_flux(table, [Channel.YY.value, Channel.YX.value], fiber, omega)
     if np.ndim(f_x) == 0:
         return float(f_x), float(f_y)
     return f_x, f_y
+
+
+def flux_hb(fiber: FiberParams, pump: PumpConfig, omega):
+    """Flux densities (f_x, f_y) in ps/rad from the four HB amplitudes; see `_axis_fluxes`."""
+    return _axis_fluxes(fiber, pump, "HB", omega)
 
 
 def total_scatter_probability(

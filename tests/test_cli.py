@@ -258,17 +258,32 @@ def test_nonpositive_steps_rejected(capsys, steps):
 
 @pytest.mark.parametrize(
     "argv",
-    [("mi", "--preset", "fig1a"), ("classify", "--preset", "fig2", "--omega", "1.0")],
-    ids=lambda argv: argv[0],
+    [
+        ("mi", "--preset", "fig1a"),
+        ("classify", "--preset", "fig2", "--omega", "1.0"),
+        ("spectrum", "--preset", "fig2"),  # the preset's own method, first-order
+        ("spectrum", "--preset", "fig1a", "--method", "first-order"),
+        ("spectrum", "--preset", "fig1a", "--method", "closed-form"),
+    ],
+    ids=["mi", "classify", "spectrum", "spectrum-first-order", "spectrum-closed-form"],
 )
-@pytest.mark.parametrize("steps", ["5", "0"])
+@pytest.mark.parametrize("steps", ["5", "0", str(MAX_STEP_POINTS)])
 def test_steps_is_rejected_where_no_exact_ode_runs(capsys, argv, steps):
-    """mi and classify never run RK4, so --steps is an unknown option there."""
-    with pytest.raises(SystemExit) as info:
-        main([*argv, "--steps", steps])
+    """No RK4 runs without exact-ode, so nothing would read --steps.
+
+    mi and classify have no such option; spectrum rejects it for the other
+    methods before anything runs, whatever the step count.
+    """
+    if argv[0] == "spectrum":
+        rc = main([*argv, "--steps", steps])
+        expected = "fps: error: --steps "
+    else:
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--steps", steps])
+        rc, expected = info.value.code, "unrecognized arguments: --steps"
     captured = capsys.readouterr()
-    assert info.value.code == 2
-    assert captured.out == "" and "unrecognized arguments: --steps" in captured.err
+    assert rc == 2
+    assert captured.out == "" and expected in captured.err
 
 
 COMMANDS = (("spectrum", "--method", "all"), ("mi",))
@@ -461,8 +476,6 @@ _THIRD = MAX_SPECTRAL_POINTS // 3  # "all" on a single-axis HB pump runs 3 metho
         (("spectrum", "--method", "exact-ode", "--steps", str(MAX_STEP_POINTS // 4 + 1)), 2, 2, False),
         (("compare", "--steps", str(MAX_STEP_POINTS // 2)), 2, 1, True),
         (("compare", "--steps", str(MAX_STEP_POINTS // 2 + 1)), 2, 1, False),
-        # no RK4 runs without exact-ode, so --steps costs nothing there
-        (("spectrum", "--steps", str(MAX_STEP_POINTS)), 2, 1, True),
     ],
 )
 def test_cost_caps(tmp_path, capsys, monkeypatch, argv, n_points, n_lengths, allowed):
@@ -484,6 +497,50 @@ def test_cost_caps(tmp_path, capsys, monkeypatch, argv, n_points, n_lengths, all
     else:
         assert (rc, out, calls) == (2, "", [])
         assert err.startswith("fps: error: ") and "exceed the cap" in err
+
+
+def _y_pumped(name: str) -> dict:
+    """An LB preset with its pump moved to y: the axes relabeled, delta_beta0 negated."""
+    preset = PRESETS[name]
+    return {
+        **preset,
+        "fiber.delta_beta0_per_km": -preset["fiber.delta_beta0_per_km"],
+        "pump.p0x_W": 0.0,
+        "pump.p0y_W": preset["pump.p0x_W"],
+        "pump.theta0y_rad": 0.7,
+    }
+
+
+@pytest.mark.parametrize("name", ["fig4a", "fig4b"])
+@pytest.mark.parametrize(
+    "extra",
+    [("--method", "all"), ("--method", "exact-ode", "--steps", "3000")],
+    ids=["all", "rk4"],
+)
+def test_y_pumped_lb_spectrum_mirrors_the_x_pump(tmp_path, capsys, name, extra):
+    """Every method gives the x-pump rows with the f_x and f_y columns swapped."""
+    path = write_scenario(tmp_path, _y_pumped(name))
+    rc_x, out_x, _ = run(capsys, "spectrum", "--preset", name, *extra)
+    rc_y, out_y, err = run(capsys, "spectrum", "--scenario", path, *extra)
+    assert (rc_x, rc_y, err) == (0, 0, "")
+    header_x, rows_x = data_rows(out_x)
+    header_y, rows_y = data_rows(out_y)
+    assert header_y == header_x
+    assert len(rows_x) == PRESETS[name]["grid.n_points"] * 3 * (3 if "all" in extra else 1)
+    assert rows_y == [[omega, f_y, f_x, *rest] for omega, f_x, f_y, *rest in rows_x]
+
+
+def test_classify_y_pumped_lb_mirrors_the_x_pump(tmp_path, capsys):
+    path = write_scenario(tmp_path, _y_pumped("fig4a"))
+    rc_x, out_x, _ = run(capsys, "classify", "--preset", "fig4a", "--omega", "28.0")
+    rc_y, out_y, err = run(capsys, "classify", "--scenario", path, "--omega", "28.0")
+    assert (rc_x, rc_y, err) == (0, 0, "")
+    x_report, y_report = json.loads(out_x), json.loads(out_y)
+    x_abs2, y_abs2 = x_report["coeff_abs2"], y_report["coeff_abs2"]
+    assert (y_abs2["xx"], y_abs2["yy"]) == (x_abs2["yy"], x_abs2["xx"])
+    assert y_abs2["xy"] == y_abs2["yx"] == 0.0
+    for key in ("concurrence", "generation_probability"):
+        assert y_report[key] == x_report[key]
 
 
 def test_closed_form_rejects_two_axis_pump(capsys):

@@ -30,7 +30,6 @@ from fps import (
     mi_support_edge,
     symplectic_defect,
     xi_hb,
-    xi_lb_yy,
 )
 from fps.dynamics import (
     J_METRIC,
@@ -42,7 +41,8 @@ from fps.dynamics import (
     default_step_count,
 )
 from fps.cli import PRESETS, load_scenario
-from fps.fiber import FrequencyGrid
+from fps.fiber import FrequencyGrid, coupling_table
+from fps.hb import first_order_amplitude
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,10 +152,26 @@ def test_lb_transfer_matches_both_closed_forms():
     assert np.max(np.abs(f_x - ref_x)) <= 1e-9 * exact_scalar_flux(fiber, 1.0, 0.0)
 
 
-def test_lb_regime_requires_x_pump():
+def test_lb_regime_requires_single_axis_pump():
     fiber = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
     with pytest.raises(PumpNotOnAxis):
         integrate_transfer_grid(fiber, PumpConfig(p0x=1.0, p0y=1.0), "LB", np.array([1.0]))
+
+
+@pytest.mark.parametrize("steps", [None, 3000])
+def test_lb_y_pump_transfer_is_the_x_pump_transfer_relabeled(steps):
+    """Relabeling x <-> y flips delta_beta0 and permutes the basis (0,1) <-> (2,3), exactly."""
+    x_fiber = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
+    y_fiber = replace(x_fiber, delta_beta0=-2000.0)
+    omegas = np.linspace(-32.0, 32.0, 64)
+    x_mats, _ = integrate_transfer_grid(
+        x_fiber, PumpConfig(p0x=1.0, theta0x=0.7), "LB", omegas, steps=steps
+    )
+    y_mats, _ = integrate_transfer_grid(
+        y_fiber, PumpConfig(p0x=0.0, p0y=1.0, theta0y=0.7), "LB", omegas, steps=steps
+    )
+    swap = [2, 3, 0, 1]
+    assert np.abs(y_mats - x_mats[:, swap][:, :, swap]).max() == 0.0
 
 
 def test_unknown_regime_rejected():
@@ -338,7 +354,9 @@ def test_first_order_amplitudes_are_transfer_entries(case):
     else:
         amplitudes = {
             Channel.XX: xi_hb(fiber, pump, Channel.XX, omegas),
-            Channel.YY: xi_lb_yy(fiber, pump, omegas),
+            Channel.YY: first_order_amplitude(
+                coupling_table(fiber, pump, "LB")[Channel.YY.value], fiber, omegas
+            ),
         }
     tol = (fiber.gamma * pump.total * fiber.length) ** 2
     for channel, xi in amplitudes.items():

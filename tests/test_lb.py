@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fps import (
+    Channel,
     FiberParams,
     NoFarDetunedPeak,
     PumpConfig,
@@ -11,10 +12,17 @@ from fps import (
     flux_lb,
     flux_hb,
     lb_peak_and_width,
-    xi_lb_yy,
 )
+from fps.fiber import coupling_table
+from fps.hb import first_order_amplitude
 
 TWO_PI = 2.0 * math.pi
+
+
+def _xi_yy(fiber, pump, omega):
+    """LB amplitude of the (2, 3) entry: the orthogonal channel for an x pump."""
+    entry = coupling_table(fiber, pump, "LB")[Channel.YY.value]
+    return first_order_amplitude(entry, fiber, omega)
 
 
 def _phase_matched_omega(fiber, p0):
@@ -29,12 +37,12 @@ def test_xi_lb_magnitude_at_phase_matching(fig4a_fiber, pump_x1):
     omega = _phase_matched_omega(short, 1.0)
     assert omega == pytest.approx(28.2913, abs=1e-4)
     # sinc = 1 there, so |xi| is the full prefactor gamma*P0*L/3 = 0.05
-    assert abs(xi_lb_yy(short, pump_x1, omega)) == pytest.approx(0.05, rel=1e-12)
+    assert abs(_xi_yy(short, pump_x1, omega)) == pytest.approx(0.05, rel=1e-12)
 
 
 def test_xi_lb_rejects_two_axis_pump(fig4a_fiber):
     with pytest.raises(PumpNotOnAxis):
-        xi_lb_yy(fig4a_fiber, PumpConfig(p0x=1.0, p0y=0.5), 1.0)
+        coupling_table(fig4a_fiber, PumpConfig(p0x=1.0, p0y=0.5), "LB")
 
 
 def test_flux_peak_value(fig4a_fiber, pump_x1):

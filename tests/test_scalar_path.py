@@ -26,7 +26,11 @@ def _bits(value) -> bytes:
 
 
 def _draw(rng: np.random.Generator, index: int):
-    """One seeded (fiber, pump, regime, omega) set, HB and LB alternating."""
+    """One seeded (fiber, pump, regime, omega) set, HB and LB alternating.
+
+    Every other pair of LB sets moves the pump to y, so the orthogonal
+    entry runs with d = +2 as well as d = -2.
+    """
     regime = "HB" if index % 2 == 0 else "LB"
     fiber = FiberParams(
         gamma=10 ** rng.uniform(-2, 1.7),
@@ -35,9 +39,13 @@ def _draw(rng: np.random.Generator, index: int):
         delta_beta0=rng.uniform(-3000, 3000) if regime == "LB" else 0.0,
         delta_beta1=rng.uniform(0, 500) if regime == "HB" else 0.0,
     )
+    p0x = rng.uniform(0.01, 30)
+    p0y = rng.uniform(0, 30) if regime == "HB" else 0.0
+    if regime == "LB" and index % 8 >= 4:
+        p0x, p0y = 0.0, p0x
     pump = PumpConfig(
-        p0x=rng.uniform(0.01, 30),
-        p0y=rng.uniform(0, 30) if regime == "HB" else 0.0,
+        p0x=p0x,
+        p0y=p0y,
         theta0x=rng.uniform(-math.pi, math.pi),
         theta0y=rng.uniform(-math.pi, math.pi),
     )
