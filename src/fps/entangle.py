@@ -92,7 +92,7 @@ def filtered_state(
     )
     # The norm and the division stay in numpy: its complex abs and division
     # round differently from CPython's, and the coefficients must not move.
-    norm_sq = float(np.sum(np.abs(raw) ** 2))
+    norm_sq = float(np.add.reduce(np.abs(raw) ** 2))
     if norm_sq == 0:
         raise EmptyState(f"all four amplitudes vanish at omega = {omega}")
     norm = math.sqrt(norm_sq)

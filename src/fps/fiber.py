@@ -11,7 +11,9 @@ amplitudes in sqrt(ps).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -235,24 +237,32 @@ class Coupling(NamedTuple):
         # A Python-float omega stays a Python float: the scalar amplitudes of
         # `filtered_state` would spend most of their time in numpy's 0-d
         # overhead.  w * w rounds exactly as numpy's square, and the terms
-        # are added left to right in both forms (not by `sum`, which
-        # compensates float sums from Python 3.12 on).
+        # are added left to right (not by `sum`, which compensates float
+        # sums from Python 3.12 on).
         w = float(omega) if isinstance(omega, float) else np.asarray(omega, dtype=float)
-        terms = [self.s * fiber.delta_beta1 * w] if self.s else []
-        if self.t:
-            terms.append(self.t * fiber.beta2 * (w * w))
-        terms.append(self.k)
+        if self.s:
+            rate = self.s * fiber.delta_beta1 * w
+            if self.t:
+                rate = rate + self.t * fiber.beta2 * (w * w)
+            rate = rate + self.k
+        elif self.t:
+            rate = self.t * fiber.beta2 * (w * w) + self.k
+        else:
+            rate = self.k
         if self.d:
-            terms.append(self.d * fiber.delta_beta0)
-        rate = terms[0]
-        for term in terms[1:]:
-            rate = rate + term
+            rate = rate + self.d * fiber.delta_beta0
         return -rate
+
+
+#: The last table `coupling_table` built, as (fiber, pump, regime, table).
+#: Holding the fiber and pump keeps their ids from being reused while the
+#: entry stands.
+_last_table: tuple | None = None
 
 
 def coupling_table(
     fiber: FiberParams, pump: PumpConfig, regime: str
-) -> dict[tuple[int, int], Coupling]:
+) -> Mapping[tuple[int, int], Coupling]:
     """Independent entries of the coupled-mode generator, keyed by (row, column).
 
     Basis (a_x(+Omega), a_x^dag(-Omega), a_y(+Omega), a_y^dag(-Omega)).  The
@@ -263,7 +273,25 @@ def coupling_table(
     keeps the scalar channel of the pumped axis plus the orthogonal channel
     on the other axis, which the linear birefringence mismatches by
     d*delta_beta0 with d = -2 for an x pump and +2 for a y pump.
+
+    The table is a read-only mapping.  The last one built is returned again
+    when the same fiber and pump objects come back with the same regime, so
+    a detuning sweep builds it once.  The key is object identity, not
+    equality: equal pumps can differ in the sign of a zero phase.
     """
+    global _last_table
+    last = _last_table
+    if last is not None and last[0] is fiber and last[1] is pump and last[2] == regime:
+        return last[3]
+    table = MappingProxyType(_table_entries(fiber, pump, regime))
+    _last_table = (fiber, pump, regime, table)
+    return table
+
+
+def _table_entries(
+    fiber: FiberParams, pump: PumpConfig, regime: str
+) -> dict[tuple[int, int], Coupling]:
+    """The entries of `coupling_table`, built afresh."""
     g = fiber.gamma
     px, py, tx, ty = pump.p0x, pump.p0y, pump.theta0x, pump.theta0y
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -90,7 +91,7 @@ def xi_hb(fiber: FiberParams, pump: PumpConfig, channel: Channel, omega):
     return first_order_amplitude(entry, fiber, omega)
 
 
-def pair_flux(table: dict, entries, fiber: FiberParams, omega):
+def pair_flux(table: Mapping, entries, fiber: FiberParams, omega):
     """Flux density sum(|xi|^2)/2pi in ps/rad of those given pair entries the table has."""
     intensities = [
         np.abs(first_order_amplitude(table[entry], fiber, omega)) ** 2

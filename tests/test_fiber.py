@@ -16,6 +16,7 @@ from fps import (
     nonlinear_length,
     normalize_convention,
 )
+from fps.fiber import coupling_table
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e3, max_value=1e3)
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -190,3 +191,27 @@ def test_operations_are_pure():
     assert alpha_param(fiber, pump) == alpha_param(fiber, pump)
     assert beta(fiber, "x", 1.3) == beta(fiber, "x", 1.3)
     assert math.isfinite(nonlinear_length(fiber.gamma, pump.total))
+
+
+def test_coupling_table_is_reused_for_the_same_objects(fig2_fiber, fig2_pump):
+    table = coupling_table(fig2_fiber, fig2_pump, "HB")
+    assert coupling_table(fig2_fiber, fig2_pump, "HB") is table
+    with pytest.raises(TypeError):
+        table[(0, 1)] = table[(2, 3)]
+    # equal but distinct objects, or another regime, build a table afresh
+    fiber_copy = FiberParams(**vars(fig2_fiber))
+    assert coupling_table(fiber_copy, fig2_pump, "HB") is not table
+    assert coupling_table(fiber_copy, fig2_pump, "HB") == table
+    lb_pump = PumpConfig(p0x=0.3)
+    assert len(coupling_table(fig2_fiber, lb_pump, "HB")) == 6
+    assert len(coupling_table(fig2_fiber, lb_pump, "LB")) == 2
+
+
+def test_coupling_table_keeps_the_zero_sign_of_equal_pumps(fig2_fiber):
+    # +0.0 == -0.0, so an equality-keyed cache would hand the second pump
+    # the first pump's table
+    plus, minus = PumpConfig(p0x=0.3, theta0x=0.0), PumpConfig(p0x=0.3, theta0x=-0.0)
+    assert plus == minus
+    for pump, sign in ((plus, 1.0), (minus, -1.0), (plus, 1.0)):
+        theta = coupling_table(fig2_fiber, pump, "HB")[(0, 1)].theta
+        assert theta == 0.0 and math.copysign(1.0, theta) == sign

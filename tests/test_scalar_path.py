@@ -4,10 +4,12 @@ A float omega runs `Coupling.rate`, `hb.sinc` and `first_order_amplitude`
 in Python floats (math.sin, cmath.exp) instead of numpy.  These tests pin
 that path to element 0 of the same call on a one-point array, bit for bit,
 and the filtered pair state built from it to the same state built from
-array-path amplitudes.
+array-path amplitudes.  `coupling_table` reuses its last table for the
+same objects, so interleaved calls must match calls on fresh objects.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -91,6 +93,26 @@ def test_scalar_amplitude_is_array_element_bit_for_bit():
     assert series_hits > 500 and zero_hits > 250  # the series branch and u = 0 ran
 
 
+def test_rate_adds_its_terms_left_to_right():
+    # Float and array omega share one body, so the test above cannot see a
+    # reordered sum; pin both to the written-out formula added term by term.
+    rng = np.random.default_rng(5)
+    for index in range(N_SETS):
+        fiber, pump, regime, omega = _draw(rng, index)
+        for entry in coupling_table(fiber, pump, regime).values():
+            terms = [entry.s * fiber.delta_beta1 * omega] if entry.s else []
+            if entry.t:
+                terms.append(entry.t * fiber.beta2 * (omega * omega))
+            terms.append(entry.k)
+            if entry.d:
+                terms.append(entry.d * fiber.delta_beta0)
+            expected = terms[0]
+            for term in terms[1:]:
+                expected = expected + term
+            assert entry.rate(fiber, omega).hex() == (-expected).hex()
+            assert entry.rate(fiber, np.array([omega]))[0].hex() == (-expected).hex()
+
+
 def test_filtered_state_matches_array_path_bit_for_bit():
     rng = np.random.default_rng(7)
     for index in range(N_SETS):
@@ -112,6 +134,28 @@ def test_filtered_state_matches_array_path_bit_for_bit():
         assert state.coeffs.tobytes() == (raw / norm).tobytes()
         assert state.norm.hex() == norm.hex()
         assert state.generation_probability.hex() == (norm_sq / duration).hex()
+
+
+def test_reused_table_matches_fresh_objects_bit_for_bit():
+    # For set A and the set B drawn before it the calls run A, B, A, A: the
+    # table is built, rebuilt after B and reused; fresh runs on equal but
+    # new fiber and pump objects.
+    rng = np.random.default_rng(11)
+    sets = []
+    for index in range(N_SETS):
+        fiber, pump, regime, omega = _draw(rng, index)
+        sets.append((fiber, pump, regime, abs(omega), 10 ** rng.uniform(0, 3)))
+    for index, (fiber, pump, regime, omega, duration) in enumerate(sets):
+        fresh = filtered_state(
+            dataclasses.replace(fiber), dataclasses.replace(pump), regime, omega, duration
+        )
+        states = [filtered_state(fiber, pump, regime, omega, duration)]
+        filtered_state(*sets[index - 1])
+        states += [filtered_state(fiber, pump, regime, omega, duration) for _ in range(2)]
+        for state in states:
+            assert state.coeffs.tobytes() == fresh.coeffs.tobytes()
+            assert state.norm.hex() == fresh.norm.hex()
+            assert state.generation_probability.hex() == fresh.generation_probability.hex()
 
 
 @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
