@@ -4,123 +4,95 @@ gain for spontaneous four-photon scattering in birefringent fibers.
 Working units are {km, ps, W, rad} throughout: gamma in 1/(W km), beta2 in
 ps^2/km, delta_beta1 in ps/km, delta_beta0 in 1/km, detunings Omega in
 rad/ps, spectral flux densities in ps/rad.
+
+`import fps` loads no submodule (and so no numpy): each public name is
+imported from its submodule on first access (PEP 562).
 """
 
-from .dynamics import (
-    AsymptoticFlux,
-    GainCurve,
-    bandwidth_ratio,
-    exact_lb_orthogonal_flux,
-    exact_scalar_flux,
-    flux_from_matrices,
-    integrate_transfer_grid,
-    lambda_param,
-    mi_asymptotic_flux,
-    mi_gain,
-    mi_gain_curve,
-    mi_peak,
-    mi_support_edge,
-    symplectic_defect,
-)
-from .entangle import (
-    BASIS,
-    BELL_CONCURRENCE_MIN,
-    EntanglementReport,
-    FilteredPairState,
-    SecondOrderResult,
-    bell_phase,
-    classify,
-    concurrence,
-    filtered_state,
-    second_order_quantities,
-)
-from .errors import (
-    DegenerateBirefringence,
-    EmptyState,
-    FpsError,
-    NoFarDetunedPeak,
-    NumericalFailure,
-    PumpNotOnAxis,
-    StepCountTooSmall,
-    StimulatedOrderingWarning,
-    ZeroDispersion,
-    ZeroGain,
-    ZeroPower,
-)
-from .fiber import (
-    FiberParams,
-    FrequencyGrid,
-    PumpConfig,
-    alpha_param,
-    beta,
-    cpm_phase,
-    nonlinear_length,
-    normalize_convention,
-)
-from .hb import (
-    Channel,
-    bandwidths,
-    flux_hb,
-    overlapping_regime,
-    total_scatter_probability,
-    vector_peak_detuning,
-    xi_hb,
-)
-from .lb import flux_lb, lb_peak_and_width
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticFlux",
-    "BASIS",
-    "BELL_CONCURRENCE_MIN",
-    "Channel",
-    "DegenerateBirefringence",
-    "EmptyState",
-    "EntanglementReport",
-    "FiberParams",
-    "FilteredPairState",
-    "FpsError",
-    "FrequencyGrid",
-    "GainCurve",
-    "NoFarDetunedPeak",
-    "NumericalFailure",
-    "PumpConfig",
-    "PumpNotOnAxis",
-    "SecondOrderResult",
-    "StepCountTooSmall",
-    "StimulatedOrderingWarning",
-    "ZeroDispersion",
-    "ZeroGain",
-    "ZeroPower",
-    "alpha_param",
-    "bandwidth_ratio",
-    "bandwidths",
-    "bell_phase",
-    "beta",
-    "classify",
-    "concurrence",
-    "cpm_phase",
-    "exact_lb_orthogonal_flux",
-    "exact_scalar_flux",
-    "filtered_state",
-    "flux_from_matrices",
-    "flux_hb",
-    "flux_lb",
-    "integrate_transfer_grid",
-    "lambda_param",
-    "lb_peak_and_width",
-    "mi_asymptotic_flux",
-    "mi_gain",
-    "mi_gain_curve",
-    "mi_peak",
-    "mi_support_edge",
-    "nonlinear_length",
-    "normalize_convention",
-    "overlapping_regime",
-    "second_order_quantities",
-    "symplectic_defect",
-    "total_scatter_probability",
-    "vector_peak_detuning",
-    "xi_hb",
-]
+#: Submodule -> the public names it defines.
+_EXPORTS = {
+    "dynamics": (
+        "AsymptoticFlux",
+        "GainCurve",
+        "bandwidth_ratio",
+        "exact_lb_orthogonal_flux",
+        "exact_scalar_flux",
+        "flux_from_matrices",
+        "integrate_transfer_grid",
+        "lambda_param",
+        "mi_asymptotic_flux",
+        "mi_gain",
+        "mi_gain_curve",
+        "mi_peak",
+        "mi_support_edge",
+        "symplectic_defect",
+    ),
+    "entangle": (
+        "BASIS",
+        "BELL_CONCURRENCE_MIN",
+        "EntanglementReport",
+        "FilteredPairState",
+        "SecondOrderResult",
+        "bell_phase",
+        "classify",
+        "concurrence",
+        "filtered_state",
+        "second_order_quantities",
+    ),
+    "errors": (
+        "DegenerateBirefringence",
+        "EmptyState",
+        "FpsError",
+        "NoFarDetunedPeak",
+        "NumericalFailure",
+        "PumpNotOnAxis",
+        "StepCountTooSmall",
+        "StimulatedOrderingWarning",
+        "ZeroDispersion",
+        "ZeroGain",
+        "ZeroPower",
+    ),
+    "fiber": (
+        "FiberParams",
+        "FrequencyGrid",
+        "PumpConfig",
+        "alpha_param",
+        "beta",
+        "cpm_phase",
+        "nonlinear_length",
+        "normalize_convention",
+    ),
+    "hb": (
+        "Channel",
+        "bandwidths",
+        "flux_hb",
+        "overlapping_regime",
+        "total_scatter_probability",
+        "vector_peak_detuning",
+        "xi_hb",
+    ),
+    "lb": ("flux_lb", "lb_peak_and_width"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # `fps.hb` after a bare `import fps`
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

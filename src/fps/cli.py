@@ -9,6 +9,9 @@ and header echoes have 9 significant digits; the compare and classify JSON
 reports print floats at full repr precision (up to 17 significant digits),
 so a last-bit change shows there first.
 
+Each subcommand imports only the modules it runs, so `presets` and argument
+errors never load numpy.
+
 Exit codes: 0 success, 2 input validation (the cost caps included), 3
 numerical failure (symplectic defect above tolerance, a non-finite result,
 or an OverflowError from a closed form).
@@ -21,22 +24,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dynamics import (
-    bandwidth_ratio,
-    exact_lb_orthogonal_flux,
-    exact_scalar_flux,
-    flux_from_matrices,
-    integrate_transfer_grid,
-    mi_gain_curve,
-)
-from .entangle import BASIS, bell_phase, classify, filtered_state
 from .errors import FpsError, NumericalFailure
-from .fiber import FiberParams, FrequencyGrid, PumpConfig, normalize_convention
-from .hb import flux_hb
-from .lb import flux_lb
+
+if TYPE_CHECKING:
+    from .fiber import FiberParams, FrequencyGrid, PumpConfig
 
 METHOD_ORDER = ("first-order", "exact-ode", "closed-form")
 
@@ -199,6 +192,8 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
     Returns the scenario together with the resolved flat mapping (defaults
     filled in, axis convention normalized) used for provenance headers.
     """
+    from .fiber import FiberParams, FrequencyGrid, PumpConfig, normalize_convention
+
     unknown = sorted(set(flat) - set(_SCHEMA))
     if unknown:
         raise ScenarioError(f"unknown scenario field(s): {', '.join(unknown)}")
@@ -298,8 +293,8 @@ def _fmt(value) -> str:
         return ", ".join(_fmt(entry) for entry in value)
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), ".9g")
 
 
@@ -350,6 +345,8 @@ def _require_finite(what: str, *values) -> None:
 
     Keeps inf and nan out of the CSV: the run exits 3 instead.
     """
+    import numpy as np
+
     if not all(np.isfinite(value).all() for value in values):
         raise NumericalFailure(f"{what} is not finite")
 
@@ -401,6 +398,10 @@ def _closed_form_flux(scenario: Scenario, fiber: FiberParams):
 
     A y pump feeds them its own power and, for the orthogonal form, -delta_beta0.
     """
+    import numpy as np
+
+    from .dynamics import exact_lb_orthogonal_flux, exact_scalar_flux
+
     pump = scenario.pump
     omegas = scenario.grid.omegas
     if pump.p0x != 0 and pump.p0y != 0:  # LB scenarios never get here
@@ -423,9 +424,14 @@ def _spectrum_task(scenario: Scenario, method: str, length: float, steps: int | 
     fiber = replace(scenario.fiber, length=length)
     extra: list[str] = []
     if method == "first-order":
+        from .hb import flux_hb
+        from .lb import flux_lb
+
         flux = flux_lb if scenario.regime == "LB" else flux_hb
         f_x, f_y = flux(fiber, scenario.pump, scenario.grid.omegas)
     elif method == "exact-ode":
+        from .dynamics import flux_from_matrices, integrate_transfer_grid
+
         matrices, used_steps = integrate_transfer_grid(
             fiber, scenario.pump, scenario.regime, scenario.grid.omegas, steps=steps
         )
@@ -447,16 +453,21 @@ def run_spectrum(scenario: Scenario, resolved: dict, origin: list[str], args) ->
     for extra, _, _ in results:
         lines.extend(extra)
     lines.append("omega_rad_per_ps,f_x,f_y,method,L_km")
-    omegas = scenario.grid.omegas
+    # Python floats through one f-string per row: the same float.__format__
+    # as _fmt, without a call per value.
+    omegas = scenario.grid.omegas.tolist()
     for (method, length), (_, f_x, f_y) in zip(tasks, results):
-        for omega, fx_val, fy_val in zip(omegas, f_x, f_y):
-            lines.append(
-                f"{_fmt(omega)},{_fmt(fx_val)},{_fmt(fy_val)},{method},{_fmt(length)}"
-            )
+        tail = f"{method},{_fmt(length)}"
+        lines.extend(
+            f"{omega:.9g},{fx_val:.9g},{fy_val:.9g},{tail}"
+            for omega, fx_val, fy_val in zip(omegas, f_x.tolist(), f_y.tolist())
+        )
     return "\n".join(lines) + "\n"
 
 
 def run_compare(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
+    import numpy as np
+
     comparisons = []
     deviations = []
     for length in scenario.lengths:
@@ -499,6 +510,8 @@ def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) ->
         duration = scenario.pump.duration
     if duration is None:
         raise ScenarioError("classify needs --duration or pump.duration_ps")
+    from .entangle import BASIS, bell_phase, classify, filtered_state
+
     try:
         state = filtered_state(
             scenario.fiber, scenario.pump, scenario.regime, args.omega, duration
@@ -532,6 +545,8 @@ def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) ->
 
 
 def run_mi(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
+    from .dynamics import bandwidth_ratio, mi_gain_curve
+
     power = scenario.pump.total
     curve = mi_gain_curve(scenario.fiber, power, scenario.grid)
     ratio = bandwidth_ratio(scenario.fiber, power, scenario.fiber.length)
@@ -540,8 +555,12 @@ def run_mi(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
     lines.append(f"# pump_total_W = {_fmt(power)}")
     lines.append(f"# bandwidth_ratio = {_fmt(ratio)}")
     lines.append("omega_rad_per_ps,gain_per_km,lambda_re_per_km,lambda_im_per_km")
-    for omega, gain, lam in zip(curve.grid.omegas, curve.gain_vals, curve.lambda_vals):
-        lines.append(f"{_fmt(omega)},{_fmt(gain)},{_fmt(lam.real)},{_fmt(lam.imag)}")
+    lines.extend(
+        f"{omega:.9g},{gain:.9g},{lam.real:.9g},{lam.imag:.9g}"
+        for omega, gain, lam in zip(
+            curve.grid.omegas.tolist(), curve.gain_vals.tolist(), curve.lambda_vals.tolist()
+        )
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -623,12 +642,14 @@ def main(argv=None) -> int:
         steps = getattr(args, "steps", None)
         if steps is not None and steps < 1:
             raise ScenarioError(f"--steps must be >= 1, got {steps}")
-        # Overflow and NaN are reported by the finiteness guard and the
-        # defect check, as one exit-3 line rather than numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "presets":
-                text = run_presets(args)
-            else:
+        if args.command == "presets":
+            text = run_presets(args)
+        else:
+            import numpy as np
+
+            # Overflow and NaN are reported by the finiteness guard and the
+            # defect check, as one exit-3 line rather than numpy warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
                 scenario, resolved, origin = _resolve_scenario(args)
                 _check_cost(scenario, args.command, steps)
                 runner = {

@@ -90,9 +90,11 @@ def filtered_state(
         ],
         dtype=complex,
     )
-    # The norm and the division stay in numpy: its complex abs and division
-    # round differently from CPython's, and the coefficients must not move.
-    norm_sq = float(np.add.reduce(np.abs(raw) ** 2))
+    # The complex abs and the division stay in numpy: they round differently
+    # from CPython's, and the coefficients must not move.  The squares are
+    # summed left to right, which is numpy's order for four elements.
+    xx, yy, xy, yx = np.abs(raw).tolist()
+    norm_sq = xx * xx + yy * yy + xy * xy + yx * yx
     if norm_sq == 0:
         raise EmptyState(f"all four amplitudes vanish at omega = {omega}")
     norm = math.sqrt(norm_sq)
@@ -135,8 +137,10 @@ def classify(state: FilteredPairState, tol: float = 1e-3) -> EntanglementReport:
         else:
             classification = "partial"
     if values[0] != 0 and values[1] != 0:
-        # numpy's complex division rounds differently from CPython's.
-        relative_phase = _wrap_phase(float(np.angle(coeffs[1] / coeffs[0])))
+        # numpy's complex division rounds differently from CPython's, and
+        # np.arctan2 differently from math.atan2; this is np.angle's body.
+        ratio = coeffs[1] / coeffs[0]
+        relative_phase = _wrap_phase(float(np.arctan2(ratio.imag, ratio.real)))
     else:
         relative_phase = float("nan")
     return EntanglementReport(

@@ -248,7 +248,7 @@ class Coupling(NamedTuple):
         elif self.t:
             rate = self.t * fiber.beta2 * (w * w) + self.k
         else:
-            rate = self.k
+            rate = self.k if isinstance(w, float) else np.full_like(w, self.k)
         if self.d:
             rate = rate + self.d * fiber.delta_beta0
         return -rate

@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import fps
 from fps import PumpConfig, flux_hb
 from fps import cli
 from fps.cli import (
@@ -712,39 +715,134 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == stdout_text
 
 
-#: scipy is a test oracle only: no subcommand may import it at run time.
+#: scipy is a test oracle only: no subcommand may import it at run time.  The
+#: check also lists numpy and the fps submodules that the call loaded.
 NO_SCIPY_CHECK = """
+import json
 import sys
 from fps.cli import main
-rc = main(sys.argv[1:])
-loaded = [name for name in sys.modules if name == "scipy" or name.startswith("scipy.")]
-print(rc, loaded, file=sys.stderr)
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:  # an argparse error
+    rc = exc.code
+scipy = [name for name in sys.modules if name == "scipy" or name.startswith("scipy.")]
+loaded = sorted(name for name in sys.modules if name == "numpy" or name.startswith("fps."))
+print(json.dumps([rc, scipy, loaded]))
 """
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("spectrum", "--preset", "fig3", "--method", "all"),
-        ("compare", "--preset", "fig1a"),
-        ("classify", "--preset", "fig2", "--omega", "1.0"),
-        ("mi", "--preset", "fig1a"),
-        ("presets",),
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_subcommand_runs_without_scipy(tmp_path, argv):
+def _run_python(code, *argv):
+    """stdout of `python -c code argv...` on this checkout's src/, which must exit 0."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_CHECK, *argv, "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", code, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "0 []"
+    return proc.stdout
+
+
+FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb", "fps.lb", "numpy"]
+
+
+@pytest.mark.parametrize(
+    "argv, rc, loaded",
+    [
+        pytest.param(
+            ("spectrum", "--preset", "fig3", "--method", "all"),
+            0,
+            sorted(FIRST_ORDER_MODULES + ["fps.dynamics"]),
+            id="spectrum",
+        ),
+        pytest.param(
+            ("spectrum", "--preset", "fig2", "--method", "first-order"),
+            0,
+            FIRST_ORDER_MODULES,
+            id="spectrum-first-order",
+        ),
+        pytest.param(
+            ("compare", "--preset", "fig1a"),
+            0,
+            sorted(FIRST_ORDER_MODULES + ["fps.dynamics"]),
+            id="compare",
+        ),
+        pytest.param(
+            ("classify", "--preset", "fig2", "--omega", "1.0"),
+            0,
+            ["fps.cli", "fps.entangle", "fps.errors", "fps.fiber", "fps.hb", "numpy"],
+            id="classify",
+        ),
+        pytest.param(
+            ("mi", "--preset", "fig1a"),
+            0,
+            ["fps.cli", "fps.dynamics", "fps.errors", "fps.fiber", "numpy"],
+            id="mi",
+        ),
+        pytest.param(("presets",), 0, ["fps.cli", "fps.errors"], id="presets"),
+        pytest.param(
+            ("spectrum", "--method", "nope"), 2, ["fps.cli", "fps.errors"], id="usage-error"
+        ),
+    ],
+)
+def test_subcommand_runs_without_scipy(tmp_path, argv, rc, loaded):
+    """No subcommand loads scipy; each loads only the modules it runs.
+
+    `presets` and an argparse error load no numpy, and a first-order
+    spectrum loads neither fps.dynamics nor fps.entangle.
+    """
+    stdout = _run_python(NO_SCIPY_CHECK, *argv, "--out", str(tmp_path / "out"))
+    assert json.loads(stdout) == [rc, [], loaded]
+
+
+LAZY_IMPORT_CHECK = """
+import sys
+def loaded():
+    print(sorted(name for name in sys.modules if name == "numpy" or name.startswith("fps")))
+import fps
+loaded()
+fps.flux_lb
+loaded()
+fps.dynamics
+loaded()
+"""
+
+
+def test_import_fps_defers_its_submodules():
+    """A bare `import fps` loads no submodule and no numpy.
+
+    A public name loads its own submodule and what that imports, and a
+    submodule is an attribute of the package, as before.
+    """
+    lines = _run_python(LAZY_IMPORT_CHECK).splitlines()
+    first_order = ["fps", "fps.errors", "fps.fiber", "fps.hb", "fps.lb", "numpy"]
+    assert lines == [
+        str(["fps"]),
+        str(first_order),
+        str(sorted(first_order + ["fps.dynamics"])),
+    ]
+
+
+def test_package_names_are_their_modules_objects():
+    modules = [
+        importlib.import_module(f"fps.{info.name}")
+        for info in pkgutil.iter_modules(fps.__path__)
+        if not info.name.startswith("_")  # importing __main__ would run the CLI
+    ]
+    assert len(fps.__all__) == len(set(fps.__all__)) == 52
+    for name in fps.__all__:
+        value = getattr(fps, name)
+        homes = [module for module in modules if hasattr(module, name)]
+        assert homes, name
+        assert all(getattr(module, name) is value for module in homes), name
+    assert set(fps.__all__) <= set(dir(fps))
+    with pytest.raises(AttributeError, match="no attribute 'flux_xy'"):
+        fps.flux_xy
+    with pytest.raises(ImportError):
+        from fps import flux_xy  # noqa: F401
 
 
 #: A valid scenario for every subcommand (classify reads the pump duration).

@@ -3,9 +3,10 @@
 A float omega runs `Coupling.rate`, `hb.sinc` and `first_order_amplitude`
 in Python floats (math.sin, cmath.exp) instead of numpy.  These tests pin
 that path to element 0 of the same call on a one-point array, bit for bit,
-and the filtered pair state built from it to the same state built from
-array-path amplitudes.  `coupling_table` reuses its last table for the
-same objects, so interleaved calls must match calls on fresh objects.
+and the filtered pair state built from it, with its `classify` phase, to
+the same built from array-path amplitudes.  `coupling_table` reuses its
+last table for the same objects, so interleaved calls must match calls on
+fresh objects.
 """
 
 import cmath
@@ -15,8 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from fps import Channel, FiberParams, PumpConfig, filtered_state
-from fps.fiber import coupling_table
+from fps import Channel, FiberParams, PumpConfig, classify, filtered_state
+from fps.fiber import Coupling, coupling_table
 from fps.hb import first_order_amplitude, sinc
 
 N_SETS = 2000
@@ -96,10 +97,13 @@ def test_scalar_amplitude_is_array_element_bit_for_bit():
 def test_rate_adds_its_terms_left_to_right():
     # Float and array omega share one body, so the test above cannot see a
     # reordered sum; pin both to the written-out formula added term by term.
+    # Entries with s = t = 0, with and without d, have no table slot today;
+    # an array omega still gives an array of its shape.
     rng = np.random.default_rng(5)
     for index in range(N_SETS):
         fiber, pump, regime, omega = _draw(rng, index)
-        for entry in coupling_table(fiber, pump, regime).values():
+        constant = [Coupling(1.0, 0.0, s=0.0, t=0.0, k=rng.normal(), d=d) for d in (0.0, -2.0)]
+        for entry in [*coupling_table(fiber, pump, regime).values(), *constant]:
             terms = [entry.s * fiber.delta_beta1 * omega] if entry.s else []
             if entry.t:
                 terms.append(entry.t * fiber.beta2 * (omega * omega))
@@ -111,6 +115,7 @@ def test_rate_adds_its_terms_left_to_right():
                 expected = expected + term
             assert entry.rate(fiber, omega).hex() == (-expected).hex()
             assert entry.rate(fiber, np.array([omega]))[0].hex() == (-expected).hex()
+            assert entry.rate(fiber, np.full((2, 3), omega)).shape == (2, 3)
 
 
 def test_filtered_state_matches_array_path_bit_for_bit():
@@ -130,10 +135,16 @@ def test_filtered_state_matches_array_path_bit_for_bit():
         )
         norm_sq = float(np.sum(np.abs(raw) ** 2))
         norm = math.sqrt(norm_sq)
+        coeffs = raw / norm
         state = filtered_state(fiber, pump, regime, omega, duration)
-        assert state.coeffs.tobytes() == (raw / norm).tobytes()
+        assert state.coeffs.tobytes() == coeffs.tobytes()
         assert state.norm.hex() == norm.hex()
         assert state.generation_probability.hex() == (norm_sq / duration).hex()
+        # Both scalar coefficients are nonzero in every set; wrap to (-pi, pi].
+        phase = math.remainder(float(np.angle(coeffs[1] / coeffs[0])), math.tau)
+        if phase <= -math.pi:
+            phase += math.tau
+        assert classify(state).relative_phase.hex() == phase.hex()
 
 
 def test_reused_table_matches_fresh_objects_bit_for_bit():
