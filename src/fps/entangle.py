@@ -137,10 +137,8 @@ def classify(state: FilteredPairState, tol: float = 1e-3) -> EntanglementReport:
         else:
             classification = "partial"
     if values[0] != 0 and values[1] != 0:
-        # numpy's complex division rounds differently from CPython's, and
-        # np.arctan2 differently from math.atan2; this is np.angle's body.
-        ratio = coeffs[1] / coeffs[0]
-        relative_phase = _wrap_phase(float(np.arctan2(ratio.imag, ratio.real)))
+        # numpy's complex division rounds differently from CPython's.
+        relative_phase = _wrap_phase(float(np.angle(coeffs[1] / coeffs[0])))
     else:
         relative_phase = float("nan")
     return EntanglementReport(

@@ -732,7 +732,7 @@ print(json.dumps([rc, scipy, loaded]))
 
 
 def _run_python(code, *argv):
-    """stdout of `python -c code argv...` on this checkout's src/, which must exit 0."""
+    """`python -c code argv...` on this checkout's src/, which must exit 0."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -743,7 +743,7 @@ def _run_python(code, *argv):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
 
 
 FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb", "fps.lb", "numpy"]
@@ -792,10 +792,18 @@ def test_subcommand_runs_without_scipy(tmp_path, argv, rc, loaded):
     """No subcommand loads scipy; each loads only the modules it runs.
 
     `presets` and an argparse error load no numpy, and a first-order
-    spectrum loads neither fps.dynamics nor fps.entangle.
+    spectrum loads neither fps.dynamics nor fps.entangle.  A successful
+    call writes nothing to stderr, not even a numpy warning; an argparse
+    error writes only its usage message.
     """
-    stdout = _run_python(NO_SCIPY_CHECK, *argv, "--out", str(tmp_path / "out"))
-    assert json.loads(stdout) == [rc, [], loaded]
+    proc = _run_python(NO_SCIPY_CHECK, *argv, "--out", str(tmp_path / "out"))
+    assert json.loads(proc.stdout) == [rc, [], loaded]
+    if rc == 0:
+        assert proc.stderr == ""
+    else:
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("usage: fps spectrum ")
+        assert lines[-1].startswith("fps spectrum: error: argument --method: invalid choice")
 
 
 LAZY_IMPORT_CHECK = """
@@ -817,7 +825,9 @@ def test_import_fps_defers_its_submodules():
     A public name loads its own submodule and what that imports, and a
     submodule is an attribute of the package, as before.
     """
-    lines = _run_python(LAZY_IMPORT_CHECK).splitlines()
+    proc = _run_python(LAZY_IMPORT_CHECK)
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
     first_order = ["fps", "fps.errors", "fps.fiber", "fps.hb", "fps.lb", "numpy"]
     assert lines == [
         str(["fps"]),
