@@ -61,24 +61,54 @@ class Scenario:
     method: str
 
 
-#: Scenario schema: key -> (converter, required, default).
+#: Marks a scenario field without a default.
+_REQUIRED = object()
+
+
+def _finite_float(value) -> float:
+    """float(value); booleans, strings, NaN and infinity (json.load accepts them) are rejected."""
+    if isinstance(value, (bool, str)):
+        raise ValueError
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
+def _count(value) -> int:
+    """int(value) of an integral number; booleans and strings are rejected."""
+    if isinstance(value, (bool, str)) or float(value) != int(value):
+        raise ValueError
+    return int(value)
+
+
+def _lengths(value) -> list[float]:
+    """A JSON list of finite numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError
+    return [_finite_float(entry) for entry in value]
+
+
+#: Scenario schema: key -> (parser, default or _REQUIRED, container field).
+#: The container is the key's prefix (fiber, pump or grid); keys without a
+#: field configure the run.
 _SCHEMA = {
-    "fiber.gamma_per_W_km": (float, True, None),
-    "fiber.beta2_ps2_per_km": (float, True, None),
-    "fiber.delta_beta0_per_km": (float, False, 0.0),
-    "fiber.delta_beta1_ps_per_km": (float, False, 0.0),
-    "fiber.length_km": (float, True, None),
-    "pump.p0x_W": (float, False, 0.0),
-    "pump.p0y_W": (float, False, 0.0),
-    "pump.theta0x_rad": (float, False, 0.0),
-    "pump.theta0y_rad": (float, False, 0.0),
-    "pump.duration_ps": (float, False, None),
-    "grid.omega_min": (float, True, None),
-    "grid.omega_max": (float, True, None),
-    "grid.n_points": (int, True, None),
-    "regime": (str, True, None),
-    "method": (str, False, "first-order"),
-    "lengths_km": (list, False, None),
+    "fiber.gamma_per_W_km": (_finite_float, _REQUIRED, "gamma"),
+    "fiber.beta2_ps2_per_km": (_finite_float, _REQUIRED, "beta2"),
+    "fiber.delta_beta0_per_km": (_finite_float, 0.0, "delta_beta0"),
+    "fiber.delta_beta1_ps_per_km": (_finite_float, 0.0, "delta_beta1"),
+    "fiber.length_km": (_finite_float, _REQUIRED, "length"),
+    "pump.p0x_W": (_finite_float, 0.0, "p0x"),
+    "pump.p0y_W": (_finite_float, 0.0, "p0y"),
+    "pump.theta0x_rad": (_finite_float, 0.0, "theta0x"),
+    "pump.theta0y_rad": (_finite_float, 0.0, "theta0y"),
+    "pump.duration_ps": (_finite_float, None, "duration"),
+    "grid.omega_min": (_finite_float, _REQUIRED, "omega_min"),
+    "grid.omega_max": (_finite_float, _REQUIRED, "omega_max"),
+    "grid.n_points": (_count, _REQUIRED, "n_points"),
+    "regime": (str, _REQUIRED, None),
+    "method": (str, "first-order", None),
+    "lengths_km": (_lengths, None, None),
 }
 
 #: Built-in parameter sets mirroring the reference spectra.  Symmetric
@@ -176,16 +206,6 @@ def _flatten(obj: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _finite_float(value) -> float:
-    """float(value); booleans, strings, NaN and infinity (json.load accepts them) are rejected."""
-    if isinstance(value, (bool, str)):
-        raise ValueError
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError
-    return value
-
-
 def load_scenario(flat: dict) -> tuple[Scenario, dict]:
     """Validate a flat key/value mapping into a Scenario.
 
@@ -198,26 +218,13 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
     if unknown:
         raise ScenarioError(f"unknown scenario field(s): {', '.join(unknown)}")
     resolved = {}
-    for key, (convert, required, default) in _SCHEMA.items():
-        if key in flat and flat[key] is not None:
-            value = flat[key]
+    for key, (parse, default, _) in _SCHEMA.items():
+        if flat.get(key) is not None:
             try:
-                if convert is list:
-                    if not isinstance(value, (list, tuple)):
-                        raise ValueError
-                    value = [_finite_float(entry) for entry in value]
-                elif convert is int:
-                    if isinstance(value, (bool, str)) or float(value) != int(value):
-                        raise ValueError
-                    value = int(value)
-                elif convert is float:
-                    value = _finite_float(value)
-                else:
-                    value = str(value)
+                resolved[key] = parse(flat[key])
             except (TypeError, ValueError, OverflowError):
                 raise ScenarioError(f"field {key}: cannot parse {flat[key]!r}") from None
-            resolved[key] = value
-        elif required:
+        elif default is _REQUIRED:
             raise ScenarioError(f"missing required scenario field: {key}")
         else:
             resolved[key] = default
@@ -235,43 +242,24 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
         raise ScenarioError("field fiber.gamma_per_W_km: must be > 0")
     if resolved["fiber.length_km"] <= 0:
         raise ScenarioError("field fiber.length_km: must be > 0")
-    if resolved["pump.p0x_W"] < 0 or resolved["pump.p0y_W"] < 0:
-        raise ScenarioError("field pump.p0x_W/p0y_W: powers must be >= 0")
     if resolved["pump.p0x_W"] + resolved["pump.p0y_W"] <= 0:
         raise ScenarioError("field pump.p0x_W/p0y_W: total pump power must be > 0")
-    if resolved["pump.duration_ps"] is not None and resolved["pump.duration_ps"] <= 0:
-        raise ScenarioError("field pump.duration_ps: must be > 0")
+    fields = {"fiber": {}, "pump": {}, "grid": {}}
+    for key, (_, _, field) in _SCHEMA.items():
+        if field is not None:
+            fields[key.partition(".")[0]][field] = resolved[key]
     try:
-        fiber = FiberParams(
-            gamma=resolved["fiber.gamma_per_W_km"],
-            beta2=resolved["fiber.beta2_ps2_per_km"],
-            length=resolved["fiber.length_km"],
-            delta_beta0=resolved["fiber.delta_beta0_per_km"],
-            delta_beta1=resolved["fiber.delta_beta1_ps_per_km"],
+        fiber, pump = normalize_convention(
+            FiberParams(**fields["fiber"]), PumpConfig(**fields["pump"])
         )
-        pump = PumpConfig(
-            p0x=resolved["pump.p0x_W"],
-            p0y=resolved["pump.p0y_W"],
-            theta0x=resolved["pump.theta0x_rad"],
-            theta0y=resolved["pump.theta0y_rad"],
-            duration=resolved["pump.duration_ps"],
-        )
-        grid = FrequencyGrid(
-            omega_min=resolved["grid.omega_min"],
-            omega_max=resolved["grid.omega_max"],
-            n_points=resolved["grid.n_points"],
-        )
+        grid = FrequencyGrid(**fields["grid"])
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    if fiber.delta_beta1 < 0:
-        fiber, pump = normalize_convention(fiber, pump)
-        resolved["fiber.delta_beta0_per_km"] = fiber.delta_beta0
-        resolved["fiber.delta_beta1_ps_per_km"] = fiber.delta_beta1
-        resolved["pump.p0x_W"], resolved["pump.p0y_W"] = pump.p0x, pump.p0y
-        resolved["pump.theta0x_rad"], resolved["pump.theta0y_rad"] = (
-            pump.theta0x,
-            pump.theta0y,
-        )
+    # Echo the normalized values: a negative delta_beta1 swaps the axes.
+    containers = {"fiber": fiber, "pump": pump, "grid": grid}
+    for key, (_, _, field) in _SCHEMA.items():
+        if field is not None:
+            resolved[key] = getattr(containers[key.partition(".")[0]], field)
     if resolved["regime"] == "LB" and pump.p0x != 0 and pump.p0y != 0:
         raise ScenarioError("regime LB requires the pump on a single axis")
     scenario = Scenario(
@@ -298,15 +286,20 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
+def _preset(name: str) -> dict:
+    """The built-in parameter set `name`; ScenarioError for an unknown name."""
+    if name not in PRESETS:
+        raise ScenarioError(
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
+        )
+    return PRESETS[name]
+
+
 def _resolve_scenario(args) -> tuple[Scenario, dict, list[str]]:
     if args.preset is not None and args.scenario is not None:
         raise ScenarioError("give either --preset or --scenario, not both")
     if args.preset is not None:
-        if args.preset not in PRESETS:
-            raise ScenarioError(
-                f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
-            )
-        flat = dict(PRESETS[args.preset])
+        flat = dict(_preset(args.preset))
         origin = [f"# preset = {args.preset}"]
     elif args.scenario is not None:
         try:
@@ -491,7 +484,7 @@ def run_compare(scenario: Scenario, resolved: dict, origin: list[str], args) -> 
         )
     report = {
         "command": "compare",
-        "scenario": {key: resolved[key] for key in _SCHEMA},
+        "scenario": resolved,
         "comparisons": comparisons,
         "deviation_increases_with_length": all(
             a < b for a, b in zip(deviations, deviations[1:])
@@ -521,7 +514,7 @@ def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) ->
     report = classify(state, tol=args.tol)
     payload = {
         "command": "classify",
-        "scenario": {key: resolved[key] for key in _SCHEMA},
+        "scenario": resolved,
         "omega_rad_per_ps": args.omega,
         "duration_ps": duration,
         "classification": report.classification,
@@ -535,12 +528,6 @@ def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) ->
             label: float(abs(coeff) ** 2) for label, coeff in zip(BASIS, state.coeffs)
         },
     }
-    _require_finite(
-        "classify report",
-        payload["concurrence"],
-        payload["generation_probability"],
-        list(payload["coeff_abs2"].values()),
-    )
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -566,11 +553,7 @@ def run_mi(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
 
 def run_presets(args) -> str:
     if args.name is not None:
-        if args.name not in PRESETS:
-            raise ScenarioError(
-                f"unknown preset {args.name!r}; available: {', '.join(sorted(PRESETS))}"
-            )
-        selected = {args.name: PRESETS[args.name]}
+        selected = {args.name: _preset(args.name)}
     else:
         selected = {name: PRESETS[name] for name in sorted(PRESETS)}
     return json.dumps(selected, indent=2, sort_keys=True) + "\n"

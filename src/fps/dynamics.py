@@ -37,13 +37,12 @@ J_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
 #: Fixed-step RK4 oracle policy: steps = max(MIN_STEPS, ceil(K_STEP * L * kappa))
 #: where kappa is the largest coupling magnitude plus the largest phase
 #: rate over the batch.  K_STEP is calibrated so the symplectic defect
-#: stays below DEFECT_TARGET on the acceptance parameter sets; the phase
+#: stays below 1e-9 on the acceptance parameter sets; the phase
 #: rate must enter kappa because the oscillation, not the coupling
 #: strength, limits the step size.  DEFECT_LIMIT bounds the defect, relative
 #: to max(1, max |M|^2) per matrix, that either propagator may return.
 MIN_STEPS = 1000
 K_STEP = 20.0
-DEFECT_TARGET = 1e-9
 DEFECT_LIMIT = 1e-6
 
 

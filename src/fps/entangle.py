@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyState, PumpNotOnAxis, StimulatedOrderingWarning
+from .errors import EmptyState, NumericalFailure, PumpNotOnAxis, StimulatedOrderingWarning
 from .fiber import FiberParams, PumpConfig, coupling_table
 from .hb import Channel, first_order_amplitude, total_scatter_probability, xi_hb
 
@@ -76,7 +76,8 @@ def filtered_state(
     +omega, normalized; in the LB regime the vector entries are zero and
     the scalar amplitude of the unpumped axis (xi_yy for an x pump, xi_xx
     for a y pump) is the orthogonal-channel one.  The generation probability
-    per discrete mode is sum |xi|^2 * dw / 2pi with dw = 2pi/T.
+    per discrete mode is sum |xi|^2 * dw / 2pi with dw = 2pi/T; it raises
+    NumericalFailure when that probability is not finite.
     """
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega}")
@@ -97,6 +98,10 @@ def filtered_state(
     norm_sq = xx * xx + yy * yy + xy * xy + yx * yx
     if norm_sq == 0:
         raise EmptyState(f"all four amplitudes vanish at omega = {omega}")
+    probability = norm_sq / duration
+    if not math.isfinite(probability):
+        # A NaN amplitude, or |xi|^2 / T beyond double range.
+        raise NumericalFailure(f"pair state at omega = {omega} is not finite")
     norm = math.sqrt(norm_sq)
     coeffs = raw / norm
     coeffs.setflags(write=False)
@@ -104,7 +109,7 @@ def filtered_state(
         omega=float(omega),
         coeffs=coeffs,
         norm=norm,
-        generation_probability=norm_sq / duration,
+        generation_probability=probability,
     )
 
 

@@ -430,6 +430,10 @@ def test_unknown_field(tmp_path, capsys):
         {"grid": {**SMALL_SCALAR["grid"], "n_points": "8"}},
         {"fiber": {**SMALL_SCALAR["fiber"], "gamma_per_W_km": "3.0"}},
         {"lengths_km": ["0.1"]},
+        # PumpConfig's own checks: no negative power, a positive duration
+        {"pump": {"p0x_W": 0.3, "p0y_W": -0.1}},
+        {"pump": {"p0x_W": 0.3, "duration_ps": 0}},
+        {"pump": {"p0x_W": 0.3, "duration_ps": -5}},
     ],
 )
 def test_rejected_scenarios(tmp_path, capsys, patch):
@@ -567,19 +571,30 @@ def test_negative_group_mismatch_is_normalized(tmp_path, capsys):
         "fiber": {
             "gamma_per_W_km": 3.0,
             "beta2_ps2_per_km": 15.0,
+            "delta_beta0_per_km": 50.0,
             "delta_beta1_ps_per_km": -200.0,
             "length_km": 0.2,
         },
-        "pump": {"p0x_W": 0.05, "p0y_W": 0.25},
+        "pump": {
+            "p0x_W": 0.05,
+            "p0y_W": 0.25,
+            "theta0x_rad": 0.1,
+            "theta0y_rad": 0.4,
+            "duration_ps": 100.0,
+        },
         "grid": {"omega_min": -15.0, "omega_max": 15.0, "n_points": 40},
         "regime": "HB",
     }
     path = write_scenario(tmp_path, scenario)
     rc, out, _ = run(capsys, "spectrum", "--scenario", path)
     assert rc == 0
+    assert "# fiber.delta_beta0_per_km = -50" in out
     assert "# fiber.delta_beta1_ps_per_km = 200" in out
     assert "# pump.p0x_W = 0.25" in out
     assert "# pump.p0y_W = 0.05" in out
+    assert "# pump.theta0x_rad = 0.4" in out
+    assert "# pump.theta0y_rad = 0.1" in out
+    assert "# pump.duration_ps = 100" in out
 
 
 def test_mi_curve_output(capsys):

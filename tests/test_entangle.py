@@ -11,6 +11,7 @@ from fps import (
     EmptyState,
     FiberParams,
     FilteredPairState,
+    NumericalFailure,
     PumpConfig,
     PumpNotOnAxis,
     StimulatedOrderingWarning,
@@ -114,6 +115,14 @@ def test_classify_tolerance_controls_significance():
 def test_empty_state_for_dark_pump(fig2_fiber):
     with pytest.raises(EmptyState):
         filtered_state(fig2_fiber, PumpConfig(p0x=0.0), "HB", 1.0, 100.0)
+
+
+def test_non_finite_state_raises_instead_of_classifying():
+    # gamma*P0*L = 1e400 overflows: NaN amplitudes, which classify used to
+    # label "partial" with a NaN concurrence
+    fiber = FiberParams(gamma=1e200, beta2=-20.0, length=1.0)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
+        filtered_state(fiber, PumpConfig(p0x=1e200), "HB", 1.0, 100.0)
 
 
 def test_filtered_state_argument_validation(fig2_fiber, fig2_pump):

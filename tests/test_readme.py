@@ -1,13 +1,17 @@
-"""The README's library example and module highlights match the current API."""
+"""The README's library example, module highlights and scenario field lists match the code."""
 
 import contextlib
+import fnmatch
 import importlib
 import io
 import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import fps
+from fps.cli import PRESETS, ScenarioError, load_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +38,39 @@ def test_readme_highlights_name_existing_attributes():
     ]
     assert len(names) > 20
     assert sorted(name for name in names if not any(hasattr(m, name) for m in modules)) == []
+
+
+def _scenario_fields(label: str) -> list[str]:
+    """Keys the README lists after `label`, up to the end of that sentence.
+
+    A wildcard such as `grid.*` expands to the matching keys of a preset;
+    a name that matches none is kept, so the coverage check reports it.
+    """
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(rf"{label}: (.*?)\.\s", text, flags=re.DOTALL).group(1)
+    keys = []
+    for token in re.findall(r"`([^`]+)`", sentence):
+        keys.extend(fnmatch.filter(PRESETS["fig2"], token) or [token])
+    return keys
+
+
+REQUIRED = _scenario_fields("Required fields")
+OPTIONAL = _scenario_fields("Optional")
+
+
+def test_readme_scenario_fields_cover_a_preset():
+    assert len(REQUIRED) == len(set(REQUIRED)) == 7
+    assert set(REQUIRED).isdisjoint(OPTIONAL)
+    assert set(REQUIRED) | set(OPTIONAL) == set(PRESETS["fig2"])
+
+
+@pytest.mark.parametrize("key", REQUIRED)
+def test_readme_required_field_is_required(key):
+    flat = {k: v for k, v in PRESETS["fig2"].items() if k != key}
+    with pytest.raises(ScenarioError, match=f"missing required scenario field: {key}"):
+        load_scenario(flat)
+
+
+@pytest.mark.parametrize("key", OPTIONAL)
+def test_readme_optional_field_may_be_left_out(key):
+    load_scenario({k: v for k, v in PRESETS["fig2"].items() if k != key})

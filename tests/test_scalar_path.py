@@ -16,7 +16,14 @@ import math
 import numpy as np
 import pytest
 
-from fps import Channel, FiberParams, PumpConfig, classify, filtered_state
+from fps import (
+    Channel,
+    FiberParams,
+    NumericalFailure,
+    PumpConfig,
+    classify,
+    filtered_state,
+)
 from fps.fiber import Coupling, coupling_table
 from fps.hb import first_order_amplitude, sinc
 
@@ -177,13 +184,14 @@ def test_scalar_sinc_is_nan_for_non_finite_argument(u):
 
 
 def test_scalar_amplitude_is_nan_beyond_double_range():
-    # omega^2 overflows, so u is infinite: NaN (exit 3 in the CLI), not the
-    # ValueError math.sin and cmath.exp raise for an infinite argument
+    # omega^2 overflows, so u is infinite: NaN, not the ValueError math.sin
+    # and cmath.exp raise for an infinite argument; the filtered state built
+    # from NaN amplitudes raises NumericalFailure (exit 3 in the CLI)
     fiber = FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0)
     pump = PumpConfig(p0x=0.15, p0y=0.15)
     table = coupling_table(fiber, pump, "HB")
     with np.errstate(invalid="ignore"):
         for entry in PAIR_ENTRIES:
             assert cmath.isnan(first_order_amplitude(table[entry], fiber, 1e300))
-        state = filtered_state(fiber, pump, "HB", 1e300, 100.0)
-    assert math.isnan(state.generation_probability)
+        with pytest.raises(NumericalFailure):
+            filtered_state(fiber, pump, "HB", 1e300, 100.0)
