@@ -70,12 +70,13 @@ _EXPORTS = {
         "Channel",
         "bandwidths",
         "flux_hb",
+        "flux_lb",
+        "lb_peak_and_width",
         "overlapping_regime",
         "total_scatter_probability",
         "vector_peak_detuning",
         "xi_hb",
     ),
-    "lb": ("flux_lb", "lb_peak_and_width"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

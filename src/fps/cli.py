@@ -417,8 +417,7 @@ def _spectrum_task(scenario: Scenario, method: str, length: float, steps: int | 
     fiber = replace(scenario.fiber, length=length)
     extra: list[str] = []
     if method == "first-order":
-        from .hb import flux_hb
-        from .lb import flux_lb
+        from .hb import flux_hb, flux_lb
 
         flux = flux_lb if scenario.regime == "LB" else flux_hb
         f_x, f_y = flux(fiber, scenario.pump, scenario.grid.omegas)

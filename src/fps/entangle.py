@@ -18,17 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyState, NumericalFailure, PumpNotOnAxis, StimulatedOrderingWarning
-from .fiber import FiberParams, PumpConfig, coupling_table
-from .hb import Channel, first_order_amplitude, total_scatter_probability, xi_hb
+from .fiber import FiberParams, PumpConfig
+from .hb import Channel, pair_amplitudes, total_scatter_probability, xi_hb
 
 #: Minimum concurrence for calling a two-scalar-coefficient state bell-like.
 BELL_CONCURRENCE_MIN = 0.99
 
 #: Basis labels in coefficient order.
 BASIS = ("xx", "yy", "xy", "yx")
-
-#: Coupling-table entries of the basis, in coefficient order.
-_BASIS_ENTRIES = tuple(channel.value for channel in Channel)
 
 _CLASS_BY_PATTERN = {
     (True, False, False, False): "scalar-only-x",
@@ -83,14 +80,7 @@ def filtered_state(
         raise ValueError(f"omega must be > 0, got {omega}")
     if not duration > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-    table = coupling_table(fiber, pump, regime)
-    raw = np.array(
-        [
-            first_order_amplitude(table[entry], fiber, omega) if entry in table else 0.0
-            for entry in _BASIS_ENTRIES
-        ],
-        dtype=complex,
-    )
+    raw = np.array(pair_amplitudes(fiber, pump, regime, omega), dtype=complex)
     # The complex abs and the division stay in numpy: they round differently
     # from CPython's, and the coefficients must not move.  The squares are
     # summed left to right, which is numpy's order for four elements.

@@ -1,11 +1,14 @@
-"""First-order photon-pair amplitudes and spectra for high-birefringence fibers.
+"""First-order photon-pair amplitudes, spectra and band estimators, HB and LB.
 
 Two pump photons at the carrier are annihilated into a Stokes (-Omega) /
 anti-Stokes (+Omega) pair.  Four channels exist, labeled by the
 polarization of the anti-Stokes photon first and the Stokes photon second:
 the scalar channels XX, YY (pump and pair co-polarized) and the vector
-channels XY, YX (pump photons taken from both axes).  Amplitudes are in
-sqrt(ps) (continuous-mode normalization), flux densities in ps/rad.
+channels XY, YX (pump photons taken from both axes).  In a low-birefringence
+fiber the pump sits on one axis and the vector entries are absent; the
+unpumped axis's scalar entry is then the orthogonal channel, opened by
+phase-coherent coupling.  Amplitudes are in sqrt(ps) (continuous-mode
+normalization), flux densities in ps/rad.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import DegenerateBirefringence, PumpNotOnAxis, ZeroDispersion
+from .errors import DegenerateBirefringence, NoFarDetunedPeak, PumpNotOnAxis, ZeroDispersion
 from .fiber import (
     Coupling,
     FiberParams,
@@ -41,6 +43,10 @@ class Channel(enum.Enum):
     YY = (2, 3)
     XY = (0, 3)
     YX = (2, 1)
+
+
+#: Coupling-table entries of the four pair amplitudes, in `Channel` order.
+_PAIR_ENTRIES = tuple(channel.value for channel in Channel)
 
 
 def sinc(u):
@@ -72,9 +78,11 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     with results bit-identical to the array path; NaN when u is not finite.
     """
     u = entry.rate(fiber, omega) * (0.5 * fiber.length)
+    if isinstance(u, float) and not math.isfinite(u):
+        # cmath.exp raises and np.exp warns on an infinite argument.
+        return complex(math.nan, math.nan)
     envelope = sinc(u)  # before the complex temporaries, to lower peak memory
-    # cmath.exp raises where np.exp gives NaN, so a non-finite u stays in numpy.
-    exp = cmath.exp if isinstance(u, float) and math.isfinite(u) else np.exp
+    exp = cmath.exp if isinstance(u, float) else np.exp
     values = 1j * (entry.c * fiber.length) * exp(1j * (entry.theta + u)) * envelope
     if isinstance(values, complex):  # numpy's complex scalar included
         return complex(values)
@@ -91,14 +99,17 @@ def xi_hb(fiber: FiberParams, pump: PumpConfig, channel: Channel, omega):
     return first_order_amplitude(entry, fiber, omega)
 
 
-def pair_flux(table: Mapping, entries, fiber: FiberParams, omega):
-    """Flux density sum(|xi|^2)/2pi in ps/rad of those given pair entries the table has."""
-    intensities = [
-        np.abs(first_order_amplitude(table[entry], fiber, omega)) ** 2
-        for entry in entries
-        if entry in table
+def pair_amplitudes(fiber: FiberParams, pump: PumpConfig, regime: str, omega) -> list:
+    """The pair amplitudes [xi_xx, xi_yy, xi_xy, xi_yx] at omega, in `Channel` order.
+
+    Each is the first-order amplitude of its entry in the regime's coupling
+    table; an entry the table lacks (the LB vector channels) is 0.0.
+    """
+    table = coupling_table(fiber, pump, regime)
+    return [
+        first_order_amplitude(table[entry], fiber, omega) if entry in table else 0.0
+        for entry in _PAIR_ENTRIES
     ]
-    return sum(intensities[1:], intensities[0]) / (2.0 * np.pi)
 
 
 def _axis_fluxes(fiber: FiberParams, pump: PumpConfig, regime: str, omega):
@@ -110,9 +121,9 @@ def _axis_fluxes(fiber: FiberParams, pump: PumpConfig, regime: str, omega):
     each pair).  Since xi_03(-Omega) = xi_21(Omega), in HB f_x holds the XY
     anti-Stokes photons for Omega > 0 and the YX Stokes photons for Omega < 0.
     """
-    table = coupling_table(fiber, pump, regime)
-    f_x = pair_flux(table, [Channel.XX.value, Channel.XY.value], fiber, omega)
-    f_y = pair_flux(table, [Channel.YY.value, Channel.YX.value], fiber, omega)
+    xx, yy, xy, yx = pair_amplitudes(fiber, pump, regime, omega)
+    f_x = (np.abs(xx) ** 2 + np.abs(xy) ** 2) / (2.0 * np.pi)
+    f_y = (np.abs(yy) ** 2 + np.abs(yx) ** 2) / (2.0 * np.pi)
     if np.ndim(f_x) == 0:
         return float(f_x), float(f_y)
     return f_x, f_y
@@ -121,6 +132,16 @@ def _axis_fluxes(fiber: FiberParams, pump: PumpConfig, regime: str, omega):
 def flux_hb(fiber: FiberParams, pump: PumpConfig, omega):
     """Flux densities (f_x, f_y) in ps/rad from the four HB amplitudes; see `_axis_fluxes`."""
     return _axis_fluxes(fiber, pump, "HB", omega)
+
+
+def flux_lb(fiber: FiberParams, pump: PumpConfig, omega):
+    """Flux densities (f_x, f_y) in ps/rad for a single-axis LB pump.
+
+    The pumped axis carries the scalar spectrum and the other axis the
+    orthogonal-channel spectrum, |xi|^2/2pi each; the two perturbations are
+    uncoupled, so neither spectrum depends on the pump phase.
+    """
+    return _axis_fluxes(fiber, pump, "LB", omega)
 
 
 def total_scatter_probability(
@@ -158,8 +179,7 @@ def total_scatter_probability(
             raise ZeroDispersion("quadrature window requires beta2 != 0 and L > 0")
         scalar_width, _ = bandwidths(fiber, pump, require_vector=False)
         omegas = np.linspace(0.0, 5.0 * scalar_width, 20001)
-        table = coupling_table(fiber, pump, "HB")
-        density = pair_flux(table, [Channel.XX.value], fiber, omegas)
+        density = np.abs(xi_hb(fiber, pump, Channel.XX, omegas)) ** 2 / (2.0 * np.pi)
         # h/3 * (y_0 + y_N + 4 * sum(odd y) + 2 * sum(interior even y))
         weighted = (
             density[0] + density[-1] + 4.0 * density[1::2].sum() + 2.0 * density[2:-1:2].sum()
@@ -201,3 +221,25 @@ def bandwidths(
         return scalar, float("nan")
     vector = 4.0 * np.pi / (fiber.delta_beta1 * fiber.length)
     return scalar, vector
+
+
+def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, float]:
+    """Detuning and first-zero width of the far orthogonal-axis LB peaks.
+
+    detuning ~ sqrt(2*delta/beta2), width ~ (2*pi/L)/sqrt(2*beta2*delta), with
+    delta = beta0 of the pumped axis minus beta0 of the other: delta_beta0
+    for an x pump, -delta_beta0 for a y pump.  Both exist only when delta
+    and beta2 share a sign (slow-axis pump with normal dispersion, or
+    fast-axis pump with anomalous dispersion).
+    """
+    if pump.p0x != 0 and pump.p0y != 0:
+        raise PumpNotOnAxis(f"pump must be on a single axis, got ({pump.p0x}, {pump.p0y})")
+    delta = -fiber.delta_beta0 if pump.p0y != 0 else fiber.delta_beta0
+    product = delta * fiber.beta2
+    if product <= 0:
+        raise NoFarDetunedPeak(
+            f"no real phase-matching detuning for delta_beta0*beta2 = {product}"
+        )
+    detuning = np.sqrt(2.0 * delta / fiber.beta2)
+    width = (2.0 * np.pi / fiber.length) / np.sqrt(2.0 * fiber.beta2 * delta)
+    return float(detuning), float(width)

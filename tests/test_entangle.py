@@ -121,7 +121,7 @@ def test_non_finite_state_raises_instead_of_classifying():
     # gamma*P0*L = 1e400 overflows: NaN amplitudes, which classify used to
     # label "partial" with a NaN concurrence
     fiber = FiberParams(gamma=1e200, beta2=-20.0, length=1.0)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure):
         filtered_state(fiber, PumpConfig(p0x=1e200), "HB", 1.0, 100.0)
 
 

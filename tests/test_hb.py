@@ -20,7 +20,7 @@ from fps import (
     xi_hb,
 )
 from fps.fiber import FrequencyGrid, coupling_table, swap_axes
-from fps.hb import pair_flux, sinc
+from fps.hb import sinc
 
 TWO_PI = 2.0 * math.pi
 
@@ -238,7 +238,7 @@ def test_numeric_total_probability_matches_scipy_simpson(beta2, power):
     fiber = FiberParams(gamma=3.0, beta2=beta2, length=0.1)
     pump = PumpConfig(p0x=power)
     omegas = np.linspace(0.0, 5.0 * bandwidths(fiber, pump, require_vector=False)[0], 20001)
-    density = pair_flux(coupling_table(fiber, pump, "HB"), [Channel.XX.value], fiber, omegas)
+    density = np.abs(xi_hb(fiber, pump, Channel.XX, omegas)) ** 2 / TWO_PI
     reference = 100.0 * simpson(density, x=omegas)
     numeric = total_scatter_probability(fiber, pump, 100.0, mode="numeric")
     assert numeric == pytest.approx(reference, rel=1e-13, abs=0.0)

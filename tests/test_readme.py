@@ -40,6 +40,15 @@ def test_readme_highlights_name_existing_attributes():
     assert sorted(name for name in names if not any(hasattr(m, name) for m in modules)) == []
 
 
+def test_readme_highlights_cover_every_module():
+    """One highlights bullet per submodule with public names; `fps.errors` has none."""
+    text = README.read_text(encoding="utf-8")
+    highlights = text.split("Highlights by module:", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `fps\.(\w+)`", highlights, flags=re.MULTILINE)
+    assert len(bullets) == len(set(bullets))
+    assert set(bullets) == set(fps._EXPORTS) - {"errors"}
+
+
 def _scenario_fields(label: str) -> list[str]:
     """Keys the README lists after `label`, up to the end of that sentence.
 

@@ -4,9 +4,10 @@ A float omega runs `Coupling.rate`, `hb.sinc` and `first_order_amplitude`
 in Python floats (math.sin, cmath.exp) instead of numpy.  These tests pin
 that path to element 0 of the same call on a one-point array, bit for bit,
 and the filtered pair state built from it, with its `classify` phase, to
-the same built from array-path amplitudes.  `coupling_table` reuses its
-last table for the same objects, so interleaved calls must match calls on
-fresh objects.
+the same built from array-path amplitudes; the state and the HB/LB fluxes
+must read the four amplitudes of `hb.pair_amplitudes`.  `coupling_table`
+reuses its last table for the same objects, so interleaved calls must match
+calls on fresh objects.
 """
 
 import cmath
@@ -23,9 +24,11 @@ from fps import (
     PumpConfig,
     classify,
     filtered_state,
+    flux_hb,
+    flux_lb,
 )
 from fps.fiber import Coupling, coupling_table
-from fps.hb import first_order_amplitude, sinc
+from fps.hb import first_order_amplitude, pair_amplitudes, sinc
 
 N_SETS = 2000
 PAIR_ENTRIES = tuple(channel.value for channel in Channel)
@@ -147,6 +150,19 @@ def test_filtered_state_matches_array_path_bit_for_bit():
         assert state.coeffs.tobytes() == coeffs.tobytes()
         assert state.norm.hex() == norm.hex()
         assert state.generation_probability.hex() == (norm_sq / duration).hex()
+        amplitudes = pair_amplitudes(fiber, pump, regime, omega)
+        assert (np.array(amplitudes) / state.norm).tobytes() == state.coeffs.tobytes()
+        if regime == "LB":
+            assert [(type(xi), _bits(xi)) for xi in amplitudes[2:]] == [(float, _bits(0.0))] * 2
+        # The fluxes are the axis sums of the same amplitudes, float and array omega.
+        flux = flux_hb if regime == "HB" else flux_lb
+        for point in (omega, np.array([omega, -omega])):
+            xx, yy, xy, yx = pair_amplitudes(fiber, pump, regime, point)
+            f_x = (np.abs(xx) ** 2 + np.abs(xy) ** 2) / (2.0 * np.pi)
+            f_y = (np.abs(yy) ** 2 + np.abs(yx) ** 2) / (2.0 * np.pi)
+            got = flux(fiber, pump, point)
+            assert type(got[0]) is (float if point is omega else np.ndarray)
+            assert [np.asarray(f).tobytes() for f in got] == [f_x.tobytes(), f_y.tobytes()]
         # Both scalar coefficients are nonzero in every set; wrap to (-pi, pi].
         phase = math.remainder(float(np.angle(coeffs[1] / coeffs[0])), math.tau)
         if phase <= -math.pi:
@@ -190,8 +206,7 @@ def test_scalar_amplitude_is_nan_beyond_double_range():
     fiber = FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0)
     pump = PumpConfig(p0x=0.15, p0y=0.15)
     table = coupling_table(fiber, pump, "HB")
-    with np.errstate(invalid="ignore"):
-        for entry in PAIR_ENTRIES:
-            assert cmath.isnan(first_order_amplitude(table[entry], fiber, 1e300))
-        with pytest.raises(NumericalFailure):
-            filtered_state(fiber, pump, "HB", 1e300, 100.0)
+    for entry in PAIR_ENTRIES:
+        assert cmath.isnan(first_order_amplitude(table[entry], fiber, 1e300))
+    with pytest.raises(NumericalFailure):
+        filtered_state(fiber, pump, "HB", 1e300, 100.0)
