@@ -653,8 +653,12 @@ def main(argv=None) -> int:
         print(f"fps: error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"fps: error: cannot write output file: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -34,15 +34,7 @@ from .fiber import FiberParams, FrequencyGrid, PumpConfig, coupling_table
 #: Bogoliubov metric in the (a_x, a_x^dag, a_y, a_y^dag) basis.
 J_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
 
-#: Fixed-step RK4 oracle policy: steps = max(MIN_STEPS, ceil(K_STEP * L * kappa))
-#: where kappa is the largest coupling magnitude plus the largest phase
-#: rate over the batch.  K_STEP is calibrated so the symplectic defect
-#: stays below 1e-9 on the acceptance parameter sets; the phase
-#: rate must enter kappa because the oscillation, not the coupling
-#: strength, limits the step size.  DEFECT_LIMIT bounds the defect, relative
-#: to max(1, max |M|^2) per matrix, that either propagator may return.
-MIN_STEPS = 1000
-K_STEP = 20.0
+#: Largest relative symplectic defect (`_relative_defect`) a propagator may return.
 DEFECT_LIMIT = 1e-6
 
 
@@ -76,15 +68,6 @@ def _coefficient_factors(
         rate[..., j, k] = entry.rate(fiber, w)
         rate[..., k, j] = -rate[..., j, k]
     return coeff, rate
-
-
-def default_step_count(
-    fiber: FiberParams, pump: PumpConfig, regime: str, omegas
-) -> int:
-    """Step count from the policy max(MIN_STEPS, ceil(K_STEP*L*kappa))."""
-    coeff, rate = _coefficient_factors(fiber, pump, regime, omegas)
-    kappa = float(np.abs(coeff).max() + np.abs(rate).max())
-    return max(MIN_STEPS, math.ceil(K_STEP * fiber.length * kappa))
 
 
 def _metric_residual(matrix: np.ndarray) -> np.ndarray:
@@ -212,10 +195,10 @@ def integrate_transfer_grid(
     (accurate also at the MI band edge where eigenvectors coalesce, unlike
     an eigendecomposition); a generator with a non-finite entry raises
     NumericalFailure first.  The returned step count is 0.  With `steps`,
-    the product of that many fixed-step RK4 steps, the independent oracle
-    (`default_step_count` sizes one).  It is evaluated exactly as the
-    telescoped power D(L)^-1 (D(h) P_0)^steps of the first step P_0 (see
-    the module docstring), so a call costs about 2 log2(steps) batched 4x4
+    the product of that many fixed-step RK4 steps, the independent oracle,
+    with N chosen by the caller.  It is evaluated exactly as the telescoped
+    power D(L)^-1 (D(h) P_0)^steps of the first step P_0 (see the module
+    docstring), so a call costs about 2 log2(steps) batched 4x4
     multiplications, not four per step.  Returns (matrices, steps) with
     matrices of shape omegas.shape + (4, 4).
 

@@ -11,6 +11,7 @@ amplitudes in sqrt(ps).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from types import MappingProxyType
@@ -107,6 +108,10 @@ class FrequencyGrid:
 
     def __post_init__(self) -> None:
         _require_finite_fields(self)
+        try:
+            operator.index(self.n_points)
+        except TypeError:
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}") from None
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
         if not self.omega_min < self.omega_max:
@@ -117,19 +122,6 @@ class FrequencyGrid:
     @property
     def omegas(self) -> np.ndarray:
         return np.linspace(self.omega_min, self.omega_max, self.n_points)
-
-    @property
-    def spacing(self) -> float:
-        return (self.omega_max - self.omega_min) / (self.n_points - 1)
-
-    @property
-    def is_symmetric(self) -> bool:
-        """True when the grid range is symmetric about Omega=0.
-
-        A uniform symmetric grid automatically contains +Omega for every
-        -Omega; an even n_points additionally avoids Omega=0 itself.
-        """
-        return self.omega_min == -self.omega_max
 
 
 def beta(fiber: FiberParams, axis: str, omega: float) -> float:

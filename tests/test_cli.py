@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +81,7 @@ def test_presets_unknown_name(capsys):
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_every_preset_validates(name):
     scenario, resolved = load_scenario(dict(PRESETS[name]))
-    assert scenario.grid.is_symmetric
+    assert scenario.grid.omega_min == -scenario.grid.omega_max
     assert not np.any(scenario.grid.omegas == 0.0)  # even count skips Omega=0
     assert resolved["method"] == PRESETS[name]["method"]
 
@@ -726,6 +728,12 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert rc == 0
     assert captured.out == ""
     assert target.read_text(encoding="utf-8") == stdout_text
+    for unwritable in (tmp_path / "missing" / "x.csv", tmp_path):
+        rc, out, err = run(capsys, "presets", "--out", str(unwritable))
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("fps: error: cannot write output file: ")
 
 
 #: scipy is a test oracle only: no subcommand may import it at run time.  The
@@ -866,6 +874,57 @@ def test_package_names_are_their_modules_objects():
         fps.flux_xy
     with pytest.raises(ImportError):
         from fps import flux_xy  # noqa: F401
+
+
+def test_src_defines_nothing_that_only_tests_use():
+    """Every definition in src/fps is public, a dunder or used by fps itself.
+
+    Checked: each top-level function, class and assignment, and each method
+    or property of a class that is kept.  A use is a loaded `Name`, a loaded
+    `Attribute` or an import alias anywhere in src/fps; a docstring mention
+    does not count.
+    """
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(fps.__file__).parent.glob("*.py")
+    }
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+
+    def kept(name):
+        is_dunder = name.startswith("__") and name.endswith("__")
+        return is_dunder or name in fps.__all__ or name in used
+
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    name.id
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+            else:
+                continue
+            unused += [f"{module}:{name}" for name in names if not kept(name)]
+            if isinstance(node, ast.ClassDef) and kept(node.name):
+                unused += [
+                    f"{module}:{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not kept(item.name)
+                ]
+    assert unused == []
 
 
 #: A valid scenario for every subcommand (classify reads the pump duration).
