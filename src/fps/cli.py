@@ -4,13 +4,14 @@ Subcommands: spectrum (flux-density sweeps as CSV), compare (first-order
 vs exact deviation report as JSON), classify (filtered-pair entanglement
 report as JSON), mi (gain curve as CSV), presets (list built-in parameter
 sets).  Output formatting is fixed ('.' decimal, '\\n' line endings, ordered
-rows, sorted JSON keys), so repeated runs are byte-identical.  CSV values
-and header echoes have 9 significant digits; the compare and classify JSON
-reports print floats at full repr precision (up to 17 significant digits),
-so a last-bit change shows there first.
+rows, sorted JSON keys), so repeated runs are byte-identical.  CSV values,
+header echoes and the computed compare values have 9 significant digits;
+the classify JSON report prints floats at full repr precision (up to 17
+significant digits), so a last-bit change shows there first.
 
 Each subcommand imports only the modules it runs, so `presets` and argument
-errors never load numpy.
+errors never load numpy, and neither does a first-order-only spectrum of
+at most MAX_FLOAT_PATH_POINTS points, which runs in Python floats.
 
 Exit codes: 0 success, 2 input validation (the cost caps included), 3
 numerical failure (symplectic defect above tolerance, a non-finite result,
@@ -45,6 +46,16 @@ MAX_SPECTRAL_POINTS = 250_000
 #: matrix exponential's, is bounded through MAX_SPECTRAL_POINTS; this cap
 #: bounds the step count asked of it.  Exit 2 above it.
 MAX_STEP_POINTS = 20_000_000
+
+#: Largest grid points x lengths of a spectrum that runs first-order only
+#: and is therefore computed point by point in Python floats, one
+#: `flux_hb(fiber, pump, omega)` call per Python-float omega, without
+#: importing numpy.  Both paths print the same bytes.  Measured on the
+#: fig1a, fig2 and fig4a physics with Python 3.11 and numpy 2.4 on 2 vCPUs:
+#: the float path takes 6-9 us per point, the array path 0.2-0.3 us, and
+#: importing numpy 110-170 ms, so the two break even between about 12,000
+#: and 20,000 points; 10,000 keeps a margin.
+MAX_FLOAT_PATH_POINTS = 10_000
 
 
 class ScenarioError(ValueError):
@@ -336,12 +347,20 @@ def _header_lines(command: str, origin: list[str], resolved: dict) -> list[str]:
 def _require_finite(what: str, *values) -> None:
     """Raise NumericalFailure unless every entry of every value is finite.
 
+    A value is a Python float, a list of them (the float path) or an array.
     Keeps inf and nan out of the CSV: the run exits 3 instead.
     """
-    import numpy as np
+    for value in values:
+        if isinstance(value, float):
+            finite = math.isfinite(value)
+        elif isinstance(value, list):
+            finite = all(map(math.isfinite, value))
+        else:
+            import numpy as np
 
-    if not all(np.isfinite(value).all() for value in values):
-        raise NumericalFailure(f"{what} is not finite")
+            finite = np.isfinite(value).all()
+        if not finite:
+            raise NumericalFailure(f"{what} is not finite")
 
 
 def _spectrum_methods(scenario: Scenario) -> tuple[str, ...]:
@@ -351,6 +370,15 @@ def _spectrum_methods(scenario: Scenario) -> tuple[str, ...]:
     if scenario.regime == "HB" and scenario.pump.p0x != 0 and scenario.pump.p0y != 0:
         return ("first-order", "exact-ode")
     return METHOD_ORDER
+
+
+def _runs_in_floats(scenario: Scenario, command: str) -> bool:
+    """True for a first-order-only spectrum of at most MAX_FLOAT_PATH_POINTS points."""
+    return (
+        command == "spectrum"
+        and _spectrum_methods(scenario) == ("first-order",)
+        and scenario.grid.n_points * len(scenario.lengths) <= MAX_FLOAT_PATH_POINTS
+    )
 
 
 def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
@@ -386,7 +414,7 @@ def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
         )
 
 
-def _closed_form_flux(scenario: Scenario, fiber: FiberParams):
+def _closed_form_flux(scenario: Scenario, fiber: FiberParams, omegas):
     """(f_x, f_y) from the x-pump closed forms, kept independent of the coupling table.
 
     A y pump feeds them its own power and, for the orthogonal form, -delta_beta0.
@@ -396,7 +424,6 @@ def _closed_form_flux(scenario: Scenario, fiber: FiberParams):
     from .dynamics import exact_lb_orthogonal_flux, exact_scalar_flux
 
     pump = scenario.pump
-    omegas = scenario.grid.omegas
     if pump.p0x != 0 and pump.p0y != 0:  # LB scenarios never get here
         raise ScenarioError(
             "closed-form method requires a single-axis pump in the HB regime"
@@ -412,47 +439,65 @@ def _closed_form_flux(scenario: Scenario, fiber: FiberParams):
     return (f_orth, f_pump) if on_y else (f_pump, f_orth)
 
 
-def _spectrum_task(scenario: Scenario, method: str, length: float, steps: int | None):
-    """Compute one (method, L) slice; returns (extra header lines, f_x, f_y)."""
+def _spectrum_task(
+    scenario: Scenario, method: str, length: float, steps: int | None, omegas
+):
+    """Compute one (method, L) slice; returns (extra header lines, f_x, f_y).
+
+    omegas is the grid as an array, or for first-order as a list of Python
+    floats, which gives lists of the same values.
+    """
     fiber = replace(scenario.fiber, length=length)
     extra: list[str] = []
     if method == "first-order":
         from .hb import flux_hb, flux_lb
 
         flux = flux_lb if scenario.regime == "LB" else flux_hb
-        f_x, f_y = flux(fiber, scenario.pump, scenario.grid.omegas)
+        if isinstance(omegas, list):
+            points = [flux(fiber, scenario.pump, omega) for omega in omegas]
+            f_x, f_y = [point[0] for point in points], [point[1] for point in points]
+        else:
+            f_x, f_y = flux(fiber, scenario.pump, omegas)
     elif method == "exact-ode":
         from .dynamics import flux_from_matrices, integrate_transfer_grid
 
         matrices, used_steps = integrate_transfer_grid(
-            fiber, scenario.pump, scenario.regime, scenario.grid.omegas, steps=steps
+            fiber, scenario.pump, scenario.regime, omegas, steps=steps
         )
         f_x, f_y = flux_from_matrices(matrices)
         extra.append(f"# steps.L={_fmt(length)} = {used_steps or 'expm'}")
     else:
-        f_x, f_y = _closed_form_flux(scenario, fiber)
+        f_x, f_y = _closed_form_flux(scenario, fiber, omegas)
     _require_finite(f"{method} flux at L={_fmt(length)}", f_x, f_y)
     return extra, f_x, f_y
 
 
 def run_spectrum(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
     methods = _spectrum_methods(scenario)
+    if _runs_in_floats(scenario, "spectrum"):
+        omegas = scenario.grid.omega_list
+    else:
+        omegas = scenario.grid.omegas
     tasks = [(method, length) for method in methods for length in scenario.lengths]
     results = [
-        _spectrum_task(scenario, method, length, args.steps) for method, length in tasks
+        _spectrum_task(scenario, method, length, args.steps, omegas) for method, length in tasks
     ]
     lines = _header_lines("spectrum", origin, resolved)
     for extra, _, _ in results:
         lines.extend(extra)
     lines.append("omega_rad_per_ps,f_x,f_y,method,L_km")
+
+    def floats(values) -> list[float]:
+        return values if isinstance(values, list) else values.tolist()
+
     # Python floats through one f-string per row: the same float.__format__
     # as _fmt, without a call per value.
-    omegas = scenario.grid.omegas.tolist()
+    omegas = floats(omegas)
     for (method, length), (_, f_x, f_y) in zip(tasks, results):
         tail = f"{method},{_fmt(length)}"
         lines.extend(
             f"{omega:.9g},{fx_val:.9g},{fy_val:.9g},{tail}"
-            for omega, fx_val, fy_val in zip(omegas, f_x.tolist(), f_y.tolist())
+            for omega, fx_val, fy_val in zip(omegas, floats(f_x), floats(f_y))
         )
     return "\n".join(lines) + "\n"
 
@@ -460,11 +505,12 @@ def run_spectrum(scenario: Scenario, resolved: dict, origin: list[str], args) ->
 def run_compare(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
     import numpy as np
 
+    omegas = scenario.grid.omegas
     comparisons = []
     deviations = []
     for length in scenario.lengths:
-        _, fo_x, fo_y = _spectrum_task(scenario, "first-order", length, None)
-        _, ex_x, ex_y = _spectrum_task(scenario, "exact-ode", length, args.steps)
+        _, fo_x, fo_y = _spectrum_task(scenario, "first-order", length, None, omegas)
+        _, ex_x, ex_y = _spectrum_task(scenario, "exact-ode", length, args.steps, omegas)
         peak = max(float(np.max(ex_x)), float(np.max(ex_y)))
         if peak == 0:
             raise ScenarioError("exact spectrum is identically zero; nothing to compare")
@@ -473,12 +519,14 @@ def run_compare(scenario: Scenario, resolved: dict, origin: list[str], args) -> 
         max_dev = float(max(dev_x.max(), dev_y.max()))
         mean_dev = float(np.concatenate([dev_x, dev_y]).mean())
         deviations.append(max_dev)
+        # 9 significant digits, as in the CSVs: a last-bit change in a flux
+        # stays out of the bytes.
         comparisons.append(
             {
                 "L_km": length,
-                "peak_flux": peak,
-                "max_rel_dev": max_dev,
-                "mean_rel_dev": mean_dev,
+                "peak_flux": float(_fmt(peak)),
+                "max_rel_dev": float(_fmt(max_dev)),
+                "mean_rel_dev": float(_fmt(mean_dev)),
             }
         )
     report = {
@@ -627,20 +675,24 @@ def main(argv=None) -> int:
         if args.command == "presets":
             text = run_presets(args)
         else:
-            import numpy as np
-
-            # Overflow and NaN are reported by the finiteness guard and the
-            # defect check, as one exit-3 line rather than numpy warnings.
-            with np.errstate(over="ignore", invalid="ignore"):
-                scenario, resolved, origin = _resolve_scenario(args)
-                _check_cost(scenario, args.command, steps)
-                runner = {
-                    "spectrum": run_spectrum,
-                    "compare": run_compare,
-                    "classify": run_classify,
-                    "mi": run_mi,
-                }[args.command]
+            scenario, resolved, origin = _resolve_scenario(args)
+            _check_cost(scenario, args.command, steps)
+            runner = {
+                "spectrum": run_spectrum,
+                "compare": run_compare,
+                "classify": run_classify,
+                "mi": run_mi,
+            }[args.command]
+            if _runs_in_floats(scenario, args.command):
                 text = runner(scenario, resolved, origin, args)
+            else:
+                import numpy as np
+
+                # Overflow and NaN are reported by the finiteness guard and
+                # the defect check, as one exit-3 line rather than numpy
+                # warnings.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    text = runner(scenario, resolved, origin, args)
     except ScenarioError as exc:
         print(f"fps: error: {exc}", file=sys.stderr)
         return 2

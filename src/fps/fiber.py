@@ -17,16 +17,20 @@ from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DegenerateBirefringence, PumpNotOnAxis, ZeroPower
 
 
 def _require_finite_fields(params) -> None:
-    """Raise ValueError if any numeric field of a parameter container is NaN or inf."""
+    """Raise ValueError if any field of a parameter container is not a finite real number."""
     for field in fields(params):
         value = getattr(params, field.name)
-        if value is not None and not math.isfinite(value):
+        if value is None:
+            continue
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            raise ValueError(f"{field.name} must be a real number, got {value!r}") from None
+        if not finite:
             raise ValueError(f"{field.name} must be finite, got {value}")
 
 
@@ -120,8 +124,29 @@ class FrequencyGrid:
             )
 
     @property
-    def omegas(self) -> np.ndarray:
+    def omegas(self):
+        """The grid as a numpy array, np.linspace(omega_min, omega_max, n_points)."""
+        import numpy as np
+
         return np.linspace(self.omega_min, self.omega_max, self.n_points)
+
+    @property
+    def omega_list(self) -> list[float]:
+        """The grid as Python floats, bit for bit the values of `omegas`.
+
+        np.linspace's own arithmetic: i*step + omega_min with step =
+        (omega_max - omega_min)/(n_points - 1), (i/(n_points - 1))*span +
+        omega_min where the step underflows to 0, and omega_max last.
+        """
+        span = self.omega_max - self.omega_min
+        div = self.n_points - 1
+        step = span / div
+        if step == 0:
+            values = [i / div * span + self.omega_min for i in range(div)]
+        else:
+            values = [i * step + self.omega_min for i in range(div)]
+        values.append(self.omega_max)
+        return values
 
 
 def beta(fiber: FiberParams, axis: str, omega: float) -> float:
@@ -231,7 +256,12 @@ class Coupling(NamedTuple):
         # overhead.  w * w rounds exactly as numpy's square, and the terms
         # are added left to right (not by `sum`, which compensates float
         # sums from Python 3.12 on).
-        w = float(omega) if isinstance(omega, float) else np.asarray(omega, dtype=float)
+        if isinstance(omega, float):
+            w = float(omega)
+        else:
+            import numpy as np
+
+            w = np.asarray(omega, dtype=float)
         if self.s:
             rate = self.s * fiber.delta_beta1 * w
             if self.t:

@@ -17,8 +17,6 @@ import cmath
 import enum
 import math
 
-import numpy as np
-
 from .errors import DegenerateBirefringence, NoFarDetunedPeak, PumpNotOnAxis, ZeroDispersion
 from .fiber import (
     Coupling,
@@ -60,6 +58,8 @@ def sinc(u):
         if abs(u) < _SINC_SERIES_CUTOFF:
             return 1.0 - u * u / 6.0
         return math.sin(u) / u if math.isfinite(u) else math.nan
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < _SINC_SERIES_CUTOFF
     safe = np.where(small, 1.0, u)
@@ -82,7 +82,12 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
         # cmath.exp raises and np.exp warns on an infinite argument.
         return complex(math.nan, math.nan)
     envelope = sinc(u)  # before the complex temporaries, to lower peak memory
-    exp = cmath.exp if isinstance(u, float) else np.exp
+    if isinstance(u, float):
+        exp = cmath.exp
+    else:
+        import numpy as np
+
+        exp = np.exp
     values = 1j * (entry.c * fiber.length) * exp(1j * (entry.theta + u)) * envelope
     if isinstance(values, complex):  # numpy's complex scalar included
         return complex(values)
@@ -112,6 +117,11 @@ def pair_amplitudes(fiber: FiberParams, pump: PumpConfig, regime: str, omega) ->
     ]
 
 
+def _abs2(xi):
+    """|xi|^2 as re*re + im*im: a float for a complex or a float, an array for an array."""
+    return xi.real * xi.real + xi.imag * xi.imag
+
+
 def _axis_fluxes(fiber: FiberParams, pump: PumpConfig, regime: str, omega):
     """Flux densities (f_x, f_y) in ps/rad from the pair entries of the regime's table.
 
@@ -120,12 +130,14 @@ def _axis_fluxes(fiber: FiberParams, pump: PumpConfig, regime: str, omega):
     the entries the exact flux reads from the transfer matrix (LB has one of
     each pair).  Since xi_03(-Omega) = xi_21(Omega), in HB f_x holds the XY
     anti-Stokes photons for Omega > 0 and the YX Stokes photons for Omega < 0.
+
+    |xi|^2 is re*re + im*im on both paths, so a Python-float omega gives
+    the bits of the array path.  numpy's complex abs (a SIMD kernel) and
+    CPython's abs round differently, so neither could serve both paths.
     """
     xx, yy, xy, yx = pair_amplitudes(fiber, pump, regime, omega)
-    f_x = (np.abs(xx) ** 2 + np.abs(xy) ** 2) / (2.0 * np.pi)
-    f_y = (np.abs(yy) ** 2 + np.abs(yx) ** 2) / (2.0 * np.pi)
-    if np.ndim(f_x) == 0:
-        return float(f_x), float(f_y)
+    f_x = (_abs2(xx) + _abs2(xy)) / (2.0 * math.pi)
+    f_y = (_abs2(yy) + _abs2(yx)) / (2.0 * math.pi)
     return f_x, f_y
 
 
@@ -159,10 +171,11 @@ def total_scatter_probability(
 
     Both modes count the x-pumped scalar channel only, so a pump on y
     alone (p0x = 0 < p0y) raises PumpNotOnAxis instead of returning 0;
-    relabel the axes with `fiber.swap_axes` first.
+    relabel the axes with `fiber.swap_axes` first.  A negative, NaN or
+    infinite duration raises ValueError.
     """
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
+    if not 0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {duration}")
     if pump.p0x == 0 < pump.p0y:
         raise PumpNotOnAxis(f"P_T counts the x-pumped channel, got p0x = 0 < p0y = {pump.p0y}")
     if mode == "analytic":
@@ -171,12 +184,14 @@ def total_scatter_probability(
         if fiber.length == 0:
             return 0.0
         gpl = fiber.gamma * pump.p0x * fiber.length
-        return (2.0 / 3.0) * gpl**2 * np.sqrt(
-            duration**2 / (2.0 * np.pi * abs(fiber.beta2) * fiber.length)
+        return (2.0 / 3.0) * gpl**2 * math.sqrt(
+            duration**2 / (2.0 * math.pi * abs(fiber.beta2) * fiber.length)
         )
     if mode == "numeric":
         if fiber.beta2 == 0 or fiber.length == 0:
             raise ZeroDispersion("quadrature window requires beta2 != 0 and L > 0")
+        import numpy as np
+
         scalar_width, _ = bandwidths(fiber, pump, require_vector=False)
         omegas = np.linspace(0.0, 5.0 * scalar_width, 20001)
         density = np.abs(xi_hb(fiber, pump, Channel.XX, omegas)) ** 2 / (2.0 * np.pi)
@@ -214,12 +229,12 @@ def bandwidths(
         raise ZeroDispersion("scalar width requires beta2 != 0")
     if fiber.length == 0:
         raise ValueError("widths diverge at zero length")
-    scalar = 2.0 * np.sqrt(2.0 * np.pi / (abs(fiber.beta2) * fiber.length))
+    scalar = 2.0 * math.sqrt(2.0 * math.pi / (abs(fiber.beta2) * fiber.length))
     if fiber.delta_beta1 == 0:
         if require_vector:
             raise DegenerateBirefringence("vector width requires delta_beta1 > 0")
         return scalar, float("nan")
-    vector = 4.0 * np.pi / (fiber.delta_beta1 * fiber.length)
+    vector = 4.0 * math.pi / (fiber.delta_beta1 * fiber.length)
     return scalar, vector
 
 
@@ -240,6 +255,6 @@ def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, floa
         raise NoFarDetunedPeak(
             f"no real phase-matching detuning for delta_beta0*beta2 = {product}"
         )
-    detuning = np.sqrt(2.0 * delta / fiber.beta2)
-    width = (2.0 * np.pi / fiber.length) / np.sqrt(2.0 * fiber.beta2 * delta)
-    return float(detuning), float(width)
+    detuning = math.sqrt(2.0 * delta / fiber.beta2)
+    width = (2.0 * math.pi / fiber.length) / math.sqrt(2.0 * fiber.beta2 * delta)
+    return detuning, width

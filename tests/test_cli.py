@@ -20,6 +20,7 @@ import fps
 from fps import PumpConfig, flux_hb
 from fps import cli
 from fps.cli import (
+    MAX_FLOAT_PATH_POINTS,
     MAX_SPECTRAL_POINTS,
     MAX_STEP_POINTS,
     METHOD_ORDER,
@@ -226,6 +227,91 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys, scenario, argv):
     assert err.startswith("fps: numerical failure: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "inf" not in out and "nan" not in out
+
+
+def _first_order_both_paths(*argv):
+    """(rc, stdout, stderr) of `main(argv)` on the float path and on the array path.
+
+    MAX_FLOAT_PATH_POINTS = 0 sends every first-order spectrum to numpy.
+    """
+    results = []
+    for cutoff in (MAX_FLOAT_PATH_POINTS, 0):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "MAX_FLOAT_PATH_POINTS", cutoff)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(list(argv))
+        results.append((rc, out.getvalue(), err.getvalue()))
+    return results
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_first_order_csv_is_the_same_on_both_paths(name):
+    scenario, _ = load_scenario({**PRESETS[name], "method": "first-order"})
+    assert cli._runs_in_floats(scenario, "spectrum")
+    floats, array = _first_order_both_paths(
+        "spectrum", "--preset", name, "--method", "first-order"
+    )
+    assert floats[0] == 0 and floats[2] == ""
+    assert floats == array
+
+
+#: First-order spectra beyond double range: the prefactor gamma*P*L, the
+#: sinc argument R*L/2 through L or through beta2*Omega^2, and the phase
+#: 2*theta0x.  Each gives NaN amplitudes.
+FIRST_ORDER_OVERFLOW = [
+    {**_fig1a_small(gamma_per_W_km=1e300, length_km=1e5), "pump": {"p0x_W": 1e5}},
+    _fig1a_small(length_km=1e308),
+    {**_fig1a_small(beta2_ps2_per_km=1e300), "grid": {
+        "omega_min": -1e5, "omega_max": 1e5, "n_points": 8}},
+    {**_fig1a_small(), "pump": {"p0x_W": 0.3, "theta0x_rad": 1e308}},
+]
+
+
+@pytest.mark.parametrize("scenario", FIRST_ORDER_OVERFLOW)
+def test_first_order_overflow_exits_3_on_both_paths(tmp_path, scenario):
+    path = write_scenario(tmp_path, scenario)
+    floats, array = _first_order_both_paths("spectrum", "--scenario", path)
+    assert floats == array
+    rc, out, err = floats
+    assert rc == 3 and out == ""
+    assert err.startswith("fps: numerical failure: first-order flux at L=")
+
+
+_extreme = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.builds(lambda e, sign: sign * 10.0**e, st.integers(-320, 308), st.sampled_from([1, -1])),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    fields=st.fixed_dictionaries(
+        {
+            "fiber.gamma_per_W_km": _extreme,
+            "fiber.beta2_ps2_per_km": _extreme,
+            "fiber.delta_beta0_per_km": _extreme,
+            "fiber.delta_beta1_ps_per_km": _extreme,
+            "fiber.length_km": _extreme,
+            "pump.p0x_W": _extreme,
+            "pump.p0y_W": _extreme,
+            "pump.theta0x_rad": _extreme,
+            "grid.omega_min": _extreme,
+            "grid.omega_max": _extreme,
+        }
+    ),
+    regime=st.sampled_from(["HB", "LB"]),
+)
+def test_first_order_paths_agree_on_extreme_scenarios(fields, regime):
+    """Any scenario gives the same exit code, stdout and stderr on both paths."""
+    flat = {**fields, "grid.n_points": 6, "regime": regime, "method": "first-order"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(flat, handle)
+        floats, array = _first_order_both_paths("spectrum", "--scenario", path)
+    assert floats == array
+    assert floats[0] in (0, 2, 3)
 
 
 def test_high_gain_exact_spectrum_is_accepted(tmp_path, capsys):
@@ -717,6 +803,9 @@ def test_compare_report(capsys):
     for entry in report["comparisons"]:
         assert 0.0 <= entry["mean_rel_dev"] <= entry["max_rel_dev"]
         assert entry["peak_flux"] > 0.0
+        # 9 significant digits, like the CSVs
+        for key in ("peak_flux", "max_rel_dev", "mean_rel_dev"):
+            assert entry[key] == float(format(entry[key], ".9g"))
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
@@ -767,7 +856,7 @@ def _run_python(code, *argv):
     return proc
 
 
-FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb", "numpy"]
+FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb"]
 
 
 @pytest.mark.parametrize(
@@ -776,7 +865,7 @@ FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb", "numpy"]
         pytest.param(
             ("spectrum", "--preset", "fig3", "--method", "all"),
             0,
-            sorted(FIRST_ORDER_MODULES + ["fps.dynamics"]),
+            sorted(FIRST_ORDER_MODULES + ["fps.dynamics", "numpy"]),
             id="spectrum",
         ),
         pytest.param(
@@ -788,7 +877,7 @@ FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb", "numpy"]
         pytest.param(
             ("compare", "--preset", "fig1a"),
             0,
-            sorted(FIRST_ORDER_MODULES + ["fps.dynamics"]),
+            sorted(FIRST_ORDER_MODULES + ["fps.dynamics", "numpy"]),
             id="compare",
         ),
         pytest.param(
@@ -812,7 +901,8 @@ FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb", "numpy"]
 def test_subcommand_runs_without_scipy(tmp_path, argv, rc, loaded):
     """No subcommand loads scipy; each loads only the modules it runs.
 
-    `presets` and an argparse error load no numpy, and a first-order
+    `presets`, an argparse error and a first-order spectrum at most
+    MAX_FLOAT_PATH_POINTS points large load no numpy, and a first-order
     spectrum loads neither fps.dynamics nor fps.entangle.  A successful
     call writes nothing to stderr, not even a numpy warning; an argparse
     error writes only its usage message.
@@ -825,6 +915,31 @@ def test_subcommand_runs_without_scipy(tmp_path, argv, rc, loaded):
         lines = proc.stderr.splitlines()
         assert lines[0].startswith("usage: fps spectrum ")
         assert lines[-1].startswith("fps spectrum: error: argument --method: invalid choice")
+
+
+@pytest.mark.parametrize(
+    "n_points, n_lengths, numpy_loaded",
+    [(MAX_FLOAT_PATH_POINTS // 2, 2, False), (MAX_FLOAT_PATH_POINTS + 1, 1, True)],
+)
+def test_first_order_spectrum_loads_numpy_above_the_float_cutoff(
+    tmp_path, n_points, n_lengths, numpy_loaded
+):
+    """A first-order spectrum loads numpy only above MAX_FLOAT_PATH_POINTS.
+
+    At the cutoff (grid points x lengths) it runs in Python floats; one
+    point more runs the array path, still without a word on stderr.
+    """
+    scenario = {
+        **SMALL_SCALAR,
+        "grid": {**SMALL_SCALAR["grid"], "n_points": n_points},
+        "lengths_km": [0.1] * n_lengths,
+    }
+    path = write_scenario(tmp_path, scenario)
+    out = str(tmp_path / "out")
+    proc = _run_python(NO_SCIPY_CHECK, "spectrum", "--scenario", path, "--out", out)
+    expected = FIRST_ORDER_MODULES + ["numpy"] if numpy_loaded else FIRST_ORDER_MODULES
+    assert json.loads(proc.stdout) == [0, [], expected]
+    assert proc.stderr == ""
 
 
 LAZY_IMPORT_CHECK = """
@@ -844,16 +959,17 @@ def test_import_fps_defers_its_submodules():
     """A bare `import fps` loads no submodule and no numpy.
 
     A public name loads its own submodule and what that imports, and a
-    submodule is an attribute of the package, as before.
+    submodule is an attribute of the package, as before.  `fps.hb` and
+    `fps.fiber` import numpy only where an array is passed.
     """
     proc = _run_python(LAZY_IMPORT_CHECK)
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
-    first_order = ["fps", "fps.errors", "fps.fiber", "fps.hb", "numpy"]
+    first_order = ["fps", "fps.errors", "fps.fiber", "fps.hb"]
     assert lines == [
         str(["fps"]),
         str(first_order),
-        str(sorted(first_order + ["fps.dynamics"])),
+        str(sorted(first_order + ["fps.dynamics", "numpy"])),
     ]
 
 

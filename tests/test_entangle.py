@@ -195,6 +195,12 @@ def test_second_order_occupancy(fig1_fiber, pump_x03):
     assert 0.0 < result.n_mode - d < 0.2 * d
 
 
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_second_order_rejects_non_finite_duration(fig1_fiber, pump_x03, duration):
+    with pytest.raises(ValueError, match="duration"):
+        second_order_quantities(fig1_fiber, pump_x03, 0.0, duration)
+
+
 def test_second_order_warns_when_stimulated_term_dominates(fig1_fiber, pump_x03):
     with pytest.raises(ValueError):
         second_order_quantities(fig1_fiber, pump_x03, 0.0, -1.0)

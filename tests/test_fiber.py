@@ -68,6 +68,44 @@ def test_grid_rejects_non_finite_bounds(bounds):
         FrequencyGrid(*bounds, 10)
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: FrequencyGrid(-1.0, 1.0, "3"), "n_points"),
+        (lambda: FiberParams(gamma="3", beta2=1.0, length=1.0), "gamma"),
+        (lambda: PumpConfig(p0x="1"), "p0x"),
+        (lambda: PumpConfig(p0x=1.0, duration=1j), "duration"),
+    ],
+)
+def test_containers_reject_non_real_fields(make, field):
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        make()
+
+
+def test_omega_list_is_linspace_bit_for_bit():
+    """The Python-float grid equals np.linspace, seeded spans of every scale."""
+    rng = np.random.default_rng(2026)
+    grids = [(-2.0, 2.0, 500), (0.0, 5e-324, 3), (-1e300, 1e300, 7), (-1e300, 1e-300, 2)]
+    for _ in range(2000):
+        # spans from 1e-15 to 100 times the offset: very narrow to very wide;
+        # a negative offset with a span below 1 gives a negative range
+        low = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-300, 300))
+        span = abs(low) * float(10 ** rng.uniform(-15, 2))
+        n_points = int(rng.choice([2, 3, rng.integers(2, 2000)]))
+        grids.append((low, low + span, n_points))
+    step_zero = 0
+    for omega_min, omega_max, n_points in grids:
+        if not omega_min < omega_max:
+            continue
+        grid = FrequencyGrid(omega_min, omega_max, n_points)
+        expected = np.linspace(omega_min, omega_max, n_points)
+        step_zero += (omega_max - omega_min) / (n_points - 1) == 0
+        values = grid.omega_list
+        assert all(type(value) is float for value in values)
+        assert np.array(values).tobytes() == expected.tobytes(), (omega_min, omega_max, n_points)
+    assert step_zero >= 1  # np.linspace's branch for a step that underflows ran
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         FrequencyGrid(-1.0, 1.0, 1)

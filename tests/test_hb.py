@@ -227,6 +227,13 @@ def test_total_scatter_probability_analytic(fig1_fiber, pump_x03):
     assert total_scatter_probability(fig1_fiber, pump_x03, 0.0, mode="analytic") == 0.0
 
 
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+def test_total_scatter_probability_rejects_bad_duration(fig1_fiber, pump_x03, mode, duration):
+    with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+        total_scatter_probability(fig1_fiber, pump_x03, duration, mode=mode)
+
+
 def test_total_scatter_probability_numeric_close(fig1_fiber, pump_x03):
     analytic = total_scatter_probability(fig1_fiber, pump_x03, 100.0, mode="analytic")
     numeric = total_scatter_probability(fig1_fiber, pump_x03, 100.0, mode="numeric")

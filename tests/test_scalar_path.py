@@ -5,7 +5,8 @@ in Python floats (math.sin, cmath.exp) instead of numpy.  These tests pin
 that path to element 0 of the same call on a one-point array, bit for bit,
 and the filtered pair state built from it, with its `classify` phase, to
 the same built from array-path amplitudes; the state and the HB/LB fluxes
-must read the four amplitudes of `hb.pair_amplitudes`.  `coupling_table`
+must read the four amplitudes of `hb.pair_amplitudes`, the fluxes with
+|xi|^2 as re*re + im*im on both paths.  `coupling_table`
 reuses its last table for the same objects, so interleaved calls must match
 calls on fresh objects.
 """
@@ -36,6 +37,11 @@ PAIR_ENTRIES = tuple(channel.value for channel in Channel)
 
 def _bits(value) -> bytes:
     return np.complex128(value).tobytes()
+
+
+def _abs2(xi: np.ndarray) -> np.ndarray:
+    """|xi|^2 written out as re*re + im*im."""
+    return xi.real * xi.real + xi.imag * xi.imag
 
 
 def _draw(rng: np.random.Generator, index: int):
@@ -154,15 +160,21 @@ def test_filtered_state_matches_array_path_bit_for_bit():
         assert (np.array(amplitudes) / state.norm).tobytes() == state.coeffs.tobytes()
         if regime == "LB":
             assert [(type(xi), _bits(xi)) for xi in amplitudes[2:]] == [(float, _bits(0.0))] * 2
-        # The fluxes are the axis sums of the same amplitudes, float and array omega.
+        # The fluxes are the axis sums of the same amplitudes, float and array
+        # omega, with |xi|^2 = re*re + im*im (np.abs and CPython's abs round
+        # differently, so the float path could not reproduce np.abs(xi)**2).
         flux = flux_hb if regime == "HB" else flux_lb
+        floats = flux(fiber, pump, omega)
         for point in (omega, np.array([omega, -omega])):
-            xx, yy, xy, yx = pair_amplitudes(fiber, pump, regime, point)
-            f_x = (np.abs(xx) ** 2 + np.abs(xy) ** 2) / (2.0 * np.pi)
-            f_y = (np.abs(yy) ** 2 + np.abs(yx) ** 2) / (2.0 * np.pi)
+            xx, yy, xy, yx = (
+                np.asarray(xi, dtype=complex) for xi in pair_amplitudes(fiber, pump, regime, point)
+            )
+            f_x = (_abs2(xx) + _abs2(xy)) / (2.0 * np.pi)
+            f_y = (_abs2(yy) + _abs2(yx)) / (2.0 * np.pi)
             got = flux(fiber, pump, point)
             assert type(got[0]) is (float if point is omega else np.ndarray)
             assert [np.asarray(f).tobytes() for f in got] == [f_x.tobytes(), f_y.tobytes()]
+            assert [np.asarray(f).reshape(-1)[0].hex() for f in got] == [f.hex() for f in floats]
         # Both scalar coefficients are nonzero in every set; wrap to (-pi, pi].
         phase = math.remainder(float(np.angle(coeffs[1] / coeffs[0])), math.tau)
         if phase <= -math.pi:
