@@ -10,8 +10,11 @@ the classify JSON report prints floats at full repr precision (up to 17
 significant digits), so a last-bit change shows there first.
 
 Each subcommand imports only the modules it runs, so `presets` and argument
-errors never load numpy, and neither does a first-order-only spectrum of
-at most MAX_FLOAT_PATH_POINTS points, which runs in Python floats.
+errors never load numpy.  `run_spectrum` is the one place that picks
+between Python floats and numpy, from its grid: a first-order-only
+spectrum of at most MAX_FLOAT_PATH_POINTS points runs on
+`FrequencyGrid.omega_list` without numpy, every other on the array.  The
+runners format lists of Python floats either way.
 
 Exit codes: 0 success, 2 input validation (the cost caps included), 3
 numerical failure (symplectic defect above tolerance, a non-finite result,
@@ -21,9 +24,11 @@ or an OverflowError from a closed form).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -344,23 +349,10 @@ def _header_lines(command: str, origin: list[str], resolved: dict) -> list[str]:
     return lines
 
 
-def _require_finite(what: str, *values) -> None:
-    """Raise NumericalFailure unless every entry of every value is finite.
-
-    A value is a Python float, a list of them (the float path) or an array.
-    Keeps inf and nan out of the CSV: the run exits 3 instead.
-    """
-    for value in values:
-        if isinstance(value, float):
-            finite = math.isfinite(value)
-        elif isinstance(value, list):
-            finite = all(map(math.isfinite, value))
-        else:
-            import numpy as np
-
-            finite = np.isfinite(value).all()
-        if not finite:
-            raise NumericalFailure(f"{what} is not finite")
+def _require_finite(what: str, values: list) -> None:
+    """Raise NumericalFailure (exit 3) unless every float or complex in `values` is finite."""
+    if not all(map(cmath.isfinite, values)):
+        raise NumericalFailure(f"{what} is not finite")
 
 
 def _spectrum_methods(scenario: Scenario) -> tuple[str, ...]:
@@ -370,15 +362,6 @@ def _spectrum_methods(scenario: Scenario) -> tuple[str, ...]:
     if scenario.regime == "HB" and scenario.pump.p0x != 0 and scenario.pump.p0y != 0:
         return ("first-order", "exact-ode")
     return METHOD_ORDER
-
-
-def _runs_in_floats(scenario: Scenario, command: str) -> bool:
-    """True for a first-order-only spectrum of at most MAX_FLOAT_PATH_POINTS points."""
-    return (
-        command == "spectrum"
-        and _spectrum_methods(scenario) == ("first-order",)
-        and scenario.grid.n_points * len(scenario.lengths) <= MAX_FLOAT_PATH_POINTS
-    )
 
 
 def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
@@ -441,11 +424,12 @@ def _closed_form_flux(scenario: Scenario, fiber: FiberParams, omegas):
 
 def _spectrum_task(
     scenario: Scenario, method: str, length: float, steps: int | None, omegas
-):
+) -> tuple[list[str], list, list]:
     """Compute one (method, L) slice; returns (extra header lines, f_x, f_y).
 
-    omegas is the grid as an array, or for first-order as a list of Python
-    floats, which gives lists of the same values.
+    omegas is the grid as an array, or for first-order a list of Python floats,
+    one `flux_hb`/`flux_lb` call per value; f_x and f_y are lists of Python
+    floats either way.
     """
     fiber = replace(scenario.fiber, length=length)
     extra: list[str] = []
@@ -454,8 +438,7 @@ def _spectrum_task(
 
         flux = flux_lb if scenario.regime == "LB" else flux_hb
         if isinstance(omegas, list):
-            points = [flux(fiber, scenario.pump, omega) for omega in omegas]
-            f_x, f_y = [point[0] for point in points], [point[1] for point in points]
+            f_x, f_y = map(list, zip(*(flux(fiber, scenario.pump, omega) for omega in omegas)))
         else:
             f_x, f_y = flux(fiber, scenario.pump, omegas)
     elif method == "exact-ode":
@@ -468,16 +451,20 @@ def _spectrum_task(
         extra.append(f"# steps.L={_fmt(length)} = {used_steps or 'expm'}")
     else:
         f_x, f_y = _closed_form_flux(scenario, fiber, omegas)
-    _require_finite(f"{method} flux at L={_fmt(length)}", f_x, f_y)
+    if not isinstance(omegas, list):
+        f_x, f_y = f_x.tolist(), f_y.tolist()
+    _require_finite(f"{method} flux at L={_fmt(length)}", f_x + f_y)
     return extra, f_x, f_y
 
 
 def run_spectrum(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
     methods = _spectrum_methods(scenario)
-    if _runs_in_floats(scenario, "spectrum"):
-        omegas = scenario.grid.omega_list
+    points = scenario.grid.n_points * len(scenario.lengths)
+    if methods == ("first-order",) and points <= MAX_FLOAT_PATH_POINTS:
+        omegas = omega_list = scenario.grid.omega_list
     else:
         omegas = scenario.grid.omegas
+        omega_list = omegas.tolist()
     tasks = [(method, length) for method in methods for length in scenario.lengths]
     results = [
         _spectrum_task(scenario, method, length, args.steps, omegas) for method, length in tasks
@@ -486,18 +473,13 @@ def run_spectrum(scenario: Scenario, resolved: dict, origin: list[str], args) ->
     for extra, _, _ in results:
         lines.extend(extra)
     lines.append("omega_rad_per_ps,f_x,f_y,method,L_km")
-
-    def floats(values) -> list[float]:
-        return values if isinstance(values, list) else values.tolist()
-
     # Python floats through one f-string per row: the same float.__format__
     # as _fmt, without a call per value.
-    omegas = floats(omegas)
     for (method, length), (_, f_x, f_y) in zip(tasks, results):
         tail = f"{method},{_fmt(length)}"
         lines.extend(
             f"{omega:.9g},{fx_val:.9g},{fy_val:.9g},{tail}"
-            for omega, fx_val, fy_val in zip(omegas, floats(f_x), floats(f_y))
+            for omega, fx_val, fy_val in zip(omega_list, f_x, f_y)
         )
     return "\n".join(lines) + "\n"
 
@@ -511,13 +493,11 @@ def run_compare(scenario: Scenario, resolved: dict, origin: list[str], args) -> 
     for length in scenario.lengths:
         _, fo_x, fo_y = _spectrum_task(scenario, "first-order", length, None, omegas)
         _, ex_x, ex_y = _spectrum_task(scenario, "exact-ode", length, args.steps, omegas)
-        peak = max(float(np.max(ex_x)), float(np.max(ex_y)))
+        peak = max(ex_x + ex_y)
         if peak == 0:
             raise ScenarioError("exact spectrum is identically zero; nothing to compare")
-        dev_x = np.abs(fo_x - ex_x) / peak
-        dev_y = np.abs(fo_y - ex_y) / peak
-        max_dev = float(max(dev_x.max(), dev_y.max()))
-        mean_dev = float(np.concatenate([dev_x, dev_y]).mean())
+        deviation = np.abs(np.subtract(fo_x + fo_y, ex_x + ex_y)) / peak
+        max_dev, mean_dev = float(deviation.max()), float(deviation.mean())
         deviations.append(max_dev)
         # 9 significant digits, as in the CSVs: a last-bit change in a flux
         # stays out of the bytes.
@@ -584,7 +564,8 @@ def run_mi(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
     power = scenario.pump.total
     curve = mi_gain_curve(scenario.fiber, power, scenario.grid)
     ratio = bandwidth_ratio(scenario.fiber, power, scenario.fiber.length)
-    _require_finite("mi gain curve", curve.lambda_vals, ratio)
+    lambda_vals = curve.lambda_vals.tolist()
+    _require_finite("mi gain curve", lambda_vals + [ratio])
     lines = _header_lines("mi", origin, resolved)
     lines.append(f"# pump_total_W = {_fmt(power)}")
     lines.append(f"# bandwidth_ratio = {_fmt(ratio)}")
@@ -592,7 +573,7 @@ def run_mi(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
     lines.extend(
         f"{omega:.9g},{gain:.9g},{lam.real:.9g},{lam.imag:.9g}"
         for omega, gain, lam in zip(
-            curve.grid.omegas.tolist(), curve.gain_vals.tolist(), curve.lambda_vals.tolist()
+            curve.grid.omegas.tolist(), curve.gain_vals.tolist(), lambda_vals
         )
     )
     return "\n".join(lines) + "\n"
@@ -683,16 +664,11 @@ def main(argv=None) -> int:
                 "classify": run_classify,
                 "mi": run_mi,
             }[args.command]
-            if _runs_in_floats(scenario, args.command):
+            # Overflow and NaN are reported by the finiteness guard and the
+            # defect check, as one exit-3 line rather than numpy warnings.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
                 text = runner(scenario, resolved, origin, args)
-            else:
-                import numpy as np
-
-                # Overflow and NaN are reported by the finiteness guard and
-                # the defect check, as one exit-3 line rather than numpy
-                # warnings.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    text = runner(scenario, resolved, origin, args)
     except ScenarioError as exc:
         print(f"fps: error: {exc}", file=sys.stderr)
         return 2

@@ -363,12 +363,16 @@ def mi_asymptotic_flux(fiber: FiberParams, power: float, omega: float) -> Asympt
     """Large-gain asymptote (gamma^2 P^2 / 4 g^2) e^{2 g L} / 2pi.
 
     valid is True when g(omega)*L >= 3; the value is returned regardless.
+    Zero gain raises ZeroGain, a value beyond double range NumericalFailure.
     """
     gain = mi_gain(fiber, power, float(omega))
     if gain == 0:
         raise ZeroGain(f"gain vanishes at omega = {omega}")
     gp = fiber.gamma * power
-    value = (gp**2 / (4.0 * gain**2)) * math.exp(2.0 * gain * fiber.length) / (2.0 * np.pi)
+    try:
+        value = (gp**2 / (4.0 * gain**2)) * math.exp(2.0 * gain * fiber.length) / (2.0 * np.pi)
+    except OverflowError:
+        raise NumericalFailure(f"asymptotic flux at omega = {omega} overflows") from None
     return AsymptoticFlux(value=value, valid=gain * fiber.length >= 3.0)
 
 

@@ -246,31 +246,19 @@ class Coupling(NamedTuple):
     d: float = 0.0
 
     def rate(self, fiber: FiberParams, omega):
-        """Phase rate R(Omega) in 1/km, with the shape of omega (a float for a float).
+        """Phase rate R(Omega) in 1/km: a float for a float omega, an array for an array.
 
-        Terms with a zero selector are left out rather than added as zeros,
-        so every rate keeps the rounding of its written-out formula.
+        Terms with a zero selector (never both s and t) are left out, not added
+        as zeros, so each rate rounds as its written-out formula: omega * omega
+        as numpy's square, terms left to right (`sum` compensates from 3.12 on).
         """
-        # A Python-float omega stays a Python float: the scalar amplitudes of
-        # `filtered_state` would spend most of their time in numpy's 0-d
-        # overhead.  w * w rounds exactly as numpy's square, and the terms
-        # are added left to right (not by `sum`, which compensates float
-        # sums from Python 3.12 on).
-        if isinstance(omega, float):
-            w = float(omega)
-        else:
-            import numpy as np
-
-            w = np.asarray(omega, dtype=float)
         if self.s:
-            rate = self.s * fiber.delta_beta1 * w
+            rate = self.s * fiber.delta_beta1 * omega
             if self.t:
-                rate = rate + self.t * fiber.beta2 * (w * w)
+                rate = rate + self.t * fiber.beta2 * (omega * omega)
             rate = rate + self.k
-        elif self.t:
-            rate = self.t * fiber.beta2 * (w * w) + self.k
         else:
-            rate = self.k if isinstance(w, float) else np.full_like(w, self.k)
+            rate = self.t * fiber.beta2 * (omega * omega) + self.k
         if self.d:
             rate = rate + self.d * fiber.delta_beta0
         return -rate

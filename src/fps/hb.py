@@ -17,7 +17,9 @@ import cmath
 import enum
 import math
 
-from .errors import DegenerateBirefringence, NoFarDetunedPeak, PumpNotOnAxis, ZeroDispersion
+from .errors import (
+    DegenerateBirefringence, NoFarDetunedPeak, NumericalFailure, PumpNotOnAxis, ZeroDispersion
+)
 from .fiber import (
     Coupling,
     FiberParams,
@@ -73,21 +75,22 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     For a pair entry this is the two-photon amplitude of its channel, the
     first-order part of the same entry of the transfer matrix.
 
-    Accepts a scalar or an array omega; returns complex of the same shape.
-    A Python-float omega runs in Python floats (cmath.exp for numpy's exp)
-    with results bit-identical to the array path; NaN when u is not finite.
+    A Python int or float omega (numpy's float64 included) runs in Python
+    floats, cmath.exp for numpy's exp, and returns a complex bit-identical
+    to the array path; any other omega is converted to a float array once
+    and returns complex of its shape.  NaN when u is not finite.
     """
-    u = entry.rate(fiber, omega) * (0.5 * fiber.length)
-    if isinstance(u, float) and not math.isfinite(u):
-        # cmath.exp raises and np.exp warns on an infinite argument.
-        return complex(math.nan, math.nan)
-    envelope = sinc(u)  # before the complex temporaries, to lower peak memory
-    if isinstance(u, float):
-        exp = cmath.exp
+    if isinstance(omega, (int, float)):
+        omega, exp = float(omega), cmath.exp
     else:
         import numpy as np
 
-        exp = np.exp
+        omega, exp = np.asarray(omega, dtype=float), np.exp
+    u = entry.rate(fiber, omega) * (0.5 * fiber.length)
+    if exp is cmath.exp and not math.isfinite(u):
+        # cmath.exp raises on an infinite argument, where np.exp warns.
+        return complex(math.nan, math.nan)
+    envelope = sinc(u)  # before the complex temporaries, to lower peak memory
     values = 1j * (entry.c * fiber.length) * exp(1j * (entry.theta + u)) * envelope
     if isinstance(values, complex):  # numpy's complex scalar included
         return complex(values)
@@ -171,25 +174,29 @@ def total_scatter_probability(
 
     Both modes count the x-pumped scalar channel only, so a pump on y
     alone (p0x = 0 < p0y) raises PumpNotOnAxis instead of returning 0;
-    relabel the axes with `fiber.swap_axes` first.  A negative, NaN or
-    infinite duration raises ValueError.
+    relabel the axes with `fiber.swap_axes` first.  A bad duration raises
+    ValueError, |beta2|*L = 0 (underflow included; the closed form is 0 at
+    L = 0) ZeroDispersion, and a closed form beyond double range NumericalFailure.
     """
     if not 0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
     if pump.p0x == 0 < pump.p0y:
         raise PumpNotOnAxis(f"P_T counts the x-pumped channel, got p0x = 0 < p0y = {pump.p0y}")
     if mode == "analytic":
-        if fiber.beta2 == 0:
-            raise ZeroDispersion("the closed form requires beta2 != 0")
         if fiber.length == 0:
             return 0.0
+        if abs(fiber.beta2) * fiber.length == 0:
+            raise ZeroDispersion("the closed form requires |beta2|*L > 0")
         gpl = fiber.gamma * pump.p0x * fiber.length
-        return (2.0 / 3.0) * gpl**2 * math.sqrt(
-            duration**2 / (2.0 * math.pi * abs(fiber.beta2) * fiber.length)
-        )
+        try:
+            return (2.0 / 3.0) * gpl**2 * math.sqrt(
+                duration**2 / (2.0 * math.pi * abs(fiber.beta2) * fiber.length)
+            )
+        except OverflowError:
+            raise NumericalFailure("P_T overflows") from None
     if mode == "numeric":
-        if fiber.beta2 == 0 or fiber.length == 0:
-            raise ZeroDispersion("quadrature window requires beta2 != 0 and L > 0")
+        if abs(fiber.beta2) * fiber.length == 0:
+            raise ZeroDispersion("quadrature window requires |beta2|*L > 0")
         import numpy as np
 
         scalar_width, _ = bandwidths(fiber, pump, require_vector=False)
@@ -222,17 +229,19 @@ def bandwidths(
     """First-zero width estimators (scalar, vector) in rad/ps.
 
     Scalar band: 2*sqrt(2*pi/(|beta2|*L)), scaling as L**-0.5.  Vector
-    peaks: 4*pi/(delta_beta1*L), scaling as L**-1.  With require_vector
-    False the vector entry is NaN when delta_beta1 = 0.
+    peaks: 4*pi/(delta_beta1*L), scaling as L**-1.  beta2 = 0 raises
+    ZeroDispersion, |beta2|*L = 0 ValueError and delta_beta1*L = 0 (both
+    underflow included) DegenerateBirefringence, or a NaN vector entry with
+    require_vector False.
     """
     if fiber.beta2 == 0:
         raise ZeroDispersion("scalar width requires beta2 != 0")
-    if fiber.length == 0:
-        raise ValueError("widths diverge at zero length")
+    if abs(fiber.beta2) * fiber.length == 0:
+        raise ValueError("widths diverge at |beta2|*L = 0")
     scalar = 2.0 * math.sqrt(2.0 * math.pi / (abs(fiber.beta2) * fiber.length))
-    if fiber.delta_beta1 == 0:
+    if fiber.delta_beta1 * fiber.length == 0:
         if require_vector:
-            raise DegenerateBirefringence("vector width requires delta_beta1 > 0")
+            raise DegenerateBirefringence("vector width requires delta_beta1*L > 0")
         return scalar, float("nan")
     vector = 4.0 * math.pi / (fiber.delta_beta1 * fiber.length)
     return scalar, vector
@@ -245,10 +254,13 @@ def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, floa
     delta = beta0 of the pumped axis minus beta0 of the other: delta_beta0
     for an x pump, -delta_beta0 for a y pump.  Both exist only when delta
     and beta2 share a sign (slow-axis pump with normal dispersion, or
-    fast-axis pump with anomalous dispersion).
+    fast-axis pump with anomalous dispersion), else NoFarDetunedPeak is
+    raised; L = 0 raises ValueError.
     """
     if pump.p0x != 0 and pump.p0y != 0:
         raise PumpNotOnAxis(f"pump must be on a single axis, got ({pump.p0x}, {pump.p0y})")
+    if fiber.length == 0:
+        raise ValueError("width diverges at zero length")
     delta = -fiber.delta_beta0 if pump.p0y != 0 else fiber.delta_beta0
     product = delta * fiber.beta2
     if product <= 0:

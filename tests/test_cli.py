@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -248,12 +249,57 @@ def _first_order_both_paths(*argv):
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_first_order_csv_is_the_same_on_both_paths(name):
     scenario, _ = load_scenario({**PRESETS[name], "method": "first-order"})
-    assert cli._runs_in_floats(scenario, "spectrum")
+    assert scenario.grid.n_points * len(scenario.lengths) <= MAX_FLOAT_PATH_POINTS
     floats, array = _first_order_both_paths(
         "spectrum", "--preset", name, "--method", "first-order"
     )
     assert floats[0] == 0 and floats[2] == ""
     assert floats == array
+
+
+#: SHA-256 of the outputs the benchmark pins byte for byte (perfbench/refs.json).
+BENCHMARK_SHA256 = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "refs.json").read_text()
+)["sha256"]
+
+#: The CLI call behind each reference, run on the preset files written below.
+BENCHMARK_CALLS = {
+    **{
+        f"spectrum-first-order:{name}": (
+            "spectrum", "--scenario", f"preset-{name}.json", "--method", "first-order"
+        )
+        for name in ALL_PRESETS
+    },
+    "mi:fig1a": ("mi", "--scenario", "preset-fig1a.json"),
+    **{
+        f"classify:{name}:{omega}": (
+            "classify", "--scenario", f"preset-{name}.json", "--omega", omega
+        )
+        for name, omega in (("fig2", "1.0"), ("fig1a", "0.5"), ("fig4a", "24.0"))
+    },
+    "presets": ("presets",),
+}
+
+
+def test_benchmark_calls_cover_every_reference():
+    assert sorted(BENCHMARK_CALLS) == sorted(BENCHMARK_SHA256)
+
+
+@pytest.mark.parametrize("ref", sorted(BENCHMARK_CALLS))
+def test_output_matches_the_benchmark_sha256(tmp_path, monkeypatch, capsys, ref):
+    """The output is byte-identical to the benchmark's reference.
+
+    Each preset is written as `preset-<name>.json` into the working
+    directory, as the benchmark writes it, so the `# scenario = ...` header
+    echoes the same name.
+    """
+    monkeypatch.chdir(tmp_path)
+    for name, flat in PRESETS.items():
+        text = json.dumps(flat, indent=1, sort_keys=True) + "\n"
+        (tmp_path / f"preset-{name}.json").write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, *BENCHMARK_CALLS[ref])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BENCHMARK_SHA256[ref]
 
 
 #: First-order spectra beyond double range: the prefactor gamma*P*L, the

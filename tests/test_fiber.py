@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from fps import (
     nonlinear_length,
     normalize_convention,
 )
+from fps import fiber as fiber_module
 from fps.fiber import coupling_table
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e3, max_value=1e3)
@@ -254,3 +257,79 @@ def test_coupling_table_keeps_the_zero_sign_of_equal_pumps(fig2_fiber):
     for pump, sign in ((plus, 1.0), (minus, -1.0), (plus, 1.0)):
         theta = coupling_table(fig2_fiber, pump, "HB")[(0, 1)].theta
         assert theta == 0.0 and math.copysign(1.0, theta) == sign
+
+
+def _coupling(entry):
+    """The constant coupling C = i*c*exp(i*theta) of a table entry."""
+    return 1j * entry.c * cmath.exp(1j * entry.theta)
+
+
+def _relabel_residuals(fiber, pump, omega):
+    """Residuals of the two relabel identities of the HB table at omega.
+
+    Entry (1,3) at Omega is the a <-> a^dag relabel of (0,2) at -Omega, so
+    C13 = conj(C02) and R13(Omega) = -R02(-Omega); entry (2,1) at Omega is
+    (0,3) at -Omega.  Returns the three residuals, each exactly 0 when the
+    identities hold.
+    """
+    table = coupling_table(fiber, pump, "HB")
+    e02, e13, e03, e21 = (table[key] for key in ((0, 2), (1, 3), (0, 3), (2, 1)))
+    return (
+        abs(_coupling(e13) - _coupling(e02).conjugate()),
+        abs(e13.rate(fiber, omega) + e02.rate(fiber, -omega)),
+        abs(_coupling(e21) - _coupling(e03))
+        + abs(e21.rate(fiber, omega) - e03.rate(fiber, -omega)),
+    )
+
+
+def _random_hb_sets(count, seed=20240):
+    """Seeded HB (fiber, pump, omega) sets with both pump axes on."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        fiber = FiberParams(
+            gamma=rng.uniform(0.1, 40.0),
+            beta2=rng.uniform(-150.0, 150.0),
+            length=rng.uniform(1e-4, 1.0),
+            delta_beta0=rng.uniform(-2000.0, 2000.0),
+            delta_beta1=rng.uniform(0.0, 400.0),
+        )
+        pump = PumpConfig(
+            p0x=rng.uniform(0.01, 30.0),
+            p0y=rng.uniform(0.01, 30.0),
+            theta0x=rng.uniform(-math.pi, math.pi),
+            theta0y=rng.uniform(-math.pi, math.pi),
+        )
+        yield fiber, pump, rng.uniform(-40.0, 40.0)
+
+
+def _sets_breaking_the_relabel_identities(count=500):
+    return sum(any(_relabel_residuals(*case)) for case in _random_hb_sets(count))
+
+
+def test_hb_table_obeys_the_relabel_identities():
+    """C13 = conj(C02), R13(W) = -R02(-W) and (2,1)(W) = (0,3)(-W), to the last bit."""
+    assert _sets_breaking_the_relabel_identities() == 0
+
+
+#: Wrong (0,2) entries that pass every other tier-1 test: the phase
+#: theta0x + theta0y for theta0x - theta0y, and half the coupling.
+CONVERSION_MUTANTS = {
+    "phase-sum": lambda entry, pump: entry._replace(theta=pump.theta0x + pump.theta0y),
+    "coupling-halved": lambda entry, pump: entry._replace(c=entry.c / 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERSION_MUTANTS))
+def test_relabel_identities_reject_conversion_mutants(monkeypatch, name):
+    """Each mutant, built into every HB table, breaks an identity on all 50 sets."""
+    original = fiber_module._table_entries
+
+    def mutated(fiber, pump, regime):
+        table = original(fiber, pump, regime)
+        if regime == "HB":
+            table[(0, 2)] = CONVERSION_MUTANTS[name](table[(0, 2)], pump)
+        return table
+
+    monkeypatch.setattr(fiber_module, "_table_entries", mutated)
+    monkeypatch.setattr(fiber_module, "_last_table", None)
+    assert _sets_breaking_the_relabel_identities(50) == 50

@@ -9,11 +9,14 @@ from fps import (
     Channel,
     DegenerateBirefringence,
     FiberParams,
+    NumericalFailure,
     PumpConfig,
     PumpNotOnAxis,
     ZeroDispersion,
     bandwidths,
     flux_hb,
+    lb_peak_and_width,
+    mi_asymptotic_flux,
     overlapping_regime,
     total_scatter_probability,
     vector_peak_detuning,
@@ -321,4 +324,71 @@ def test_bandwidth_errors(pump_x03):
     with pytest.raises(DegenerateBirefringence):
         bandwidths(no_biref, pump_x03)
     scalar, vector = bandwidths(no_biref, pump_x03, require_vector=False)
+    assert math.isfinite(scalar) and math.isnan(vector)
+
+
+#: |beta2|*L = 1e-400 underflows to 0 although neither factor is 0.
+UNDERFLOWED = FiberParams(gamma=1.0, beta2=1e-200, length=1e-200)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(
+            lambda: lb_peak_and_width(
+                FiberParams(gamma=3.0, beta2=5.0, length=0.0, delta_beta0=2000.0),
+                PumpConfig(p0x=1.0),
+            ),
+            ValueError,
+            id="lb-width-at-zero-length",
+        ),
+        pytest.param(
+            lambda: bandwidths(UNDERFLOWED, PumpConfig(p0x=1.0)),
+            ValueError,
+            id="scalar-width-underflow",
+        ),
+        pytest.param(
+            lambda: total_scatter_probability(UNDERFLOWED, PumpConfig(p0x=1.0), 100.0),
+            ZeroDispersion,
+            id="analytic-pt-underflow",
+        ),
+        pytest.param(
+            lambda: total_scatter_probability(
+                UNDERFLOWED, PumpConfig(p0x=1.0), 100.0, mode="numeric"
+            ),
+            ZeroDispersion,
+            id="numeric-pt-underflow",
+        ),
+        pytest.param(
+            lambda: bandwidths(
+                FiberParams(gamma=1.0, beta2=1.0, length=1e-300, delta_beta1=1e-100),
+                PumpConfig(p0x=1.0),
+            ),
+            DegenerateBirefringence,
+            id="vector-width-underflow",
+        ),
+        pytest.param(
+            lambda: total_scatter_probability(
+                FiberParams(gamma=3.0, beta2=-20.0, length=0.1), PumpConfig(p0x=0.3), 1e200
+            ),
+            NumericalFailure,
+            id="analytic-pt-overflow",
+        ),
+        pytest.param(
+            lambda: mi_asymptotic_flux(FiberParams(gamma=1.0, beta2=-1.0, length=1e3), 10.0, 1.0),
+            NumericalFailure,
+            id="mi-asymptote-overflow",
+        ),
+    ],
+)
+def test_degenerate_and_overflowing_inputs_raise_domain_errors(call, error):
+    """A zero or underflowed divisor and a result beyond double range raise the
+    documented error, not a bare ZeroDivisionError or OverflowError."""
+    with pytest.raises(error):
+        call()
+
+
+def test_underflowed_vector_width_is_nan_when_not_required():
+    fiber = FiberParams(gamma=1.0, beta2=1.0, length=1e-300, delta_beta1=1e-100)
+    scalar, vector = bandwidths(fiber, PumpConfig(p0x=1.0), require_vector=False)
     assert math.isfinite(scalar) and math.isnan(vector)

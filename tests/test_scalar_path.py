@@ -214,11 +214,13 @@ def test_scalar_sinc_is_nan_for_non_finite_argument(u):
 def test_scalar_amplitude_is_nan_beyond_double_range():
     # omega^2 overflows, so u is infinite: NaN, not the ValueError math.sin
     # and cmath.exp raise for an infinite argument; the filtered state built
-    # from NaN amplitudes raises NumericalFailure (exit 3 in the CLI)
+    # from NaN amplitudes raises NumericalFailure (exit 3 in the CLI).  A
+    # Python int takes the float path too, without a numpy overflow warning.
     fiber = FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0)
     pump = PumpConfig(p0x=0.15, p0y=0.15)
     table = coupling_table(fiber, pump, "HB")
     for entry in PAIR_ENTRIES:
         assert cmath.isnan(first_order_amplitude(table[entry], fiber, 1e300))
+        assert cmath.isnan(first_order_amplitude(table[entry], fiber, 10**300))
     with pytest.raises(NumericalFailure):
         filtered_state(fiber, pump, "HB", 1e300, 100.0)
