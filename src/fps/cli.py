@@ -17,8 +17,8 @@ spectrum of at most MAX_FLOAT_PATH_POINTS points runs on
 runners format lists of Python floats either way.
 
 Exit codes: 0 success, 2 input validation (the cost caps included), 3
-numerical failure (symplectic defect above tolerance, a non-finite result,
-or an OverflowError from a closed form).
+numerical failure (symplectic defect above tolerance or a non-finite
+result; an overflow in the library gives inf or NaN, never an exception).
 """
 
 from __future__ import annotations
@@ -672,9 +672,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"fps: error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, OverflowError) as exc:
-        # OverflowError: Python-float powers beyond double range in the
-        # closed forms and the MI eigenvalue.
+    except NumericalFailure as exc:
         print(f"fps: numerical failure: {exc}", file=sys.stderr)
         return 3
     except FpsError as exc:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalFailure, StepCountTooSmall, ZeroDispersion, ZeroGain
-from .fiber import FiberParams, FrequencyGrid, PumpConfig, coupling_table
+from .fiber import FiberParams, FrequencyGrid, PumpConfig, coupling_table, pair_fluxes
 
 #: Bogoliubov metric in the (a_x, a_x^dag, a_y, a_y^dag) basis.
 J_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
@@ -242,15 +242,13 @@ def flux_from_matrices(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vacuum photon-flux densities (f_x, f_y) in ps/rad from a (..., 4, 4) stack.
 
     The flux on axis j at +Omega is the squared overlap of the a_j(+Omega)
-    row with the two creation-operator columns, divided by 2 pi.
+    row with the two creation-operator columns, divided by 2 pi: the pair
+    entries (0, 1), (2, 3), (0, 3) and (2, 1), read by `fiber.pair_fluxes`
+    as the first-order flux reads its amplitudes.
     """
-    f_x = (np.abs(matrices[..., 0, 1]) ** 2 + np.abs(matrices[..., 0, 3]) ** 2) / (
-        2.0 * np.pi
+    return pair_fluxes(
+        matrices[..., 0, 1], matrices[..., 2, 3], matrices[..., 0, 3], matrices[..., 2, 1]
     )
-    f_y = (np.abs(matrices[..., 2, 1]) ** 2 + np.abs(matrices[..., 2, 3]) ** 2) / (
-        2.0 * np.pi
-    )
-    return f_x, f_y
 
 
 def lambda_param(fiber: FiberParams, power: float, omega):
@@ -261,7 +259,8 @@ def lambda_param(fiber: FiberParams, power: float, omega):
     """
     omega = np.asarray(omega, dtype=float)
     gp = fiber.gamma * power
-    w_arg = gp**2 - (2.0 * gp + fiber.beta2 * omega**2) ** 2 / 4.0
+    rate = 2.0 * gp + fiber.beta2 * (omega * omega)
+    w_arg = gp * gp - rate * rate / 4.0
     lam = np.sqrt(w_arg.astype(complex))
     if lam.ndim == 0:
         return complex(lam)
@@ -277,7 +276,7 @@ def _parametric_flux(coupling: float, detuning_rate, length: float):
     """
     w = np.asarray(detuning_rate, dtype=float)
     scalar_input = w.ndim == 0
-    x = np.atleast_1d((coupling**2 - w**2 / 4.0) * length**2)
+    x = np.atleast_1d((coupling * coupling - w * w / 4.0) * (length * length))
     growth = np.empty_like(x)
     small = np.abs(x) < 1e-8
     pos = (x > 0) & ~small
@@ -285,7 +284,7 @@ def _parametric_flux(coupling: float, detuning_rate, length: float):
     growth[small] = 1.0 + x[small] / 3.0
     growth[pos] = np.sinh(np.sqrt(x[pos])) ** 2 / x[pos]
     growth[neg] = np.sin(np.sqrt(-x[neg])) ** 2 / -x[neg]
-    flux = (coupling**2 / (2.0 * np.pi)) * length**2 * growth
+    flux = (coupling * coupling / (2.0 * np.pi)) * (length * length) * growth
     if scalar_input:
         return float(flux[0])
     return flux
@@ -300,7 +299,7 @@ def exact_scalar_flux(fiber: FiberParams, power: float, omega):
     """
     omega = np.asarray(omega, dtype=float)
     gp = fiber.gamma * power
-    rate = 2.0 * gp + fiber.beta2 * omega**2
+    rate = 2.0 * gp + fiber.beta2 * (omega * omega)
     return _parametric_flux(gp, rate, fiber.length)
 
 
@@ -312,7 +311,7 @@ def exact_lb_orthogonal_flux(fiber: FiberParams, power: float, omega):
     omega = np.asarray(omega, dtype=float)
     coupling = fiber.gamma * power / 3.0
     rate = (
-        fiber.beta2 * omega**2
+        fiber.beta2 * (omega * omega)
         - (2.0 / 3.0) * fiber.gamma * power
         - 2.0 * fiber.delta_beta0
     )

@@ -298,6 +298,24 @@ def coupling_table(
     return table
 
 
+def _abs2(z):
+    """|z|^2 as re*re + im*im: a float for a complex or a float, an array for an array."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def pair_fluxes(xx, yy, xy, yx):
+    """Flux densities (f_x, f_y) in ps/rad from the pair entries XX, YY, XY, YX.
+
+    The a_j(+Omega) row of the generator couples to both creation operators,
+    so f_x = (|xx|^2 + |xy|^2)/2pi and f_y = (|yy|^2 + |yx|^2)/2pi, whether
+    the entries are first-order amplitudes or transfer-matrix entries.
+    |z|^2 is re*re + im*im, so a Python complex gives the bits of an array
+    element: numpy's complex abs (a SIMD kernel) and CPython's round
+    differently, so neither could serve both.
+    """
+    return (_abs2(xx) + _abs2(xy)) / (2.0 * math.pi), (_abs2(yy) + _abs2(yx)) / (2.0 * math.pi)
+
+
 def _table_entries(
     fiber: FiberParams, pump: PumpConfig, regime: str
 ) -> dict[tuple[int, int], Coupling]:

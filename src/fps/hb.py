@@ -26,6 +26,7 @@ from .fiber import (
     PumpConfig,
     alpha_param,
     coupling_table,
+    pair_fluxes,
 )
 
 #: Below this argument magnitude sin(u)/u is evaluated by series to avoid
@@ -49,52 +50,34 @@ class Channel(enum.Enum):
 _PAIR_ENTRIES = tuple(channel.value for channel in Channel)
 
 
-def sinc(u):
-    """sin(u)/u with the removable singularity handled by series."""
-    if isinstance(u, float):
-        # Python floats skip numpy's per-call overhead, which dominates the
-        # scalar amplitudes of `filtered_state`.  math.sin and np.sin give
-        # the same float64 values (tests/test_scalar_path.py pins the scalar
-        # path to the array path bit for bit); math.sin raises on inf, where
-        # np.sin gives NaN.
-        if abs(u) < _SINC_SERIES_CUTOFF:
-            return 1.0 - u * u / 6.0
-        return math.sin(u) / u if math.isfinite(u) else math.nan
-    import numpy as np
-
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SINC_SERIES_CUTOFF
-    safe = np.where(small, 1.0, u)
-    return np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
-
-
 def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     """First Magnus term of one generator entry over the fiber length.
 
-    xi = integral_0^L C exp(i R z) dz = i*c*L*exp(i*(theta + R*L/2))*sinc(R*L/2).
-    For a pair entry this is the two-photon amplitude of its channel, the
-    first-order part of the same entry of the transfer matrix.
+    xi = integral_0^L C exp(i R z) dz = i*c*L*exp(i*(theta + R*L/2))*sinc(R*L/2),
+    with sinc(u) = sin(u)/u by series below _SINC_SERIES_CUTOFF.  For a pair
+    entry this is the two-photon amplitude of its channel, the first-order
+    part of the same entry of the transfer matrix.
 
     A Python int or float omega (numpy's float64 included) runs in Python
-    floats, cmath.exp for numpy's exp, and returns a complex bit-identical
-    to the array path; any other omega is converted to a float array once
-    and returns complex of its shape.  NaN when u is not finite.
+    floats end to end (math.sin, cmath.exp) and returns a complex
+    bit-identical to the array path, or NaN when u is not finite, where
+    math.sin and cmath.exp raise.  Any other omega is converted to a float
+    array once and runs in numpy, returning complex of its shape.
     """
     if isinstance(omega, (int, float)):
-        omega, exp = float(omega), cmath.exp
-    else:
-        import numpy as np
+        u = entry.rate(fiber, float(omega)) * (0.5 * fiber.length)
+        if not math.isfinite(u):
+            return complex(math.nan, math.nan)
+        envelope = 1.0 - u * u / 6.0 if abs(u) < _SINC_SERIES_CUTOFF else math.sin(u) / u
+        return 1j * (entry.c * fiber.length) * cmath.exp(1j * (entry.theta + u)) * envelope
+    import numpy as np
 
-        omega, exp = np.asarray(omega, dtype=float), np.exp
-    u = entry.rate(fiber, omega) * (0.5 * fiber.length)
-    if exp is cmath.exp and not math.isfinite(u):
-        # cmath.exp raises on an infinite argument, where np.exp warns.
-        return complex(math.nan, math.nan)
-    envelope = sinc(u)  # before the complex temporaries, to lower peak memory
-    values = 1j * (entry.c * fiber.length) * exp(1j * (entry.theta + u)) * envelope
-    if isinstance(values, complex):  # numpy's complex scalar included
-        return complex(values)
-    return values
+    u = entry.rate(fiber, np.asarray(omega, dtype=float)) * (0.5 * fiber.length)
+    small = np.abs(u) < _SINC_SERIES_CUTOFF
+    safe = np.where(small, 1.0, u)
+    envelope = np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
+    del small, safe  # before the complex temporaries, to lower peak memory
+    return 1j * (entry.c * fiber.length) * np.exp(1j * (entry.theta + u)) * envelope
 
 
 def xi_hb(fiber: FiberParams, pump: PumpConfig, channel: Channel, omega):
@@ -120,33 +103,14 @@ def pair_amplitudes(fiber: FiberParams, pump: PumpConfig, regime: str, omega) ->
     ]
 
 
-def _abs2(xi):
-    """|xi|^2 as re*re + im*im: a float for a complex or a float, an array for an array."""
-    return xi.real * xi.real + xi.imag * xi.imag
-
-
-def _axis_fluxes(fiber: FiberParams, pump: PumpConfig, regime: str, omega):
-    """Flux densities (f_x, f_y) in ps/rad from the pair entries of the regime's table.
-
-    The a_j(+Omega) row of the generator couples to both creation operators,
-    so f_x = (|xi_01|^2 + |xi_03|^2)/2pi and f_y = (|xi_23|^2 + |xi_21|^2)/2pi,
-    the entries the exact flux reads from the transfer matrix (LB has one of
-    each pair).  Since xi_03(-Omega) = xi_21(Omega), in HB f_x holds the XY
-    anti-Stokes photons for Omega > 0 and the YX Stokes photons for Omega < 0.
-
-    |xi|^2 is re*re + im*im on both paths, so a Python-float omega gives
-    the bits of the array path.  numpy's complex abs (a SIMD kernel) and
-    CPython's abs round differently, so neither could serve both paths.
-    """
-    xx, yy, xy, yx = pair_amplitudes(fiber, pump, regime, omega)
-    f_x = (_abs2(xx) + _abs2(xy)) / (2.0 * math.pi)
-    f_y = (_abs2(yy) + _abs2(yx)) / (2.0 * math.pi)
-    return f_x, f_y
-
-
 def flux_hb(fiber: FiberParams, pump: PumpConfig, omega):
-    """Flux densities (f_x, f_y) in ps/rad from the four HB amplitudes; see `_axis_fluxes`."""
-    return _axis_fluxes(fiber, pump, "HB", omega)
+    """Flux densities (f_x, f_y) in ps/rad from the four HB amplitudes.
+
+    `fiber.pair_fluxes` reads them as the exact flux reads the transfer
+    matrix.  Since xi_03(-Omega) = xi_21(Omega), f_x holds the XY
+    anti-Stokes photons for Omega > 0 and the YX Stokes photons for Omega < 0.
+    """
+    return pair_fluxes(*pair_amplitudes(fiber, pump, "HB", omega))
 
 
 def flux_lb(fiber: FiberParams, pump: PumpConfig, omega):
@@ -156,7 +120,7 @@ def flux_lb(fiber: FiberParams, pump: PumpConfig, omega):
     orthogonal-channel spectrum, |xi|^2/2pi each; the two perturbations are
     uncoupled, so neither spectrum depends on the pump phase.
     """
-    return _axis_fluxes(fiber, pump, "LB", omega)
+    return pair_fluxes(*pair_amplitudes(fiber, pump, "LB", omega))
 
 
 def total_scatter_probability(
@@ -230,20 +194,23 @@ def bandwidths(
 
     Scalar band: 2*sqrt(2*pi/(|beta2|*L)), scaling as L**-0.5.  Vector
     peaks: 4*pi/(delta_beta1*L), scaling as L**-1.  beta2 = 0 raises
-    ZeroDispersion, |beta2|*L = 0 ValueError and delta_beta1*L = 0 (both
-    underflow included) DegenerateBirefringence, or a NaN vector entry with
-    require_vector False.
+    ZeroDispersion.  A width beyond double range, from a divisor that is 0
+    or subnormal, raises ValueError for the scalar band and
+    DegenerateBirefringence for the vector peaks, or gives a NaN vector
+    entry with require_vector False.
     """
     if fiber.beta2 == 0:
         raise ZeroDispersion("scalar width requires beta2 != 0")
-    if abs(fiber.beta2) * fiber.length == 0:
-        raise ValueError("widths diverge at |beta2|*L = 0")
-    scalar = 2.0 * math.sqrt(2.0 * math.pi / (abs(fiber.beta2) * fiber.length))
-    if fiber.delta_beta1 * fiber.length == 0:
+    dispersion = abs(fiber.beta2) * fiber.length
+    scalar = 2.0 * math.sqrt(2.0 * math.pi / dispersion) if dispersion else math.inf
+    if not math.isfinite(scalar):
+        raise ValueError(f"scalar width diverges at |beta2|*L = {dispersion}")
+    walk_off = fiber.delta_beta1 * fiber.length
+    vector = 4.0 * math.pi / walk_off if walk_off else math.inf
+    if not math.isfinite(vector):
         if require_vector:
-            raise DegenerateBirefringence("vector width requires delta_beta1*L > 0")
-        return scalar, float("nan")
-    vector = 4.0 * math.pi / (fiber.delta_beta1 * fiber.length)
+            raise DegenerateBirefringence(f"vector width diverges at delta_beta1*L = {walk_off}")
+        vector = math.nan
     return scalar, vector
 
 
@@ -255,12 +222,10 @@ def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, floa
     for an x pump, -delta_beta0 for a y pump.  Both exist only when delta
     and beta2 share a sign (slow-axis pump with normal dispersion, or
     fast-axis pump with anomalous dispersion), else NoFarDetunedPeak is
-    raised; L = 0 raises ValueError.
+    raised; a width beyond double range (L = 0 or subnormal) raises ValueError.
     """
     if pump.p0x != 0 and pump.p0y != 0:
         raise PumpNotOnAxis(f"pump must be on a single axis, got ({pump.p0x}, {pump.p0y})")
-    if fiber.length == 0:
-        raise ValueError("width diverges at zero length")
     delta = -fiber.delta_beta0 if pump.p0y != 0 else fiber.delta_beta0
     product = delta * fiber.beta2
     if product <= 0:
@@ -268,5 +233,8 @@ def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, floa
             f"no real phase-matching detuning for delta_beta0*beta2 = {product}"
         )
     detuning = math.sqrt(2.0 * delta / fiber.beta2)
-    width = (2.0 * math.pi / fiber.length) / math.sqrt(2.0 * fiber.beta2 * delta)
+    zero_spacing = 2.0 * math.pi / fiber.length if fiber.length else math.inf
+    width = zero_spacing / math.sqrt(2.0 * fiber.beta2 * delta)
+    if not math.isfinite(width):
+        raise ValueError(f"width diverges at L = {fiber.length}")
     return detuning, width

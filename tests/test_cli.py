@@ -201,7 +201,7 @@ OVERFLOW_CASES = [
     (OVERFLOW_SCENARIO, ("compare",)),
     # beta2*Omega^2 beyond double range: lambda = i*inf
     (_fig1a_small(beta2_ps2_per_km=1e300), ("mi",)),
-    # (gamma*P)^2 and L^2 are Python-float powers, which raise OverflowError
+    # (gamma*P)^2 and L^2 beyond double range: inf, then a NaN flux or eigenvalue
     (_fig1a_small(gamma_per_W_km=1e200), ("mi",)),
     (_fig1a_small(gamma_per_W_km=1e200), ("spectrum", "--method", "closed-form")),
     (_fig1a_small(length_km=1e300), ("spectrum", "--method", "closed-form")),
@@ -300,6 +300,24 @@ def test_output_matches_the_benchmark_sha256(tmp_path, monkeypatch, capsys, ref)
     rc, out, err = run(capsys, *BENCHMARK_CALLS[ref])
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BENCHMARK_SHA256[ref]
+
+
+#: Exit code and stdout SHA-256 of every exact-path preset call: spectrum
+#: with exact-ode, closed-form and all, and compare.  closed-form exits 2
+#: with no output on the two-axis presets fig2 and fig3.
+EXACT_PATH_SHA256 = json.loads(Path(__file__).with_name("exact_path_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("ref", sorted(EXACT_PATH_SHA256))
+def test_exact_path_output_matches_its_sha256(capsys, ref):
+    command, name = ref.split(":")
+    argv = ("compare",) if command == "compare" else (
+        "spectrum", "--method", command.removeprefix("spectrum-"))
+    rc, out, err = run(capsys, *argv, "--preset", name)
+    expected = EXACT_PATH_SHA256[ref]
+    assert rc == expected["exit"]
+    assert (err == "") == (rc == 0)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected["stdout_sha256"]
 
 
 #: First-order spectra beyond double range: the prefactor gamma*P*L, the
@@ -451,8 +469,8 @@ _FIG1A_SMALL_ARGS = dict(
     lengths=st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=3),
     regime=st.sampled_from(["HB", "LB"]),
 )
-# Values beyond double range once squared or multiplied: inf in the MI
-# eigenvalue, OverflowError in the Python-float powers of the closed forms.
+# Values beyond double range once squared or multiplied: inf or NaN in the
+# MI eigenvalue and the closed forms, reported as exit 3.
 @example(command=COMMANDS[1], **{**_FIG1A_SMALL_ARGS, "beta2": 1e300})
 @example(command=COMMANDS[1], **{**_FIG1A_SMALL_ARGS, "gamma": 1e200})
 @example(command=COMMANDS[0], **{**_FIG1A_SMALL_ARGS, "gamma": 1e200, "lengths": [1e-300]})

@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 from dataclasses import replace
@@ -451,6 +452,20 @@ def test_lambda_param_branches():
     normal = FiberParams(gamma=3.0, beta2=20.0, length=1.0)
     lam_n = lambda_param(normal, 0.3, 1.0)
     assert lam_n.real == 0.0 and lam_n.imag > 0.0
+
+
+def test_closed_forms_overflow_to_nan_not_overflow_error():
+    # (gamma*P)^2 is beyond double range.  Squared as x*x it overflows to inf
+    # and the closed forms give NaN, as the first-order fluxes do, where a
+    # Python-float x**2 raises a bare OverflowError.
+    fiber = FiberParams(gamma=1e200, beta2=-1.0, length=1.0)
+    with np.errstate(all="ignore"):
+        flux = exact_scalar_flux(fiber, 1.0, 1.0)
+        lam = lambda_param(fiber, 1.0, 1.0)
+        curve = mi_gain_curve(fiber, 1.0, FrequencyGrid(-1.0, 1.0, 4))
+    assert type(flux) is float and math.isnan(flux)
+    assert type(lam) is complex and cmath.isnan(lam)
+    assert np.isnan(curve.lambda_vals).all()
 
 
 def test_exact_scalar_flux_zero_detuning_limit():

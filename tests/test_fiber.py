@@ -311,25 +311,129 @@ def test_hb_table_obeys_the_relabel_identities():
     assert _sets_breaking_the_relabel_identities() == 0
 
 
-#: Wrong (0,2) entries that pass every other tier-1 test: the phase
-#: theta0x + theta0y for theta0x - theta0y, and half the coupling.
+def _nls_rhs(fiber, fields, omega):
+    """d/dz of the HB vector-NLS fields at the detunings (-omega, 0, +omega).
+
+    fields[j] holds axis j's (x, then y) amplitudes there, each the
+    coefficient of exp(-i w t).  The linear part is i beta_j(w) A_j(w) from
+    `fiber.beta`; the Kerr part i gamma (|A_j|^2 + (2/3)|A_k|^2) A_j is
+    multiplied out by convolving coefficients and kept at the same three
+    detunings, which is exact at linear order in the sidebands.
+    """
+    intensity = [np.convolve(row[::-1].conj(), row) for row in fields]  # at -2w..2w
+    rhs = np.empty((2, 3), dtype=complex)
+    for j, axis in enumerate("xy"):
+        kerr = np.convolve(intensity[j] + (2.0 / 3.0) * intensity[1 - j], fields[j])[2:5]
+        linear = np.array([beta(fiber, axis, w) for w in (-omega, 0.0, omega)])
+        rhs[j] = 1j * linear * fields[j] + 1j * fiber.gamma * kerr
+    return rhs
+
+
+#: (axis, detuning index, conjugated) of a_x(+W), a_x^dag(-W), a_y(+W), a_y^dag(-W).
+_BASIS_SLOTS = ((0, 2, False), (0, 0, True), (1, 2, False), (1, 0, True))
+
+
+def _nls_jacobian(fiber, pump, omega, eps=1e-6):
+    """Central-difference Jacobian of the HB vector NLS at the pump-only state.
+
+    Rows and columns are the coupling-table basis, in the frame that turns
+    with the pump at its own phase rate psi_j (read from the carrier
+    entries of the right-hand side), where the Jacobian does not depend on
+    z: C_jk off the diagonal and i*phi_j on it, with R_jk = phi_k - phi_j.
+    """
+    pump_fields = np.zeros((2, 3), dtype=complex)
+    pump_fields[:, 1] = [
+        cmath.rect(math.sqrt(pump.p0x), pump.theta0x),
+        cmath.rect(math.sqrt(pump.p0y), pump.theta0y),
+    ]
+    psi = (_nls_rhs(fiber, pump_fields, omega)[:, 1] / (1j * pump_fields[:, 1])).real
+
+    def seeded_rhs(column, seed):
+        fields = pump_fields.copy()
+        axis, slot, _ = _BASIS_SLOTS[column]
+        fields[axis, slot] = seed  # real, so a_dag and a take the same seed
+        rhs = _nls_rhs(fiber, fields, omega)
+        return np.array(
+            [rhs[a, w].conjugate() if dag else rhs[a, w] for a, w, dag in _BASIS_SLOTS]
+        )
+
+    jacobian = np.column_stack(
+        [(seeded_rhs(k, eps) - seeded_rhs(k, -eps)) / (2.0 * eps) for k in range(4)]
+    )
+    return jacobian - 1j * np.diag([psi[0], -psi[0], psi[1], -psi[1]])
+
+
+def _jacobian_gap(fiber, pump, omega):
+    """Largest relative gap between the NLS Jacobian and the HB table at omega.
+
+    Each entry's C_jk and its Bogoliubov mirror C_kj = -J_j J_k conj(C_jk)
+    are compared on the scale gamma*(P0x + P0y); R_jk, and so R_kj = -R_jk,
+    on the scale of the largest phase rate.
+    """
+    jacobian = _nls_jacobian(fiber, pump, omega)
+    phi = jacobian.diagonal().imag
+    metric = (1.0, -1.0, 1.0, -1.0)
+    coupling_scale = fiber.gamma * pump.total
+    rate_scale = coupling_scale + abs(phi).max()
+    gaps = []
+    for (j, k), entry in coupling_table(fiber, pump, "HB").items():
+        c = _coupling(entry)
+        gaps.append(abs(jacobian[j, k] - c) / coupling_scale)
+        gaps.append(abs(jacobian[k, j] + metric[j] * metric[k] * c.conjugate()) / coupling_scale)
+        gaps.append(abs(phi[k] - phi[j] - entry.rate(fiber, omega)) / rate_scale)
+    return max(gaps)
+
+
+def _sets_off_the_nls_jacobian(count=200):
+    return sum(_jacobian_gap(*case) > 1e-9 for case in _random_hb_sets(count))
+
+
+def test_hb_table_is_the_vector_nls_jacobian():
+    """Every HB C_jk and R_jk, and their mirrors, match the NLS Jacobian to 1e-9."""
+    assert _sets_off_the_nls_jacobian() == 0
+
+
+#: Wrong frequency-conversion entries that pass every other tier-1 test,
+#: each a function of the HB table and the pump that returns the replaced
+#: entries: the (0,2) phase theta0x + theta0y for theta0x - theta0y, half
+#: the (0,2) coupling, and the Kerr sign flipped in both (0,2) and (1,3).
 CONVERSION_MUTANTS = {
-    "phase-sum": lambda entry, pump: entry._replace(theta=pump.theta0x + pump.theta0y),
-    "coupling-halved": lambda entry, pump: entry._replace(c=entry.c / 2.0),
+    "phase-sum": lambda table, pump: {
+        (0, 2): table[(0, 2)]._replace(theta=pump.theta0x + pump.theta0y)
+    },
+    "coupling-halved": lambda table, pump: {(0, 2): table[(0, 2)]._replace(c=table[(0, 2)].c / 2)},
+    "kerr-flipped": lambda table, pump: {
+        key: table[key]._replace(k=-table[key].k) for key in ((0, 2), (1, 3))
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONVERSION_MUTANTS))
-def test_relabel_identities_reject_conversion_mutants(monkeypatch, name):
-    """Each mutant, built into every HB table, breaks an identity on all 50 sets."""
+def _install_mutant(monkeypatch, name):
+    """Build the mutant `name` into every HB table."""
     original = fiber_module._table_entries
 
     def mutated(fiber, pump, regime):
         table = original(fiber, pump, regime)
         if regime == "HB":
-            table[(0, 2)] = CONVERSION_MUTANTS[name](table[(0, 2)], pump)
+            table.update(CONVERSION_MUTANTS[name](table, pump))
         return table
 
     monkeypatch.setattr(fiber_module, "_table_entries", mutated)
     monkeypatch.setattr(fiber_module, "_last_table", None)
+
+
+@pytest.mark.parametrize("name", ["coupling-halved", "phase-sum"])
+def test_relabel_identities_reject_conversion_mutants(monkeypatch, name):
+    """Each mutant, built into every HB table, breaks an identity on all 50 sets."""
+    _install_mutant(monkeypatch, name)
     assert _sets_breaking_the_relabel_identities(50) == 50
+
+
+@pytest.mark.parametrize("name", sorted(CONVERSION_MUTANTS))
+def test_nls_jacobian_rejects_conversion_mutants(monkeypatch, name):
+    """Each mutant leaves the NLS Jacobian on all 50 sets; the paired Kerr
+    flip keeps both relabel identities, so only the Jacobian sees it."""
+    _install_mutant(monkeypatch, name)
+    assert _sets_off_the_nls_jacobian(50) == 50
+    if name == "kerr-flipped":
+        assert _sets_breaking_the_relabel_identities(50) == 0

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -22,8 +23,8 @@ from fps import (
     vector_peak_detuning,
     xi_hb,
 )
-from fps.fiber import FrequencyGrid, coupling_table, swap_axes
-from fps.hb import sinc
+from fps.fiber import Coupling, FrequencyGrid, coupling_table, swap_axes
+from fps.hb import first_order_amplitude
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,11 +38,32 @@ def _fiber(beta2=15.0, delta_beta1=200.0, length=0.2):
 
 
 def test_sinc_series_and_zero():
-    assert sinc(0.0) == 1.0
-    assert sinc(math.pi) == pytest.approx(0.0, abs=1e-16)
-    assert sinc(1e-10) == pytest.approx(1.0, rel=1e-15)
-    # series branch agrees with the direct form just above the cutoff
-    assert sinc(2e-8) == pytest.approx(math.sin(2e-8) / 2e-8, rel=1e-12)
+    """The sinc envelope of `first_order_amplitude`, on the float and array paths.
+
+    With L = 2 and the constant rate R = u of k = -u, xi = 2i exp(iu) sinc(u):
+    exact at u = 0, the series 1 - u^2/6 below the cutoff 1e-8, sin(u)/u just
+    above it, and the first zero at u = pi.
+    """
+    fiber = FiberParams(gamma=1.0, beta2=1.0, length=2.0)
+
+    def amplitudes(u):
+        entry = Coupling(1.0, 0.0, s=0.0, t=0.0, k=-u)
+        return [
+            first_order_amplitude(entry, fiber, 0.0),
+            first_order_amplitude(entry, fiber, np.array([0.0]))[0],
+        ]
+
+    assert amplitudes(0.0) == [2j, 2j]
+    for u, envelope in (
+        (1e-10, 1.0 - 1e-10 * 1e-10 / 6.0),
+        (2e-8, math.sin(2e-8) / 2e-8),
+        (math.pi, math.sin(math.pi) / math.pi),
+    ):
+        assert amplitudes(u) == [2j * cmath.exp(1j * u) * envelope] * 2, u
+    assert [abs(xi) for xi in amplitudes(math.pi)] == [pytest.approx(0.0, abs=2e-16)] * 2
+    assert [abs(xi) for xi in amplitudes(1e-10)] == [pytest.approx(2.0, rel=1e-15)] * 2
+    # the direct form just above the cutoff agrees with the series
+    assert [abs(xi) for xi in amplitudes(2e-8)] == [pytest.approx(2.0, rel=1e-15)] * 2
 
 
 def test_xi_xx_magnitude_at_zero_detuning(fig1_fiber, pump_x03):
@@ -367,6 +389,32 @@ UNDERFLOWED = FiberParams(gamma=1.0, beta2=1e-200, length=1e-200)
             DegenerateBirefringence,
             id="vector-width-underflow",
         ),
+        # Subnormal divisors: 1e-320 passes a zero test, but 2*pi/1e-320 overflows.
+        pytest.param(
+            lambda: bandwidths(
+                FiberParams(gamma=1.0, beta2=1e-160, length=1e-160),
+                PumpConfig(p0x=1.0),
+                require_vector=False,
+            ),
+            ValueError,
+            id="scalar-width-subnormal",
+        ),
+        pytest.param(
+            lambda: lb_peak_and_width(
+                FiberParams(gamma=1.0, beta2=1.0, length=1e-320, delta_beta0=1.0),
+                PumpConfig(p0x=1.0),
+            ),
+            ValueError,
+            id="lb-width-subnormal-length",
+        ),
+        pytest.param(
+            lambda: bandwidths(
+                FiberParams(gamma=1.0, beta2=1.0, length=1e-160, delta_beta1=1e-160),
+                PumpConfig(p0x=1.0),
+            ),
+            DegenerateBirefringence,
+            id="vector-width-subnormal",
+        ),
         pytest.param(
             lambda: total_scatter_probability(
                 FiberParams(gamma=3.0, beta2=-20.0, length=0.1), PumpConfig(p0x=0.3), 1e200
@@ -389,6 +437,9 @@ def test_degenerate_and_overflowing_inputs_raise_domain_errors(call, error):
 
 
 def test_underflowed_vector_width_is_nan_when_not_required():
-    fiber = FiberParams(gamma=1.0, beta2=1.0, length=1e-300, delta_beta1=1e-100)
-    scalar, vector = bandwidths(fiber, PumpConfig(p0x=1.0), require_vector=False)
-    assert math.isfinite(scalar) and math.isnan(vector)
+    for fiber in (
+        FiberParams(gamma=1.0, beta2=1.0, length=1e-300, delta_beta1=1e-100),
+        FiberParams(gamma=1.0, beta2=1.0, length=1e-160, delta_beta1=1e-160),  # subnormal
+    ):
+        scalar, vector = bandwidths(fiber, PumpConfig(p0x=1.0), require_vector=False)
+        assert math.isfinite(scalar) and math.isnan(vector)

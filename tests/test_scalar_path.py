@@ -1,14 +1,15 @@
 """The Python-float path of the first-order amplitudes against the array path.
 
-A float omega runs `Coupling.rate`, `hb.sinc` and `first_order_amplitude`
-in Python floats (math.sin, cmath.exp) instead of numpy.  These tests pin
-that path to element 0 of the same call on a one-point array, bit for bit,
-and the filtered pair state built from it, with its `classify` phase, to
-the same built from array-path amplitudes; the state and the HB/LB fluxes
-must read the four amplitudes of `hb.pair_amplitudes`, the fluxes with
-|xi|^2 as re*re + im*im on both paths.  `coupling_table`
-reuses its last table for the same objects, so interleaved calls must match
-calls on fresh objects.
+A float omega runs `Coupling.rate` and `first_order_amplitude`, its sinc
+envelope included, in Python floats (math.sin, cmath.exp) instead of
+numpy.  These tests pin that path to element 0 of the same call on a
+one-point array, bit for bit, and the filtered pair state built from it,
+with its `classify` phase, to the same built from array-path amplitudes;
+the state and the HB/LB fluxes must read the four amplitudes of
+`hb.pair_amplitudes`, the fluxes through `fiber.pair_fluxes` with |xi|^2
+as re*re + im*im on both paths.  `coupling_table` reuses its last table
+for the same objects, so interleaved calls must match calls on fresh
+objects.
 """
 
 import cmath
@@ -29,7 +30,7 @@ from fps import (
     flux_lb,
 )
 from fps.fiber import Coupling, coupling_table
-from fps.hb import first_order_amplitude, pair_amplitudes, sinc
+from fps.hb import first_order_amplitude, pair_amplitudes
 
 N_SETS = 2000
 PAIR_ENTRIES = tuple(channel.value for channel in Channel)
@@ -206,9 +207,14 @@ def test_reused_table_matches_fresh_objects_bit_for_bit():
 
 @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
 def test_scalar_sinc_is_nan_for_non_finite_argument(u):
-    assert math.isnan(sinc(u))
+    # The constant rate R = u of k = -u with L = 2 puts u in the sinc
+    # argument: NaN on the float path, where math.sin and cmath.exp raise,
+    # as on the array path.
+    fiber = FiberParams(gamma=1.0, beta2=1.0, length=2.0)
+    entry = Coupling(1.0, 0.0, s=0.0, t=0.0, k=-u)
+    assert cmath.isnan(first_order_amplitude(entry, fiber, 0.0))
     with np.errstate(invalid="ignore"):
-        assert np.isnan(sinc(np.array([u]))[0])
+        assert cmath.isnan(first_order_amplitude(entry, fiber, np.array([0.0]))[0])
 
 
 def test_scalar_amplitude_is_nan_beyond_double_range():
