@@ -57,6 +57,7 @@ _EXPORTS = {
         "ZeroPower",
     ),
     "fiber": (
+        "Channel",
         "FiberParams",
         "FrequencyGrid",
         "PumpConfig",
@@ -67,7 +68,6 @@ _EXPORTS = {
         "normalize_convention",
     ),
     "hb": (
-        "Channel",
         "bandwidths",
         "flux_hb",
         "flux_lb",

@@ -29,7 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalFailure, StepCountTooSmall, ZeroDispersion, ZeroGain
-from .fiber import FiberParams, FrequencyGrid, PumpConfig, coupling_table, pair_fluxes
+from .fiber import (
+    _PAIR_ENTRIES, FiberParams, FrequencyGrid, PumpConfig, coupling_table, pair_fluxes
+)
 
 #: Bogoliubov metric in the (a_x, a_x^dag, a_y, a_y^dag) basis.
 J_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
@@ -185,7 +187,6 @@ def integrate_transfer_grid(
     regime: str,
     omegas,
     steps: int | None = None,
-    check_defect: bool = True,
 ) -> tuple[np.ndarray, int]:
     """Transfer matrices for a batch of detunings.
 
@@ -227,14 +228,13 @@ def integrate_transfer_grid(
         rotating = np.eye(4) + _rk4_power_offset(coeff, rate, phi, h, steps)
         error, propagator = StepCountTooSmall, f"{steps} steps"
     matrices = np.exp(-1j * phi * fiber.length)[..., None] * rotating
-    if check_defect:
-        defect = _relative_defect(matrices)
-        # NaN (from an overflowed matrix) must fail too, hence "not <=".
-        if not defect <= DEFECT_LIMIT:
-            raise error(
-                f"relative symplectic defect {defect:.3e} exceeds {DEFECT_LIMIT:.1e} "
-                f"with {propagator}"
-            )
+    defect = _relative_defect(matrices)
+    # NaN (from an overflowed matrix) must fail too, hence "not <=".
+    if not defect <= DEFECT_LIMIT:
+        raise error(
+            f"relative symplectic defect {defect:.3e} exceeds {DEFECT_LIMIT:.1e} "
+            f"with {propagator}"
+        )
     return matrices, steps or 0
 
 
@@ -242,13 +242,11 @@ def flux_from_matrices(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vacuum photon-flux densities (f_x, f_y) in ps/rad from a (..., 4, 4) stack.
 
     The flux on axis j at +Omega is the squared overlap of the a_j(+Omega)
-    row with the two creation-operator columns, divided by 2 pi: the pair
-    entries (0, 1), (2, 3), (0, 3) and (2, 1), read by `fiber.pair_fluxes`
-    as the first-order flux reads its amplitudes.
+    row with the two creation-operator columns, divided by 2 pi: the entries
+    of M at the pair channels' `fiber.coupling_table` keys, read by
+    `fiber.pair_fluxes` as the first-order flux reads its amplitudes.
     """
-    return pair_fluxes(
-        matrices[..., 0, 1], matrices[..., 2, 3], matrices[..., 0, 3], matrices[..., 2, 1]
-    )
+    return pair_fluxes(*(matrices[..., j, k] for j, k in _PAIR_ENTRIES))
 
 
 def lambda_param(fiber: FiberParams, power: float, omega):

@@ -18,14 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyState, NumericalFailure, PumpNotOnAxis, StimulatedOrderingWarning
-from .fiber import FiberParams, PumpConfig
-from .hb import Channel, pair_amplitudes, total_scatter_probability, xi_hb
+from .fiber import Channel, FiberParams, PumpConfig
+from .hb import pair_amplitudes, total_scatter_probability, xi_hb
 
 #: Minimum concurrence for calling a two-scalar-coefficient state bell-like.
 BELL_CONCURRENCE_MIN = 0.99
 
-#: Basis labels in coefficient order.
-BASIS = ("xx", "yy", "xy", "yx")
+#: Basis labels in coefficient order: the pair channels, lowercased.
+BASIS = tuple(channel.name.lower() for channel in Channel)
 
 _CLASS_BY_PATTERN = {
     (True, False, False, False): "scalar-only-x",

@@ -10,10 +10,11 @@ amplitudes in sqrt(ps).
 
 from __future__ import annotations
 
+import enum
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -203,20 +204,14 @@ def swap_axes(fiber: FiberParams, pump: PumpConfig) -> tuple[FiberParams, PumpCo
     exchanges the pump components; the old x-axis inverse group velocity
     becomes the new reference.
     """
-    swapped_fiber = FiberParams(
-        gamma=fiber.gamma,
-        beta2=fiber.beta2,
-        length=fiber.length,
+    swapped_fiber = replace(
+        fiber,
         delta_beta0=-fiber.delta_beta0,
         delta_beta1=-fiber.delta_beta1,
         beta1_ref=fiber.beta1_ref + fiber.delta_beta1,
     )
-    swapped_pump = PumpConfig(
-        p0x=pump.p0y,
-        p0y=pump.p0x,
-        theta0x=pump.theta0y,
-        theta0y=pump.theta0x,
-        duration=pump.duration,
+    swapped_pump = replace(
+        pump, p0x=pump.p0y, p0y=pump.p0x, theta0x=pump.theta0y, theta0y=pump.theta0x
     )
     return swapped_fiber, swapped_pump
 
@@ -246,22 +241,30 @@ class Coupling(NamedTuple):
     d: float = 0.0
 
     def rate(self, fiber: FiberParams, omega):
-        """Phase rate R(Omega) in 1/km: a float for a float omega, an array for an array.
+        """Phase rate R(Omega) in 1/km: a float for a float omega, an array for an array."""
+        return -(
+            self.s * fiber.delta_beta1 * omega
+            + self.t * fiber.beta2 * (omega * omega)
+            + self.k
+            + self.d * fiber.delta_beta0
+        )
 
-        Terms with a zero selector (never both s and t) are left out, not added
-        as zeros, so each rate rounds as its written-out formula: omega * omega
-        as numpy's square, terms left to right (`sum` compensates from 3.12 on).
-        """
-        if self.s:
-            rate = self.s * fiber.delta_beta1 * omega
-            if self.t:
-                rate = rate + self.t * fiber.beta2 * (omega * omega)
-            rate = rate + self.k
-        else:
-            rate = self.t * fiber.beta2 * (omega * omega) + self.k
-        if self.d:
-            rate = rate + self.d * fiber.delta_beta0
-        return -rate
+
+class Channel(enum.Enum):
+    """Pair channel: first letter anti-Stokes axis, second Stokes axis.
+
+    The value is the channel's (row, column) entry in `coupling_table`.
+    """
+
+    XX = (0, 1)
+    YY = (2, 3)
+    XY = (0, 3)
+    YX = (2, 1)
+
+
+#: Coupling-table entries of the four pair channels, in `Channel` order.  A
+#: tuple, since hot paths iterate it and an enum pass costs ten times more.
+_PAIR_ENTRIES = tuple(channel.value for channel in Channel)
 
 
 #: The last table `coupling_table` built, as (fiber, pump, regime, table).
@@ -276,13 +279,14 @@ def coupling_table(
     """Independent entries of the coupled-mode generator, keyed by (row, column).
 
     Basis (a_x(+Omega), a_x^dag(-Omega), a_y(+Omega), a_y^dag(-Omega)).  The
-    pair channels are XX (0, 1), YY (2, 3), XY (0, 3) and YX (2, 1); in HB
-    the entries (0, 2) and (1, 3) convert frequency between the axes.  The
-    remaining entries follow from the Bogoliubov structure A = -J A^dag J.
-    LB needs the pump on a single axis (a pump on neither counts as x).  It
-    keeps the scalar channel of the pumped axis plus the orthogonal channel
-    on the other axis, which the linear birefringence mismatches by
-    d*delta_beta0 with d = -2 for an x pump and +2 for a y pump.
+    pair channels sit at the `Channel` entries XX (0, 1), YY (2, 3),
+    XY (0, 3) and YX (2, 1); in HB (0, 2) and (1, 3) convert frequency
+    between the axes.  The remaining entries follow from the Bogoliubov
+    structure A = -J A^dag J.  LB needs the pump on a single axis (a pump on
+    neither counts as x).  It keeps the scalar channel of the pumped axis
+    plus the orthogonal channel on the other axis, which the linear
+    birefringence mismatches by d*delta_beta0 with d = -2 for an x pump and
+    +2 for a y pump.
 
     The table is a read-only mapping.  The last one built is returned again
     when the same fiber and pump objects come back with the same regime, so
@@ -304,11 +308,12 @@ def _abs2(z):
 
 
 def pair_fluxes(xx, yy, xy, yx):
-    """Flux densities (f_x, f_y) in ps/rad from the pair entries XX, YY, XY, YX.
+    """Flux densities (f_x, f_y) in ps/rad from the pair entries, in `Channel` order.
 
     The a_j(+Omega) row of the generator couples to both creation operators,
     so f_x = (|xx|^2 + |xy|^2)/2pi and f_y = (|yy|^2 + |yx|^2)/2pi, whether
-    the entries are first-order amplitudes or transfer-matrix entries.
+    the entries are first-order amplitudes or transfer-matrix entries read
+    at `_PAIR_ENTRIES`.
     |z|^2 is re*re + im*im, so a Python complex gives the bits of an array
     element: numpy's complex abs (a SIMD kernel) and CPython's round
     differently, so neither could serve both.
@@ -322,6 +327,7 @@ def _table_entries(
     """The entries of `coupling_table`, built afresh."""
     g = fiber.gamma
     px, py, tx, ty = pump.p0x, pump.p0y, pump.theta0x, pump.theta0y
+    xx, yy, xy, yx = _PAIR_ENTRIES
 
     def scalar(p: float, theta: float) -> Coupling:
         return Coupling(g * p, 2.0 * theta, s=0.0, t=1.0, k=2.0 * g * p)
@@ -333,17 +339,17 @@ def _table_entries(
         p, theta = (py, ty) if on_y else (px, tx)
         d = 2.0 if on_y else -2.0
         orth = Coupling(g * p / 3.0, 2.0 * theta, s=0.0, t=1.0, k=-(2.0 / 3.0) * g * p, d=d)
-        pumped, other = ((2, 3), (0, 1)) if on_y else ((0, 1), (2, 3))
+        pumped, other = (yy, xx) if on_y else (xx, yy)
         return {pumped: scalar(p, theta), other: orth}
     if regime != "HB":
         raise ValueError(f"regime must be 'HB' or 'LB', got {regime!r}")
     cross = (2.0 / 3.0) * g * math.sqrt(px * py)
     kerr = g * (px + py)
     return {
-        (0, 1): scalar(px, tx),
-        (2, 3): scalar(py, ty),
-        (0, 3): Coupling(cross, tx + ty, s=1.0, t=1.0, k=kerr),
-        (2, 1): Coupling(cross, tx + ty, s=-1.0, t=1.0, k=kerr),
+        xx: scalar(px, tx),
+        yy: scalar(py, ty),
+        xy: Coupling(cross, tx + ty, s=1.0, t=1.0, k=kerr),
+        yx: Coupling(cross, tx + ty, s=-1.0, t=1.0, k=kerr),
         (0, 2): Coupling(cross, tx - ty, s=1.0, t=0.0, k=g * (px - py)),
         (1, 3): Coupling(-cross, ty - tx, s=1.0, t=0.0, k=g * (py - px)),
     }

@@ -14,13 +14,14 @@ normalization), flux densities in ps/rad.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 
 from .errors import (
     DegenerateBirefringence, NoFarDetunedPeak, NumericalFailure, PumpNotOnAxis, ZeroDispersion
 )
 from .fiber import (
+    _PAIR_ENTRIES,
+    Channel,
     Coupling,
     FiberParams,
     PumpConfig,
@@ -34,22 +35,6 @@ from .fiber import (
 _SINC_SERIES_CUTOFF = 1e-8
 
 
-class Channel(enum.Enum):
-    """Scattering channel: first letter anti-Stokes axis, second Stokes axis.
-
-    The value is the channel's (row, column) entry in `fiber.coupling_table`.
-    """
-
-    XX = (0, 1)
-    YY = (2, 3)
-    XY = (0, 3)
-    YX = (2, 1)
-
-
-#: Coupling-table entries of the four pair amplitudes, in `Channel` order.
-_PAIR_ENTRIES = tuple(channel.value for channel in Channel)
-
-
 def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     """First Magnus term of one generator entry over the fiber length.
 
@@ -61,11 +46,16 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     A Python int or float omega (numpy's float64 included) runs in Python
     floats end to end (math.sin, cmath.exp) and returns a complex
     bit-identical to the array path, or NaN when u is not finite, where
-    math.sin and cmath.exp raise.  Any other omega is converted to a float
-    array once and runs in numpy, returning complex of its shape.
+    math.sin and cmath.exp raise, or when an int omega is beyond double
+    range.  Any other omega is converted to a float array once and runs in
+    numpy, returning complex of its shape.
     """
     if isinstance(omega, (int, float)):
-        u = entry.rate(fiber, float(omega)) * (0.5 * fiber.length)
+        try:
+            omega = float(omega)
+        except OverflowError:
+            return complex(math.nan, math.nan)
+        u = entry.rate(fiber, omega) * (0.5 * fiber.length)
         if not math.isfinite(u):
             return complex(math.nan, math.nan)
         envelope = 1.0 - u * u / 6.0 if abs(u) < _SINC_SERIES_CUTOFF else math.sin(u) / u
@@ -222,19 +212,20 @@ def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, floa
     for an x pump, -delta_beta0 for a y pump.  Both exist only when delta
     and beta2 share a sign (slow-axis pump with normal dispersion, or
     fast-axis pump with anomalous dispersion), else NoFarDetunedPeak is
-    raised; a width beyond double range (L = 0 or subnormal) raises ValueError.
+    raised.  A detuning or width beyond double range (L = 0 or subnormal,
+    or delta*beta2 or delta/beta2 out of range) raises ValueError.
     """
     if pump.p0x != 0 and pump.p0y != 0:
         raise PumpNotOnAxis(f"pump must be on a single axis, got ({pump.p0x}, {pump.p0y})")
     delta = -fiber.delta_beta0 if pump.p0y != 0 else fiber.delta_beta0
-    product = delta * fiber.beta2
-    if product <= 0:
+    if not (delta > 0 < fiber.beta2 or delta < 0 > fiber.beta2):
         raise NoFarDetunedPeak(
-            f"no real phase-matching detuning for delta_beta0*beta2 = {product}"
+            f"no real phase-matching detuning for delta = {delta}, beta2 = {fiber.beta2}"
         )
     detuning = math.sqrt(2.0 * delta / fiber.beta2)
     zero_spacing = 2.0 * math.pi / fiber.length if fiber.length else math.inf
-    width = zero_spacing / math.sqrt(2.0 * fiber.beta2 * delta)
-    if not math.isfinite(width):
-        raise ValueError(f"width diverges at L = {fiber.length}")
+    root = math.sqrt(2.0 * fiber.beta2 * delta)
+    width = zero_spacing / root if root else math.inf
+    if not (math.isfinite(detuning) and math.isfinite(width)):
+        raise ValueError(f"peak detuning {detuning} or width {width} is beyond double range")
     return detuning, width

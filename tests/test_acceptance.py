@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import fps.dynamics
 from fps import (
     Channel,
     FiberParams,
@@ -176,7 +177,7 @@ def test_criterion_08_mi_gain_landmarks():
     assert abs(asym.value / exact - 1.0) <= 0.02
 
 
-def test_criterion_09_symplectic_defect_and_convergence():
+def test_criterion_09_symplectic_defect_and_convergence(monkeypatch):
     """Defect <= 1e-9 on default-step runs; halving the step gains >= 8x."""
     runs = [
         (FiberParams(gamma=3.0, beta2=-20.0, length=0.3), PumpConfig(p0x=0.3), "HB",
@@ -192,15 +193,12 @@ def test_criterion_09_symplectic_defect_and_convergence():
     for fiber, pump, regime, omegas in runs:
         matrices, _ = integrate_transfer_grid(fiber, pump, regime, omegas)
         assert symplectic_defect(matrices) <= 1e-9
+    monkeypatch.setattr(fps.dynamics, "DEFECT_LIMIT", math.inf)
     fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.3)
     pump = PumpConfig(p0x=0.3)
     omega = np.array([1.5])
-    coarse, _ = integrate_transfer_grid(
-        fiber, pump, "HB", omega, steps=16, check_defect=False
-    )
-    fine, _ = integrate_transfer_grid(
-        fiber, pump, "HB", omega, steps=32, check_defect=False
-    )
+    coarse, _ = integrate_transfer_grid(fiber, pump, "HB", omega, steps=16)
+    fine, _ = integrate_transfer_grid(fiber, pump, "HB", omega, steps=32)
     assert symplectic_defect(coarse) / symplectic_defect(fine) >= 8.0
 
 

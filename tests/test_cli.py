@@ -320,6 +320,60 @@ def test_exact_path_output_matches_its_sha256(capsys, ref):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected["stdout_sha256"]
 
 
+#: Scenarios that only run after an axis relabel or on the y-pump LB table:
+#: (a) a two-axis HB pump with delta_beta1 < 0, which `normalize_convention`
+#: swaps; (b) an LB pump on y alone with a nonzero phase.
+RELABEL_SCENARIOS = {
+    "relabel-a": {
+        "fiber": {"gamma_per_W_km": 3.0, "beta2_ps2_per_km": 15.0, "delta_beta0_per_km": 40.0,
+                  "delta_beta1_ps_per_km": -200.0, "length_km": 0.2},
+        "pump": {"p0x_W": 0.1, "p0y_W": 0.2, "theta0x_rad": 0.3, "theta0y_rad": -0.5,
+                 "duration_ps": 100.0},
+        "grid": {"omega_min": -15.0, "omega_max": 15.0, "n_points": 60},
+        "regime": "HB",
+        "lengths_km": [0.1, 0.2],
+    },
+    "relabel-b": {
+        "fiber": {"gamma_per_W_km": 3.0, "beta2_ps2_per_km": 5.0, "delta_beta0_per_km": -2000.0,
+                  "length_km": 0.15},
+        "pump": {"p0y_W": 1.0, "theta0y_rad": 0.7, "duration_ps": 100.0},
+        "grid": {"omega_min": -32.0, "omega_max": 32.0, "n_points": 64},
+        "regime": "LB",
+        "lengths_km": [0.1, 0.15],
+    },
+}
+
+#: Exit code and stdout SHA-256 of every command on the two relabel
+#: scenarios (spectrum per method, compare, mi, classify per omega), and of
+#: mi on every preset.  closed-form exits 2 with no output on scenario (a).
+RELABEL_PATH_SHA256 = json.loads(
+    Path(__file__).with_name("relabel_path_sha256.json").read_text()
+)
+
+
+@pytest.mark.parametrize("ref", sorted(RELABEL_PATH_SHA256))
+def test_relabel_path_output_matches_its_sha256(capsys, monkeypatch, tmp_path, ref):
+    command, name = ref.split(":")
+    if name in RELABEL_SCENARIOS:
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path, RELABEL_SCENARIOS[name], f"{name}.json")
+        source = ("--scenario", f"{name}.json")
+    else:
+        source = ("--preset", name)
+    command, _, option = command.partition("-")
+    if command == "spectrum":
+        argv = ("spectrum", "--method", option)
+    elif command == "classify":
+        argv = ("classify", "--omega", option)
+    else:
+        argv = (command,)
+    rc, out, err = run(capsys, *argv, *source)
+    expected = RELABEL_PATH_SHA256[ref]
+    assert rc == expected["exit"]
+    assert (err == "") == (rc == 0)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected["stdout_sha256"]
+
+
 #: First-order spectra beyond double range: the prefactor gamma*P*L, the
 #: sinc argument R*L/2 through L or through beta2*Omega^2, and the phase
 #: 2*theta0x.  Each gives NaN amplitudes.

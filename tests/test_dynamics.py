@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
+import fps.dynamics
 from fps import (
     Channel,
     FiberParams,
@@ -202,27 +203,27 @@ def test_symplectic_defect_at_default_steps():
     assert symplectic_defect(mats) < 1e-9
 
 
-def test_defect_improves_at_fourth_order():
+def test_defect_improves_at_fourth_order(monkeypatch):
+    monkeypatch.setattr(fps.dynamics, "DEFECT_LIMIT", math.inf)
     fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.3)
     pump = PumpConfig(p0x=0.3)
     omega = np.array([1.5])
-    coarse, _ = integrate_transfer_grid(fiber, pump, "HB", omega, steps=16, check_defect=False)
-    fine, _ = integrate_transfer_grid(fiber, pump, "HB", omega, steps=32, check_defect=False)
+    coarse, _ = integrate_transfer_grid(fiber, pump, "HB", omega, steps=16)
+    fine, _ = integrate_transfer_grid(fiber, pump, "HB", omega, steps=32)
     d_coarse = symplectic_defect(coarse)
     d_fine = symplectic_defect(fine)
     assert d_coarse > 1e-10  # truncation-dominated, not roundoff
     assert d_coarse / d_fine >= 8.0
 
 
-def test_step_count_too_small_raises():
+def test_step_count_too_small_raises(monkeypatch):
     fiber = FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0)
     pump = PumpConfig(p0x=0.15, p0y=0.15)
     with pytest.raises(StepCountTooSmall):
         integrate_transfer_grid(fiber, pump, "HB", np.array([15.0]), steps=25)
-    # opting out of the post-hoc check returns the (bad) matrices
-    mats, _ = integrate_transfer_grid(
-        fiber, pump, "HB", np.array([15.0]), steps=25, check_defect=False
-    )
+    # without a limit the post-hoc check passes the (bad) matrices through
+    monkeypatch.setattr(fps.dynamics, "DEFECT_LIMIT", math.inf)
+    mats, _ = integrate_transfer_grid(fiber, pump, "HB", np.array([15.0]), steps=25)
     assert symplectic_defect(mats) > 1e-6
 
 
@@ -297,12 +298,11 @@ def _relative_gap(matrices, reference):
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 25, 1000, 1001, 2047])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_powered_rk4_matches_stepwise_loop(case, steps):
+def test_powered_rk4_matches_stepwise_loop(monkeypatch, case, steps):
     """The telescoped power is the same discrete map as N separate RK4 steps."""
+    monkeypatch.setattr(fps.dynamics, "DEFECT_LIMIT", math.inf)
     fiber, pump, regime, omegas = ORACLE_CASES[case]
-    powered, used = integrate_transfer_grid(
-        fiber, pump, regime, omegas, steps=steps, check_defect=False
-    )
+    powered, used = integrate_transfer_grid(fiber, pump, regime, omegas, steps=steps)
     stepwise = _stepwise_rk4(fiber, pump, regime, omegas, steps)
     assert used == steps
     assert _relative_gap(powered, stepwise) <= 1e-12

@@ -407,6 +407,24 @@ UNDERFLOWED = FiberParams(gamma=1.0, beta2=1e-200, length=1e-200)
             ValueError,
             id="lb-width-subnormal-length",
         ),
+        # delta*beta2 underflows to 0 although both share a sign, and
+        # delta/beta2 overflows.
+        pytest.param(
+            lambda: lb_peak_and_width(
+                FiberParams(gamma=1.0, beta2=1e-200, length=1.0, delta_beta0=1e-200),
+                PumpConfig(p0x=1.0),
+            ),
+            ValueError,
+            id="lb-width-product-underflow",
+        ),
+        pytest.param(
+            lambda: lb_peak_and_width(
+                FiberParams(gamma=1.0, beta2=1e-200, length=1.0, delta_beta0=1e200),
+                PumpConfig(p0x=1.0),
+            ),
+            ValueError,
+            id="lb-detuning-overflow",
+        ),
         pytest.param(
             lambda: bandwidths(
                 FiberParams(gamma=1.0, beta2=1.0, length=1e-160, delta_beta1=1e-160),

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from fps import (
-    Channel,
     FiberParams,
     NumericalFailure,
     PumpConfig,
@@ -29,11 +28,10 @@ from fps import (
     flux_hb,
     flux_lb,
 )
-from fps.fiber import Coupling, coupling_table
+from fps.fiber import _PAIR_ENTRIES, Coupling, coupling_table
 from fps.hb import first_order_amplitude, pair_amplitudes
 
 N_SETS = 2000
-PAIR_ENTRIES = tuple(channel.value for channel in Channel)
 
 
 def _bits(value) -> bytes:
@@ -146,7 +144,7 @@ def test_filtered_state_matches_array_path_bit_for_bit():
                 first_order_amplitude(table[entry], fiber, np.array([omega]))[0]
                 if entry in table
                 else 0.0
-                for entry in PAIR_ENTRIES
+                for entry in _PAIR_ENTRIES
             ],
             dtype=complex,
         )
@@ -221,12 +219,14 @@ def test_scalar_amplitude_is_nan_beyond_double_range():
     # omega^2 overflows, so u is infinite: NaN, not the ValueError math.sin
     # and cmath.exp raise for an infinite argument; the filtered state built
     # from NaN amplitudes raises NumericalFailure (exit 3 in the CLI).  A
-    # Python int takes the float path too, without a numpy overflow warning.
+    # Python int takes the float path too, without a numpy overflow warning,
+    # and one beyond double range gives NaN, not float()'s OverflowError.
     fiber = FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0)
     pump = PumpConfig(p0x=0.15, p0y=0.15)
     table = coupling_table(fiber, pump, "HB")
-    for entry in PAIR_ENTRIES:
-        assert cmath.isnan(first_order_amplitude(table[entry], fiber, 1e300))
-        assert cmath.isnan(first_order_amplitude(table[entry], fiber, 10**300))
-    with pytest.raises(NumericalFailure):
-        filtered_state(fiber, pump, "HB", 1e300, 100.0)
+    for entry in _PAIR_ENTRIES:
+        for omega in (1e300, 10**300, 10**400, -(10**400)):
+            assert cmath.isnan(first_order_amplitude(table[entry], fiber, omega))
+    for omega in (1e300, 10**400):
+        with pytest.raises(NumericalFailure):
+            filtered_state(fiber, pump, "HB", omega, 100.0)
