@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalFailure, StepCountTooSmall, ZeroDispersion, ZeroGain
+from .errors import NumericalFailure, StepCountTooSmall, ZeroDispersion, ZeroGain, finite
 from .fiber import (
     _PAIR_ENTRIES, FiberParams, FrequencyGrid, PumpConfig, coupling_table, pair_fluxes
 )
@@ -249,20 +249,22 @@ def flux_from_matrices(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pair_fluxes(*(matrices[..., j, k] for j, k in _PAIR_ENTRIES))
 
 
+def _scalar_block(fiber: FiberParams, power: float, omega):
+    """Coupling gamma*P and phase rate 2*gamma*P + beta2*Omega^2 of the scalar 2x2 block."""
+    omega = np.asarray(omega, dtype=float)
+    gp = fiber.gamma * power
+    return gp, 2.0 * gp + fiber.beta2 * (omega * omega)
+
+
 def lambda_param(fiber: FiberParams, power: float, omega):
     """Parametric eigenvalue lambda(Omega), principal square root.
 
     Real (gain) inside the phase-matched band of an anomalous-dispersion
     fiber, purely imaginary (oscillation) outside and for normal dispersion.
     """
-    omega = np.asarray(omega, dtype=float)
-    gp = fiber.gamma * power
-    rate = 2.0 * gp + fiber.beta2 * (omega * omega)
-    w_arg = gp * gp - rate * rate / 4.0
-    lam = np.sqrt(w_arg.astype(complex))
-    if lam.ndim == 0:
-        return complex(lam)
-    return lam
+    gp, rate = _scalar_block(fiber, power, omega)
+    lam = np.sqrt((gp * gp - rate * rate / 4.0).astype(complex))
+    return complex(lam) if lam.ndim == 0 else lam
 
 
 def _parametric_flux(coupling: float, detuning_rate, length: float):
@@ -295,16 +297,13 @@ def exact_scalar_flux(fiber: FiberParams, power: float, omega):
     for gamma*P*L << 1 and to the exponential MI asymptote deep in the
     anomalous gain band.
     """
-    omega = np.asarray(omega, dtype=float)
-    gp = fiber.gamma * power
-    rate = 2.0 * gp + fiber.beta2 * (omega * omega)
-    return _parametric_flux(gp, rate, fiber.length)
+    return _parametric_flux(*_scalar_block(fiber, power, omega), fiber.length)
 
 
 def exact_lb_orthogonal_flux(fiber: FiberParams, power: float, omega):
     """Closed-form flux of the LB orthogonal channel (coupling gamma*P/3), pump on x.
 
-    For a pump on y, pass the fiber with delta_beta0 negated.
+    For a pump on y, pass the fiber relabeled by `fiber.swap_axes`.
     """
     omega = np.asarray(omega, dtype=float)
     coupling = fiber.gamma * power / 3.0
@@ -318,37 +317,34 @@ def exact_lb_orthogonal_flux(fiber: FiberParams, power: float, omega):
 
 def mi_gain(fiber: FiberParams, power: float, omega):
     """MI gain g(Omega) = Re(lambda) clipped at zero, in 1/km."""
-    lam = lambda_param(fiber, power, omega)
-    gain = np.maximum(np.real(lam), 0.0)
-    if np.ndim(gain) == 0:
-        return float(gain)
-    return gain
+    gain = np.maximum(lambda_param(fiber, power, omega).real, 0.0)
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def mi_gain_curve(fiber: FiberParams, power: float, grid: FrequencyGrid) -> GainCurve:
     """Gain curve over a grid; identically zero for normal dispersion."""
     lam = lambda_param(fiber, power, grid.omegas)
-    gain = np.maximum(np.real(lam), 0.0)
-    return GainCurve(grid=grid, lambda_vals=lam, gain_vals=gain)
+    return GainCurve(grid=grid, lambda_vals=lam, gain_vals=np.maximum(lam.real, 0.0))
+
+
+def _mi_band_scale(fiber: FiberParams, power: float) -> float:
+    """gamma*P/|beta2| of an MI band: beta2 = 0 raises ZeroDispersion, no gain ZeroGain."""
+    if fiber.beta2 == 0:
+        raise ZeroDispersion("MI gain band requires beta2 < 0")
+    if fiber.beta2 > 0 or power == 0:
+        raise ZeroGain("no MI gain for normal dispersion or zero power")
+    return fiber.gamma * power / abs(fiber.beta2)
 
 
 def mi_peak(fiber: FiberParams, power: float) -> tuple[float, float]:
     """(Omega_max, g_max) of the MI gain: (sqrt(2 gamma P/|beta2|), gamma P)."""
-    if fiber.beta2 == 0:
-        raise ZeroDispersion("MI peak requires beta2 < 0")
-    if fiber.beta2 > 0 or power == 0:
-        raise ZeroGain("no MI gain for normal dispersion or zero power")
-    omega_max = math.sqrt(2.0 * fiber.gamma * power / abs(fiber.beta2))
-    return omega_max, fiber.gamma * power
+    omega_max = math.sqrt(2.0 * _mi_band_scale(fiber, power))
+    return finite(omega_max, NumericalFailure, "MI peak detuning"), fiber.gamma * power
 
 
 def mi_support_edge(fiber: FiberParams, power: float) -> float:
     """Edge of the gain band: gain vanishes for |Omega| >= 2 sqrt(gamma P/|beta2|)."""
-    if fiber.beta2 == 0:
-        raise ZeroDispersion("gain band requires beta2 < 0")
-    if fiber.beta2 > 0 or power == 0:
-        raise ZeroGain("no MI gain for normal dispersion or zero power")
-    return 2.0 * math.sqrt(fiber.gamma * power / abs(fiber.beta2))
+    return finite(2.0 * math.sqrt(_mi_band_scale(fiber, power)), NumericalFailure, "MI band edge")
 
 
 class AsymptoticFlux(NamedTuple):
@@ -359,17 +355,20 @@ class AsymptoticFlux(NamedTuple):
 def mi_asymptotic_flux(fiber: FiberParams, power: float, omega: float) -> AsymptoticFlux:
     """Large-gain asymptote (gamma^2 P^2 / 4 g^2) e^{2 g L} / 2pi.
 
-    valid is True when g(omega)*L >= 3; the value is returned regardless.
-    Zero gain raises ZeroGain, a value beyond double range NumericalFailure.
+    valid is True when g(omega)*L >= 3; the value is returned regardless.  g^2 = 0
+    (underflow included) raises ZeroGain, an inf or NaN value NumericalFailure.
     """
     gain = mi_gain(fiber, power, float(omega))
-    if gain == 0:
-        raise ZeroGain(f"gain vanishes at omega = {omega}")
+    gain_sq = gain * gain
+    if gain_sq == 0:
+        raise ZeroGain(f"gain^2 vanishes at omega = {omega}")
     gp = fiber.gamma * power
     try:
-        value = (gp**2 / (4.0 * gain**2)) * math.exp(2.0 * gain * fiber.length) / (2.0 * np.pi)
+        growth = math.exp(2.0 * gain * fiber.length)
     except OverflowError:
-        raise NumericalFailure(f"asymptotic flux at omega = {omega} overflows") from None
+        growth = math.inf
+    value = (gp * gp / (4.0 * gain_sq)) * growth / (2.0 * math.pi)
+    value = finite(value, NumericalFailure, f"asymptotic flux at omega = {omega}")
     return AsymptoticFlux(value=value, valid=gain * fiber.length >= 3.0)
 
 
@@ -381,4 +380,5 @@ def bandwidth_ratio(fiber: FiberParams, power: float, length: float) -> float:
     """
     if fiber.beta2 == 0:
         raise ZeroDispersion("both widths require beta2 != 0")
-    return math.sqrt(2.0 / math.pi) * math.sqrt(fiber.gamma * power * length)
+    ratio = math.sqrt(2.0 / math.pi) * math.sqrt(fiber.gamma * power * length)
+    return finite(ratio, NumericalFailure, "bandwidth ratio")

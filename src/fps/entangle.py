@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyState, NumericalFailure, PumpNotOnAxis, StimulatedOrderingWarning
+from .errors import EmptyState, NumericalFailure, PumpNotOnAxis, StimulatedOrderingWarning, finite
 from .fiber import Channel, FiberParams, PumpConfig
 from .hb import pair_amplitudes, total_scatter_probability, xi_hb
 
@@ -167,7 +167,7 @@ def second_order_quantities(
     and a stimulated second pair in the same mode.  p_any_pair is the total
     pair probability P_T.  Emits StimulatedOrderingWarning when the
     stimulated term outweighs the independent-pair term (d > P_T), since the
-    perturbative ordering of the corrections is then violated.
+    perturbative ordering is then violated; an inf or NaN n_mode raises NumericalFailure.
     """
     if pump.p0y != 0:
         raise PumpNotOnAxis(
@@ -176,13 +176,14 @@ def second_order_quantities(
     if not duration > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     p_any_pair = total_scatter_probability(fiber, pump, duration, mode="analytic")
-    occupancy = abs(xi_hb(fiber, pump, Channel.XX, omega)) ** 2 / duration
+    amplitude = abs(xi_hb(fiber, pump, Channel.XX, omega))
+    occupancy = amplitude * amplitude / duration
     if occupancy > p_any_pair:
         warnings.warn(
-            f"stimulated term {occupancy**2:.3e} exceeds independent-pair term "
+            f"stimulated term {occupancy * occupancy:.3e} exceeds independent-pair term "
             f"{occupancy * p_any_pair:.3e}; second-order ordering violated",
             StimulatedOrderingWarning,
             stacklevel=2,
         )
-    n_mode = occupancy + occupancy * p_any_pair + occupancy**2
-    return SecondOrderResult(n_mode=n_mode, p_any_pair=p_any_pair)
+    n_mode = occupancy + occupancy * p_any_pair + occupancy * occupancy
+    return SecondOrderResult(finite(n_mode, NumericalFailure, "n_mode"), p_any_pair)

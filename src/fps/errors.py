@@ -1,4 +1,6 @@
-"""Exceptions and warnings shared across the package."""
+"""Exceptions and warnings shared across the package, and `finite`, the overflow rule."""
+
+import math
 
 
 class FpsError(Exception):
@@ -43,3 +45,10 @@ class EmptyState(FpsError):
 
 class StimulatedOrderingWarning(UserWarning):
     """Stimulated term |xi|^4 exceeds |xi|^2 * P_T in the second-order count."""
+
+
+def finite(value, error: type[Exception], what: str):
+    """Return `value`, or raise `error` when `value` is inf or NaN."""
+    if not math.isfinite(value):
+        raise error(f"{what} is not finite, got {value}")
+    return value

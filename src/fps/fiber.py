@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import DegenerateBirefringence, PumpNotOnAxis, ZeroPower
+from .errors import DegenerateBirefringence, NumericalFailure, PumpNotOnAxis, ZeroPower, finite
 
 
 def _require_finite_fields(params) -> None:
@@ -169,22 +169,21 @@ def beta(fiber: FiberParams, axis: str, omega: float) -> float:
 def alpha_param(fiber: FiberParams, pump: PumpConfig) -> float:
     """Dimensionless overlap parameter alpha = beta2*gamma*P0/delta_beta1^2.
 
-    |alpha| >= 1 signals that scalar and vector scattering bands overlap.
+    |alpha| >= 1 signals that scalar and vector scattering bands overlap;
+    delta_beta1^2 = 0 (underflow included) raises DegenerateBirefringence.
     """
-    if fiber.delta_beta1 == 0:
-        raise DegenerateBirefringence(
-            "alpha is undefined for delta_beta1 = 0 (low-birefringence regime)"
-        )
-    return fiber.beta2 * fiber.gamma * pump.total / fiber.delta_beta1**2
+    walk_off_sq = fiber.delta_beta1 * fiber.delta_beta1
+    if walk_off_sq == 0:
+        raise DegenerateBirefringence("alpha needs delta_beta1^2 > 0 (low-birefringence regime)")
+    return finite(fiber.beta2 * fiber.gamma * pump.total / walk_off_sq, NumericalFailure, "alpha")
 
 
 def nonlinear_length(gamma: float, power: float) -> float:
-    """Nonlinearity length 1/(gamma*P) in km."""
-    if power == 0:
-        raise ZeroPower("nonlinear length diverges at zero power")
-    if gamma == 0:
-        raise ZeroPower("nonlinear length diverges at zero gamma")
-    return 1.0 / (gamma * power)
+    """Nonlinearity length 1/(gamma*P) in km; gamma*P = 0, underflow included, raises ZeroPower."""
+    gp = gamma * power
+    if gp == 0:
+        raise ZeroPower("nonlinear length diverges at gamma*P = 0")
+    return finite(1.0 / gp, NumericalFailure, "nonlinear length")
 
 
 def cpm_phase(gamma: float, p_same: float, p_orth: float, z: float) -> float:
@@ -194,7 +193,7 @@ def cpm_phase(gamma: float, p_same: float, p_orth: float, z: float) -> float:
     """
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
-    return 2.0 * gamma * (p_same + p_orth / 3.0) * z
+    return finite(2.0 * gamma * (p_same + p_orth / 3.0) * z, NumericalFailure, "XPM phase")
 
 
 def swap_axes(fiber: FiberParams, pump: PumpConfig) -> tuple[FiberParams, PumpConfig]:

@@ -17,7 +17,8 @@ import cmath
 import math
 
 from .errors import (
-    DegenerateBirefringence, NoFarDetunedPeak, NumericalFailure, PumpNotOnAxis, ZeroDispersion
+    DegenerateBirefringence, NoFarDetunedPeak, NumericalFailure, PumpNotOnAxis, ZeroDispersion,
+    finite,
 )
 from .fiber import (
     _PAIR_ENTRIES,
@@ -128,29 +129,26 @@ def total_scatter_probability(
 
     Both modes count the x-pumped scalar channel only, so a pump on y
     alone (p0x = 0 < p0y) raises PumpNotOnAxis instead of returning 0;
-    relabel the axes with `fiber.swap_axes` first.  A bad duration raises
-    ValueError, |beta2|*L = 0 (underflow included; the closed form is 0 at
-    L = 0) ZeroDispersion, and a closed form beyond double range NumericalFailure.
+    relabel the axes with `fiber.swap_axes` first.  A bad duration or mode
+    raises ValueError, |beta2|*L = 0 (underflow included; the closed form is
+    0 at L = 0) ZeroDispersion, and an inf or NaN P_T NumericalFailure.
     """
     if not 0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
     if pump.p0x == 0 < pump.p0y:
         raise PumpNotOnAxis(f"P_T counts the x-pumped channel, got p0x = 0 < p0y = {pump.p0y}")
+    if mode not in ("analytic", "numeric"):
+        raise ValueError(f"mode must be 'analytic' or 'numeric', got {mode!r}")
+    if mode == "analytic" and fiber.length == 0:
+        return 0.0
+    dispersion = abs(fiber.beta2) * fiber.length
+    if dispersion == 0:
+        raise ZeroDispersion(f"P_T ({mode}) requires |beta2|*L > 0")
     if mode == "analytic":
-        if fiber.length == 0:
-            return 0.0
-        if abs(fiber.beta2) * fiber.length == 0:
-            raise ZeroDispersion("the closed form requires |beta2|*L > 0")
         gpl = fiber.gamma * pump.p0x * fiber.length
-        try:
-            return (2.0 / 3.0) * gpl**2 * math.sqrt(
-                duration**2 / (2.0 * math.pi * abs(fiber.beta2) * fiber.length)
-            )
-        except OverflowError:
-            raise NumericalFailure("P_T overflows") from None
-    if mode == "numeric":
-        if abs(fiber.beta2) * fiber.length == 0:
-            raise ZeroDispersion("quadrature window requires |beta2|*L > 0")
+        window = duration * duration / (2.0 * math.pi * abs(fiber.beta2) * fiber.length)
+        value = (2.0 / 3.0) * (gpl * gpl) * math.sqrt(window)
+    else:
         import numpy as np
 
         scalar_width, _ = bandwidths(fiber, pump, require_vector=False)
@@ -160,8 +158,8 @@ def total_scatter_probability(
         weighted = (
             density[0] + density[-1] + 4.0 * density[1::2].sum() + 2.0 * density[2:-1:2].sum()
         )
-        return duration * (omegas[1] - omegas[0]) / 3.0 * weighted
-    raise ValueError(f"mode must be 'analytic' or 'numeric', got {mode!r}")
+        value = duration * (omegas[1] - omegas[0]) / 3.0 * weighted
+    return finite(value, NumericalFailure, f"P_T ({mode})")
 
 
 def vector_peak_detuning(fiber: FiberParams, pump: PumpConfig) -> float:
@@ -169,7 +167,8 @@ def vector_peak_detuning(fiber: FiberParams, pump: PumpConfig) -> float:
     alpha = alpha_param(fiber, pump)
     if fiber.beta2 == 0:
         raise ZeroDispersion("vector peak estimate requires beta2 != 0")
-    return (fiber.delta_beta1 / abs(fiber.beta2)) * (1.0 - alpha)
+    detuning = (fiber.delta_beta1 / abs(fiber.beta2)) * (1.0 - alpha)
+    return finite(detuning, NumericalFailure, "vector peak detuning")
 
 
 def overlapping_regime(fiber: FiberParams, pump: PumpConfig) -> bool:
@@ -193,15 +192,12 @@ def bandwidths(
         raise ZeroDispersion("scalar width requires beta2 != 0")
     dispersion = abs(fiber.beta2) * fiber.length
     scalar = 2.0 * math.sqrt(2.0 * math.pi / dispersion) if dispersion else math.inf
-    if not math.isfinite(scalar):
-        raise ValueError(f"scalar width diverges at |beta2|*L = {dispersion}")
+    finite(scalar, ValueError, f"scalar width at |beta2|*L = {dispersion}")
     walk_off = fiber.delta_beta1 * fiber.length
     vector = 4.0 * math.pi / walk_off if walk_off else math.inf
-    if not math.isfinite(vector):
-        if require_vector:
-            raise DegenerateBirefringence(f"vector width diverges at delta_beta1*L = {walk_off}")
-        vector = math.nan
-    return scalar, vector
+    if require_vector:
+        finite(vector, DegenerateBirefringence, f"vector width at delta_beta1*L = {walk_off}")
+    return scalar, vector if math.isfinite(vector) else math.nan
 
 
 def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, float]:
@@ -222,10 +218,7 @@ def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, floa
         raise NoFarDetunedPeak(
             f"no real phase-matching detuning for delta = {delta}, beta2 = {fiber.beta2}"
         )
-    detuning = math.sqrt(2.0 * delta / fiber.beta2)
+    detuning = finite(math.sqrt(2.0 * delta / fiber.beta2), ValueError, "LB peak detuning")
     zero_spacing = 2.0 * math.pi / fiber.length if fiber.length else math.inf
     root = math.sqrt(2.0 * fiber.beta2 * delta)
-    width = zero_spacing / root if root else math.inf
-    if not (math.isfinite(detuning) and math.isfinite(width)):
-        raise ValueError(f"peak detuning {detuning} or width {width} is beyond double range")
-    return detuning, width
+    return detuning, finite(zero_spacing / root if root else math.inf, ValueError, "LB peak width")

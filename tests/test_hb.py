@@ -10,15 +10,25 @@ from fps import (
     Channel,
     DegenerateBirefringence,
     FiberParams,
+    FpsError,
+    NoFarDetunedPeak,
     NumericalFailure,
     PumpConfig,
     PumpNotOnAxis,
     ZeroDispersion,
+    ZeroPower,
+    alpha_param,
+    bandwidth_ratio,
     bandwidths,
+    cpm_phase,
     flux_hb,
     lb_peak_and_width,
     mi_asymptotic_flux,
+    mi_peak,
+    mi_support_edge,
+    nonlinear_length,
     overlapping_regime,
+    second_order_quantities,
     total_scatter_probability,
     vector_peak_detuning,
     xi_hb,
@@ -349,8 +359,58 @@ def test_bandwidth_errors(pump_x03):
     assert math.isfinite(scalar) and math.isnan(vector)
 
 
+def _phase_matched_omega(fiber, p0):
+    # root of beta2 W^2 - (2/3) gamma P0 - 2 delta_beta0 = 0
+    return math.sqrt(
+        ((2.0 / 3.0) * fiber.gamma * p0 + 2.0 * fiber.delta_beta0) / fiber.beta2
+    )
+
+
+def test_peak_and_width_values(fig4a_fiber, pump_x1):
+    detuning, width = lb_peak_and_width(fig4a_fiber, pump_x1)
+    assert detuning == pytest.approx(math.sqrt(800.0), rel=1e-12)
+    assert width == pytest.approx(0.2962, abs=1e-4)
+    # estimator agrees with the actual first-zero separation of the sinc
+    u = lambda w: (5.0 * w**2 - 2.0 - 4000.0) * 0.5 * 0.15
+    from scipy.optimize import brentq
+
+    peak = _phase_matched_omega(fig4a_fiber, 1.0)
+    left = brentq(lambda w: u(w) + math.pi, 27.0, peak)
+    right = brentq(lambda w: u(w) - math.pi, peak, 30.0)
+    assert width == pytest.approx(right - left, rel=3e-3)
+
+
+def test_peak_scaling_with_mismatch(pump_x1):
+    base = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=500.0)
+    quadrupled = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
+    d1, w1 = lb_peak_and_width(base, pump_x1)
+    d4, w4 = lb_peak_and_width(quadrupled, pump_x1)
+    assert d4 == pytest.approx(2.0 * d1, rel=1e-12)
+    assert w4 == pytest.approx(w1 / 2.0, rel=1e-12)
+
+
+def test_fast_axis_anomalous_combination(pump_x1):
+    normal = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
+    anomalous = FiberParams(gamma=3.0, beta2=-5.0, length=0.15, delta_beta0=-2000.0)
+    assert lb_peak_and_width(anomalous, pump_x1) == lb_peak_and_width(normal, pump_x1)
+
+
+def test_sign_mismatch_has_no_peak(pump_x1):
+    for b2, db0 in ((-5.0, 2000.0), (5.0, -2000.0)):
+        fiber = FiberParams(gamma=3.0, beta2=b2, length=0.15, delta_beta0=db0)
+        with pytest.raises(NoFarDetunedPeak):
+            lb_peak_and_width(fiber, pump_x1)
+
+
 #: |beta2|*L = 1e-400 underflows to 0 although neither factor is 0.
 UNDERFLOWED = FiberParams(gamma=1.0, beta2=1e-200, length=1e-200)
+#: delta_beta1^2 = 1e-400 underflows to 0.
+UNDERFLOWED_WALK_OFF = FiberParams(gamma=1.0, beta2=1e-200, length=1.0, delta_beta1=1e-200)
+#: gamma*P = 1e400 is beyond double range.
+STRONG_FIBER = FiberParams(gamma=1e200, beta2=-20.0, length=1.0)
+STRONG_PUMP = PumpConfig(p0x=1e200)
+#: gamma*P/|beta2| = 1e320 is beyond double range.
+SUBNORMAL_DISPERSION = FiberParams(gamma=1.0, beta2=-1e-320, length=1.0)
 
 
 @pytest.mark.parametrize(
@@ -445,12 +505,78 @@ UNDERFLOWED = FiberParams(gamma=1.0, beta2=1e-200, length=1e-200)
             NumericalFailure,
             id="mi-asymptote-overflow",
         ),
+        pytest.param(
+            lambda: alpha_param(UNDERFLOWED_WALK_OFF, PumpConfig(p0x=1.0)),
+            DegenerateBirefringence,
+            id="alpha-walk-off-underflow",
+        ),
+        pytest.param(
+            lambda: overlapping_regime(UNDERFLOWED_WALK_OFF, PumpConfig(p0x=1.0)),
+            DegenerateBirefringence,
+            id="overlap-walk-off-underflow",
+        ),
+        pytest.param(
+            lambda: vector_peak_detuning(
+                FiberParams(gamma=1.0, beta2=1e-200, length=1.0, delta_beta1=1e200),
+                PumpConfig(p0x=1.0),
+            ),
+            NumericalFailure,
+            id="vector-peak-overflow",
+        ),
+        pytest.param(
+            lambda: mi_peak(SUBNORMAL_DISPERSION, 1.0),
+            NumericalFailure,
+            id="mi-peak-subnormal-beta2",
+        ),
+        pytest.param(
+            lambda: mi_support_edge(SUBNORMAL_DISPERSION, 1.0),
+            NumericalFailure,
+            id="mi-edge-subnormal-beta2",
+        ),
+        pytest.param(
+            lambda: nonlinear_length(1e-200, 1e-200),
+            ZeroPower,
+            id="nonlinear-length-underflow",
+        ),
+        pytest.param(
+            lambda: total_scatter_probability(STRONG_FIBER, STRONG_PUMP, 100.0),
+            NumericalFailure,
+            id="analytic-pt-strong-pump",
+        ),
+        pytest.param(
+            lambda: total_scatter_probability(STRONG_FIBER, STRONG_PUMP, 100.0, mode="numeric"),
+            NumericalFailure,
+            id="numeric-pt-strong-pump",
+        ),
+        pytest.param(
+            lambda: second_order_quantities(STRONG_FIBER, STRONG_PUMP, 1.0, 100.0),
+            NumericalFailure,
+            id="second-order-strong-pump",
+        ),
+        pytest.param(
+            lambda: mi_asymptotic_flux(STRONG_FIBER, 1e200, 1.0),
+            NumericalFailure,
+            id="mi-asymptote-strong-pump",
+        ),
+        pytest.param(
+            lambda: bandwidth_ratio(
+                FiberParams(gamma=1e300, beta2=-1.0, length=1.0), 1e300, 1e300
+            ),
+            NumericalFailure,
+            id="bandwidth-ratio-overflow",
+        ),
+        pytest.param(
+            lambda: cpm_phase(1e300, 1e300, 0.0, 1e300),
+            NumericalFailure,
+            id="xpm-phase-overflow",
+        ),
     ],
 )
 def test_degenerate_and_overflowing_inputs_raise_domain_errors(call, error):
     """A zero or underflowed divisor and a result beyond double range raise the
-    documented error, not a bare ZeroDivisionError or OverflowError."""
-    with pytest.raises(error):
+    documented error, not a bare ZeroDivisionError or OverflowError, nor
+    return inf or NaN.  numpy's overflow warnings on the way are beside the point."""
+    with np.errstate(all="ignore"), pytest.raises(error):
         call()
 
 
@@ -461,3 +587,69 @@ def test_underflowed_vector_width_is_nan_when_not_required():
     ):
         scalar, vector = bandwidths(fiber, PumpConfig(p0x=1.0), require_vector=False)
         assert math.isfinite(scalar) and math.isnan(vector)
+
+
+#: Magnitudes of the estimator fuzz: 0, subnormals, values whose squares or
+#: products underflow or overflow, and ordinary values.
+EXTREME_MAGNITUDES = (
+    0.0, 5e-324, 1e-320, 1e-200, 1e-160, 1e-3, 1.0, 3.0, 1e3, 1e160, 1e200, 1e300
+)
+extreme_st = st.sampled_from([sign * m for m in EXTREME_MAGNITUDES for sign in (1.0, -1.0)])
+
+#: Every estimator of a paper landmark, as f(fiber, pump, a, b, c, d) with
+#: four free floats a..d for its scalar arguments.
+ESTIMATORS = {
+    "alpha_param": lambda fiber, pump, *_: alpha_param(fiber, pump),
+    "vector_peak_detuning": lambda fiber, pump, *_: vector_peak_detuning(fiber, pump),
+    "overlapping_regime": lambda fiber, pump, *_: overlapping_regime(fiber, pump),
+    "bandwidths": lambda fiber, pump, *_: bandwidths(fiber, pump),
+    "lb_peak_and_width": lambda fiber, pump, *_: lb_peak_and_width(fiber, pump),
+    "nonlinear_length": lambda fiber, pump, a, b, c, d: nonlinear_length(a, b),
+    "cpm_phase": lambda fiber, pump, a, b, c, d: cpm_phase(a, b, c, d),
+    "mi_peak": lambda fiber, pump, a, *_: mi_peak(fiber, a),
+    "mi_support_edge": lambda fiber, pump, a, *_: mi_support_edge(fiber, a),
+    "mi_asymptotic_flux": lambda fiber, pump, a, b, *_: mi_asymptotic_flux(fiber, a, b),
+    "bandwidth_ratio": lambda fiber, pump, a, b, *_: bandwidth_ratio(fiber, a, b),
+    "analytic P_T": lambda fiber, pump, a, *_: total_scatter_probability(fiber, pump, a),
+    "numeric P_T": lambda fiber, pump, a, *_: total_scatter_probability(
+        fiber, pump, a, mode="numeric"
+    ),
+    "second_order_quantities": lambda fiber, pump, a, b, *_: second_order_quantities(
+        fiber, pump, a, b
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::fps.StimulatedOrderingWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ESTIMATORS)),
+    gamma=extreme_st,
+    beta2=extreme_st,
+    length=extreme_st,
+    delta_beta0=extreme_st,
+    delta_beta1=extreme_st,
+    p0x=extreme_st,
+    p0y=extreme_st,
+    args=st.tuples(extreme_st, extreme_st, extreme_st, extreme_st),
+)
+def test_estimators_give_finite_values_or_documented_errors(
+    name, gamma, beta2, length, delta_beta0, delta_beta1, p0x, p0y, args
+):
+    """Every estimator returns finite floats or raises a domain error or
+    ValueError, whatever the magnitudes, never a bare ZeroDivisionError or
+    OverflowError, nor inf or NaN."""
+    fiber = FiberParams(
+        gamma=abs(gamma),
+        beta2=beta2,
+        length=abs(length),
+        delta_beta0=delta_beta0,
+        delta_beta1=delta_beta1,
+    )
+    pump = PumpConfig(p0x=abs(p0x), p0y=abs(p0y))
+    try:
+        result = ESTIMATORS[name](fiber, pump, *args)
+    except (FpsError, ValueError):
+        return
+    values = result if isinstance(result, tuple) else (result,)
+    assert all(math.isfinite(value) for value in values), (name, result)

@@ -6,7 +6,6 @@ import pytest
 from fps import (
     Channel,
     FiberParams,
-    NoFarDetunedPeak,
     PumpConfig,
     PumpNotOnAxis,
     flux_lb,
@@ -80,42 +79,6 @@ def test_orthogonal_flux_even_and_bounded(fig4a_fiber, pump_x1):
     np.testing.assert_allclose(f_pos, f_neg, rtol=1e-14)
     bound = (fig4a_fiber.gamma * 1.0 * fig4a_fiber.length / 3.0) ** 2 / TWO_PI
     assert np.all(f_pos <= bound * (1.0 + 1e-12))
-
-
-def test_peak_and_width_values(fig4a_fiber, pump_x1):
-    detuning, width = lb_peak_and_width(fig4a_fiber, pump_x1)
-    assert detuning == pytest.approx(math.sqrt(800.0), rel=1e-12)
-    assert width == pytest.approx(0.2962, abs=1e-4)
-    # estimator agrees with the actual first-zero separation of the sinc
-    u = lambda w: (5.0 * w**2 - 2.0 - 4000.0) * 0.5 * 0.15
-    from scipy.optimize import brentq
-
-    peak = _phase_matched_omega(fig4a_fiber, 1.0)
-    left = brentq(lambda w: u(w) + math.pi, 27.0, peak)
-    right = brentq(lambda w: u(w) - math.pi, peak, 30.0)
-    assert width == pytest.approx(right - left, rel=3e-3)
-
-
-def test_peak_scaling_with_mismatch(pump_x1):
-    base = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=500.0)
-    quadrupled = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
-    d1, w1 = lb_peak_and_width(base, pump_x1)
-    d4, w4 = lb_peak_and_width(quadrupled, pump_x1)
-    assert d4 == pytest.approx(2.0 * d1, rel=1e-12)
-    assert w4 == pytest.approx(w1 / 2.0, rel=1e-12)
-
-
-def test_fast_axis_anomalous_combination(pump_x1):
-    normal = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
-    anomalous = FiberParams(gamma=3.0, beta2=-5.0, length=0.15, delta_beta0=-2000.0)
-    assert lb_peak_and_width(anomalous, pump_x1) == lb_peak_and_width(normal, pump_x1)
-
-
-def test_sign_mismatch_has_no_peak(pump_x1):
-    for b2, db0 in ((-5.0, 2000.0), (5.0, -2000.0)):
-        fiber = FiberParams(gamma=3.0, beta2=b2, length=0.15, delta_beta0=db0)
-        with pytest.raises(NoFarDetunedPeak):
-            lb_peak_and_width(fiber, pump_x1)
 
 
 def test_y_pump_relabeling_mirrors_x_pump():
