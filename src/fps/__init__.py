@@ -16,19 +16,12 @@ __version__ = "0.1.0"
 #: Submodule -> the public names it defines.
 _EXPORTS = {
     "dynamics": (
-        "AsymptoticFlux",
         "GainCurve",
-        "bandwidth_ratio",
         "exact_lb_orthogonal_flux",
         "exact_scalar_flux",
         "flux_from_matrices",
         "integrate_transfer_grid",
-        "lambda_param",
-        "mi_asymptotic_flux",
-        "mi_gain",
         "mi_gain_curve",
-        "mi_peak",
-        "mi_support_edge",
         "symplectic_defect",
     ),
     "entangle": (
@@ -57,13 +50,20 @@ _EXPORTS = {
         "ZeroPower",
     ),
     "fiber": (
+        "AsymptoticFlux",
         "Channel",
         "FiberParams",
         "FrequencyGrid",
         "PumpConfig",
         "alpha_param",
+        "bandwidth_ratio",
         "beta",
         "cpm_phase",
+        "lambda_param",
+        "mi_asymptotic_flux",
+        "mi_gain",
+        "mi_peak",
+        "mi_support_edge",
         "nonlinear_length",
         "normalize_convention",
     ),

@@ -9,9 +9,11 @@ header echoes and the computed compare values have 9 significant digits;
 the classify JSON report prints floats at full repr precision (up to 17
 significant digits), so a last-bit change shows there first.
 
-Each subcommand imports only the modules it runs, so `presets` and argument
-errors never load numpy.  `run_spectrum` is the one place that picks
-between Python floats and numpy, from its grid: a first-order-only
+Each subcommand imports only the modules it runs, so `presets`, argument
+errors, `mi` and `classify` never load numpy: `mi` sweeps
+`FrequencyGrid.omega_list` through `lambda_param` in Python floats, and
+`classify` evaluates one detuning.  `run_spectrum` is the one place that
+picks between Python floats and numpy, from its grid: a first-order-only
 spectrum of at most MAX_FLOAT_PATH_POINTS points runs on
 `FrequencyGrid.omega_list` without numpy, every other on the array.  The
 runners format lists of Python floats either way.
@@ -57,9 +59,10 @@ MAX_STEP_POINTS = 20_000_000
 #: `flux_hb(fiber, pump, omega)` call per Python-float omega, without
 #: importing numpy.  Both paths print the same bytes.  Measured on the
 #: fig1a, fig2 and fig4a physics with Python 3.11 and numpy 2.4 on 2 vCPUs:
-#: the float path takes 6-9 us per point, the array path 0.2-0.3 us, and
-#: importing numpy 110-170 ms, so the two break even between about 12,000
-#: and 20,000 points; 10,000 keeps a margin.
+#: the float path takes 4-10 us per point, the array path 0.2-0.5 us, and
+#: importing numpy about 170 ms (229 ms for `python -c "import numpy"`
+#: against 58 ms for `python -c pass`), so the two break even between
+#: about 17,000 and 40,000 points; 10,000 keeps a margin.
 MAX_FLOAT_PATH_POINTS = 10_000
 
 
@@ -557,23 +560,22 @@ def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) ->
 
 
 def run_mi(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
-    from .dynamics import bandwidth_ratio, mi_gain_curve
+    from .fiber import bandwidth_ratio, lambda_param
 
     power = scenario.pump.total
-    curve = mi_gain_curve(scenario.fiber, power, scenario.grid)
-    lambda_vals = curve.lambda_vals.tolist()
+    omegas = scenario.grid.omega_list
+    lambda_vals = [lambda_param(scenario.fiber, power, omega) for omega in omegas]
     _require_finite("mi gain curve", lambda_vals)
     ratio = bandwidth_ratio(scenario.fiber, power, scenario.fiber.length)
     lines = _header_lines("mi", origin, resolved)
     lines.append(f"# pump_total_W = {_fmt(power)}")
     lines.append(f"# bandwidth_ratio = {_fmt(ratio)}")
     lines.append("omega_rad_per_ps,gain_per_km,lambda_re_per_km,lambda_im_per_km")
-    lines.extend(
-        f"{omega:.9g},{gain:.9g},{lam.real:.9g},{lam.imag:.9g}"
-        for omega, gain, lam in zip(
-            curve.grid.omegas.tolist(), curve.gain_vals.tolist(), lambda_vals
-        )
-    )
+    # The gain, Re(lambda) clipped at zero, is Re(lambda) itself: the
+    # principal root's real part is never negative (NaN was rejected above).
+    for omega, lam in zip(omegas, lambda_vals):
+        gain = f"{lam.real:.9g}"
+        lines.append(f"{omega:.9g},{gain},{gain},{lam.imag:.9g}")
     return "\n".join(lines) + "\n"
 
 

@@ -22,15 +22,14 @@ parametric-amplifier solution, which doubles as the analytic oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalFailure, StepCountTooSmall, ZeroDispersion, ZeroGain, finite
+from .errors import NumericalFailure, StepCountTooSmall
 from .fiber import (
-    _PAIR_ENTRIES, FiberParams, FrequencyGrid, PumpConfig, coupling_table, pair_fluxes
+    _PAIR_ENTRIES, FiberParams, FrequencyGrid, PumpConfig, _scalar_block, coupling_table,
+    lambda_param, pair_fluxes,
 )
 
 #: Bogoliubov metric in the (a_x, a_x^dag, a_y, a_y^dag) basis.
@@ -249,24 +248,6 @@ def flux_from_matrices(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pair_fluxes(*(matrices[..., j, k] for j, k in _PAIR_ENTRIES))
 
 
-def _scalar_block(fiber: FiberParams, power: float, omega):
-    """Coupling gamma*P and phase rate 2*gamma*P + beta2*Omega^2 of the scalar 2x2 block."""
-    omega = np.asarray(omega, dtype=float)
-    gp = fiber.gamma * power
-    return gp, 2.0 * gp + fiber.beta2 * (omega * omega)
-
-
-def lambda_param(fiber: FiberParams, power: float, omega):
-    """Parametric eigenvalue lambda(Omega), principal square root.
-
-    Real (gain) inside the phase-matched band of an anomalous-dispersion
-    fiber, purely imaginary (oscillation) outside and for normal dispersion.
-    """
-    gp, rate = _scalar_block(fiber, power, omega)
-    lam = np.sqrt((gp * gp - rate * rate / 4.0).astype(complex))
-    return complex(lam) if lam.ndim == 0 else lam
-
-
 def _parametric_flux(coupling: float, detuning_rate, length: float):
     """Flux of a 2x2 parametric block with coupling c and phase rate w.
 
@@ -297,6 +278,7 @@ def exact_scalar_flux(fiber: FiberParams, power: float, omega):
     for gamma*P*L << 1 and to the exponential MI asymptote deep in the
     anomalous gain band.
     """
+    omega = np.asarray(omega, dtype=float)
     return _parametric_flux(*_scalar_block(fiber, power, omega), fiber.length)
 
 
@@ -315,70 +297,7 @@ def exact_lb_orthogonal_flux(fiber: FiberParams, power: float, omega):
     return _parametric_flux(coupling, rate, fiber.length)
 
 
-def mi_gain(fiber: FiberParams, power: float, omega):
-    """MI gain g(Omega) = Re(lambda) clipped at zero, in 1/km."""
-    gain = np.maximum(lambda_param(fiber, power, omega).real, 0.0)
-    return float(gain) if gain.ndim == 0 else gain
-
-
 def mi_gain_curve(fiber: FiberParams, power: float, grid: FrequencyGrid) -> GainCurve:
     """Gain curve over a grid; identically zero for normal dispersion."""
     lam = lambda_param(fiber, power, grid.omegas)
     return GainCurve(grid=grid, lambda_vals=lam, gain_vals=np.maximum(lam.real, 0.0))
-
-
-def _mi_band_scale(fiber: FiberParams, power: float) -> float:
-    """gamma*P/|beta2| of an MI band: beta2 = 0 raises ZeroDispersion, no gain ZeroGain."""
-    if fiber.beta2 == 0:
-        raise ZeroDispersion("MI gain band requires beta2 < 0")
-    if fiber.beta2 > 0 or power == 0:
-        raise ZeroGain("no MI gain for normal dispersion or zero power")
-    return fiber.gamma * power / abs(fiber.beta2)
-
-
-def mi_peak(fiber: FiberParams, power: float) -> tuple[float, float]:
-    """(Omega_max, g_max) of the MI gain: (sqrt(2 gamma P/|beta2|), gamma P)."""
-    omega_max = math.sqrt(2.0 * _mi_band_scale(fiber, power))
-    return finite(omega_max, NumericalFailure, "MI peak detuning"), fiber.gamma * power
-
-
-def mi_support_edge(fiber: FiberParams, power: float) -> float:
-    """Edge of the gain band: gain vanishes for |Omega| >= 2 sqrt(gamma P/|beta2|)."""
-    return finite(2.0 * math.sqrt(_mi_band_scale(fiber, power)), NumericalFailure, "MI band edge")
-
-
-class AsymptoticFlux(NamedTuple):
-    value: float
-    valid: bool
-
-
-def mi_asymptotic_flux(fiber: FiberParams, power: float, omega: float) -> AsymptoticFlux:
-    """Large-gain asymptote (gamma^2 P^2 / 4 g^2) e^{2 g L} / 2pi.
-
-    valid is True when g(omega)*L >= 3; the value is returned regardless.  g^2 = 0
-    (underflow included) raises ZeroGain, an inf or NaN value NumericalFailure.
-    """
-    gain = mi_gain(fiber, power, float(omega))
-    gain_sq = gain * gain
-    if gain_sq == 0:
-        raise ZeroGain(f"gain^2 vanishes at omega = {omega}")
-    gp = fiber.gamma * power
-    try:
-        growth = math.exp(2.0 * gain * fiber.length)
-    except OverflowError:
-        growth = math.inf
-    value = (gp * gp / (4.0 * gain_sq)) * growth / (2.0 * math.pi)
-    value = finite(value, NumericalFailure, f"asymptotic flux at omega = {omega}")
-    return AsymptoticFlux(value=value, valid=gain * fiber.length >= 3.0)
-
-
-def bandwidth_ratio(fiber: FiberParams, power: float, length: float) -> float:
-    """Ratio of the MI band width to the scalar first-zero width.
-
-    4 sqrt(gamma P/|beta2|) over 2 sqrt(2 pi/(|beta2| L)); beta2 cancels,
-    leaving sqrt(2/pi) * sqrt(gamma P L) ~ 0.8 sqrt(gamma P L).
-    """
-    if fiber.beta2 == 0:
-        raise ZeroDispersion("both widths require beta2 != 0")
-    ratio = math.sqrt(2.0 / math.pi) * math.sqrt(fiber.gamma * power * length)
-    return finite(ratio, NumericalFailure, "bandwidth ratio")

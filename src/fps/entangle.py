@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import EmptyState, NumericalFailure, PumpNotOnAxis, StimulatedOrderingWarning, finite
 from .fiber import Channel, FiberParams, PumpConfig
 from .hb import pair_amplitudes, total_scatter_probability, xi_hb
@@ -26,6 +24,9 @@ BELL_CONCURRENCE_MIN = 0.99
 
 #: Basis labels in coefficient order: the pair channels, lowercased.
 BASIS = tuple(channel.name.lower() for channel in Channel)
+
+#: Half an ulp of the doubles in [1, 2).
+_HALF_ULP_OF_ONE = 2.0**-53
 
 _CLASS_BY_PATTERN = {
     (True, False, False, False): "scalar-only-x",
@@ -37,10 +38,14 @@ _CLASS_BY_PATTERN = {
 
 @dataclass(frozen=True, eq=False)
 class FilteredPairState:
-    """Normalized pair state at one detuning, plus its generation probability."""
+    """Normalized pair state at one detuning, plus its generation probability.
+
+    coeffs holds the four coefficients as Python complex numbers, in
+    `BASIS` order.
+    """
 
     omega: float
-    coeffs: np.ndarray
+    coeffs: tuple[complex, complex, complex, complex]
     norm: float
     generation_probability: float
 
@@ -50,6 +55,50 @@ class EntanglementReport:
     classification: str
     concurrence: float
     relative_phase: float
+
+
+def _abs(z) -> float:
+    """|z| rounded as numpy's complex abs: max * sqrt(fma(r, r, 1)) with r = min/max.
+
+    That is numpy's SIMD kernel; CPython's abs (hypot) rounds differently
+    on about a third of random values.  fma rounds 1 + r*r once.  With p =
+    r*r rounded and r < 1 (r = 1 gives 2 exactly), 1 + p and every point
+    halfway between two doubles in [1, 2] are multiples of ulp(p), while the
+    error e = r*r - p is at most half of it, so 1.0 + p rounds as fma does
+    unless 1 + p is itself halfway.  Only at such a tie does e decide: there Dekker's product gives
+    e exactly and math.fsum rounds 1 + p + e.  An inf part gives inf, else a
+    NaN part NaN, as in numpy.
+    """
+    re, im = abs(z.real), abs(z.imag)
+    larger, smaller = (re, im) if re > im else (im, re)
+    if not 0.0 < larger < math.inf:  # 0, inf or NaN
+        if re == math.inf or im == math.inf:
+            return math.inf
+        return math.nan if re != re or im != im else 0.0
+    r = smaller / larger
+    p = r * r
+    s = 1.0 + p
+    if abs((1.0 - s) + p) == _HALF_ULP_OF_ONE:  # the exact rounding error of s
+        split = 134217729.0 * r  # (2^27 + 1) r: hi keeps the upper half of r's bits
+        hi = split - (split - r)
+        lo = r - hi
+        s = math.fsum((1.0, p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo))
+    return math.sqrt(s) * larger
+
+
+def _divide(a, b) -> complex:
+    """a/b rounded as numpy's complex division (Smith's rule), for b != 0.
+
+    CPython's complex division scales differently and rounds differently.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -80,24 +129,26 @@ def filtered_state(
         raise ValueError(f"omega must be > 0, got {omega}")
     if not duration > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-    raw = np.array(pair_amplitudes(fiber, pump, regime, omega), dtype=complex)
-    # The complex abs and the division stay in numpy: they round differently
-    # from CPython's, and the coefficients must not move.  The squares are
+    raw = pair_amplitudes(fiber, pump, regime, omega)
+    # |xi| and the division by the norm round as numpy's do, so the state
+    # keeps the bits of one built from an amplitude array.  The squares are
     # summed left to right, which is numpy's order for four elements.
-    xx, yy, xy, yx = np.abs(raw).tolist()
+    xx, yy, xy, yx = map(_abs, raw)
     norm_sq = xx * xx + yy * yy + xy * xy + yx * yx
     if norm_sq == 0:
         raise EmptyState(f"all four amplitudes vanish at omega = {omega}")
     probability = norm_sq / duration
     if not math.isfinite(probability):
-        # A NaN amplitude, or |xi|^2 / T beyond double range.
+        # A NaN or infinite amplitude, or |xi|^2 / T beyond double range.
         raise NumericalFailure(f"pair state at omega = {omega} is not finite")
     norm = math.sqrt(norm_sq)
-    coeffs = raw / norm
-    coeffs.setflags(write=False)
+    scale = 1.0 / norm  # _divide(xi, norm), whose imaginary divisor part is 0
     return FilteredPairState(
         omega=float(omega),
-        coeffs=coeffs,
+        coeffs=tuple([
+            complex((xi.real + xi.imag * 0.0) * scale, (xi.imag - xi.real * 0.0) * scale)
+            for xi in raw
+        ]),
         norm=norm,
         generation_probability=probability,
     )
@@ -119,8 +170,7 @@ def classify(state: FilteredPairState, tol: float = 1e-3) -> EntanglementReport:
     The relative phase arg(c_yy/c_xx) is NaN when either scalar coefficient
     vanishes.
     """
-    coeffs = state.coeffs
-    values = coeffs.tolist()  # Python complex: no numpy scalar overhead
+    values = state.coeffs
     conc = concurrence(values)
     significant = tuple(abs(c) ** 2 >= tol for c in values)
     classification = _CLASS_BY_PATTERN.get(significant)
@@ -132,8 +182,8 @@ def classify(state: FilteredPairState, tol: float = 1e-3) -> EntanglementReport:
         else:
             classification = "partial"
     if values[0] != 0 and values[1] != 0:
-        # numpy's complex division rounds differently from CPython's.
-        relative_phase = _wrap_phase(float(np.angle(coeffs[1] / coeffs[0])))
+        ratio = _divide(values[1], values[0])
+        relative_phase = _wrap_phase(math.atan2(ratio.imag, ratio.real))
     else:
         relative_phase = float("nan")
     return EntanglementReport(

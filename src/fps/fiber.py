@@ -1,5 +1,9 @@
 """Fiber and pump parameter containers, dispersion relation and derived scales.
 
+The scalar MI eigenvalue and its landmarks (gain peak, band edge, large-gain
+asymptote) live here too: they are closed forms of the dispersion relation
+in Python floats, so a caller needs no numpy unless it passes an array.
+
 Unit system, fixed throughout the package: lengths in km, times in ps,
 powers in W, phases in rad.  Consequently gamma is in 1/(W km), beta2 in
 ps^2/km, delta_beta1 in ps/km, delta_beta0 in 1/km and detunings Omega in
@@ -10,6 +14,7 @@ amplitudes in sqrt(ps).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import operator
@@ -18,7 +23,10 @@ from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import DegenerateBirefringence, NumericalFailure, PumpNotOnAxis, ZeroPower, finite
+from .errors import (
+    DegenerateBirefringence, NumericalFailure, PumpNotOnAxis, ZeroDispersion, ZeroGain, ZeroPower,
+    finite,
+)
 
 
 def _require_finite_fields(params) -> None:
@@ -178,8 +186,19 @@ def alpha_param(fiber: FiberParams, pump: PumpConfig) -> float:
     return finite(fiber.beta2 * fiber.gamma * pump.total / walk_off_sq, NumericalFailure, "alpha")
 
 
+def _require_nonnegative(**values: float) -> None:
+    """Raise ValueError naming the first of `values` that is negative."""
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def nonlinear_length(gamma: float, power: float) -> float:
-    """Nonlinearity length 1/(gamma*P) in km; gamma*P = 0, underflow included, raises ZeroPower."""
+    """Nonlinearity length 1/(gamma*P) in km; gamma*P = 0, underflow included, raises ZeroPower.
+
+    A negative gamma or power raises ValueError.
+    """
+    _require_nonnegative(gamma=gamma, power=power)
     gp = gamma * power
     if gp == 0:
         raise ZeroPower("nonlinear length diverges at gamma*P = 0")
@@ -189,11 +208,110 @@ def nonlinear_length(gamma: float, power: float) -> float:
 def cpm_phase(gamma: float, p_same: float, p_orth: float, z: float) -> float:
     """Cross-phase-modulation phase 2*gamma*(P_same + P_orth/3)*z in rad.
 
-    The orthogonal-axis power is weighted by 1/3.
+    The orthogonal-axis power is weighted by 1/3.  A negative argument
+    raises ValueError.
     """
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
+    _require_nonnegative(gamma=gamma, p_same=p_same, p_orth=p_orth, z=z)
     return finite(2.0 * gamma * (p_same + p_orth / 3.0) * z, NumericalFailure, "XPM phase")
+
+
+def _scalar_block(fiber: FiberParams, power: float, omega):
+    """Coupling gamma*P and phase rate 2*gamma*P + beta2*Omega^2 of the scalar 2x2 block."""
+    gp = fiber.gamma * power
+    return gp, 2.0 * gp + fiber.beta2 * (omega * omega)
+
+
+def lambda_param(fiber: FiberParams, power: float, omega):
+    """Parametric eigenvalue lambda(Omega), principal square root.
+
+    lambda^2 = (gamma P)^2 - (2 gamma P + beta2 Omega^2)^2 / 4: real (gain)
+    inside the phase-matched band of an anomalous-dispersion fiber, purely
+    imaginary (oscillation) outside and for normal dispersion.
+
+    A Python int or float omega (numpy's float64 included) runs in Python
+    floats (cmath.sqrt) and returns a complex bit-identical to the array
+    path, or NaN for an int beyond double range.  Any other omega is
+    converted to a float array once and runs in numpy, returning complex
+    of its shape.
+    """
+    if isinstance(omega, (int, float)):
+        try:
+            omega = float(omega)
+        except OverflowError:
+            return complex(math.nan, math.nan)
+        gp, rate = _scalar_block(fiber, power, omega)
+        return cmath.sqrt(gp * gp - rate * rate / 4.0)
+    import numpy as np
+
+    gp, rate = _scalar_block(fiber, power, np.asarray(omega, dtype=float))
+    lam = np.sqrt((gp * gp - rate * rate / 4.0).astype(complex))
+    return complex(lam) if lam.ndim == 0 else lam
+
+
+def mi_gain(fiber: FiberParams, power: float, omega):
+    """MI gain g(Omega) = Re(lambda) clipped at zero, in 1/km: a float or an array."""
+    lam = lambda_param(fiber, power, omega)
+    return max(lam.real, 0.0) if isinstance(lam, complex) else lam.real.clip(0.0)
+
+
+def _mi_band_scale(fiber: FiberParams, power: float) -> float:
+    """gamma*P/|beta2| of an MI band: beta2 = 0 raises ZeroDispersion, no gain ZeroGain."""
+    _require_nonnegative(power=power)
+    if fiber.beta2 == 0:
+        raise ZeroDispersion("MI gain band requires beta2 < 0")
+    if fiber.beta2 > 0 or power == 0:
+        raise ZeroGain("no MI gain for normal dispersion or zero power")
+    return fiber.gamma * power / abs(fiber.beta2)
+
+
+def mi_peak(fiber: FiberParams, power: float) -> tuple[float, float]:
+    """(Omega_max, g_max) of the MI gain: (sqrt(2 gamma P/|beta2|), gamma P)."""
+    omega_max = math.sqrt(2.0 * _mi_band_scale(fiber, power))
+    return finite(omega_max, NumericalFailure, "MI peak detuning"), fiber.gamma * power
+
+
+def mi_support_edge(fiber: FiberParams, power: float) -> float:
+    """Edge of the gain band: gain vanishes for |Omega| >= 2 sqrt(gamma P/|beta2|)."""
+    return finite(2.0 * math.sqrt(_mi_band_scale(fiber, power)), NumericalFailure, "MI band edge")
+
+
+class AsymptoticFlux(NamedTuple):
+    value: float
+    valid: bool
+
+
+def mi_asymptotic_flux(fiber: FiberParams, power: float, omega: float) -> AsymptoticFlux:
+    """Large-gain asymptote (gamma^2 P^2 / 4 g^2) e^{2 g L} / 2pi.
+
+    valid is True when g(omega)*L >= 3; the value is returned regardless.  g^2 = 0
+    (underflow included) raises ZeroGain, an inf or NaN value NumericalFailure.
+    """
+    gain = mi_gain(fiber, power, float(omega))
+    gain_sq = gain * gain
+    if gain_sq == 0:
+        raise ZeroGain(f"gain^2 vanishes at omega = {omega}")
+    gp = fiber.gamma * power
+    try:
+        growth = math.exp(2.0 * gain * fiber.length)
+    except OverflowError:
+        growth = math.inf
+    value = (gp * gp / (4.0 * gain_sq)) * growth / (2.0 * math.pi)
+    value = finite(value, NumericalFailure, f"asymptotic flux at omega = {omega}")
+    return AsymptoticFlux(value=value, valid=gain * fiber.length >= 3.0)
+
+
+def bandwidth_ratio(fiber: FiberParams, power: float, length: float) -> float:
+    """Ratio of the MI band width to the scalar first-zero width.
+
+    4 sqrt(gamma P/|beta2|) over 2 sqrt(2 pi/(|beta2| L)); beta2 cancels,
+    leaving sqrt(2/pi) * sqrt(gamma P L) ~ 0.8 sqrt(gamma P L).  A negative
+    power or length raises ValueError.
+    """
+    _require_nonnegative(power=power, length=length)
+    if fiber.beta2 == 0:
+        raise ZeroDispersion("both widths require beta2 != 0")
+    ratio = math.sqrt(2.0 / math.pi) * math.sqrt(fiber.gamma * power * length)
+    return finite(ratio, NumericalFailure, "bandwidth ratio")
 
 
 def swap_axes(fiber: FiberParams, pump: PumpConfig) -> tuple[FiberParams, PumpConfig]:

@@ -1001,13 +1001,13 @@ FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb"]
         pytest.param(
             ("classify", "--preset", "fig2", "--omega", "1.0"),
             0,
-            ["fps.cli", "fps.entangle", "fps.errors", "fps.fiber", "fps.hb", "numpy"],
+            ["fps.cli", "fps.entangle", "fps.errors", "fps.fiber", "fps.hb"],
             id="classify",
         ),
         pytest.param(
             ("mi", "--preset", "fig1a"),
             0,
-            ["fps.cli", "fps.dynamics", "fps.errors", "fps.fiber", "numpy"],
+            ["fps.cli", "fps.errors", "fps.fiber"],
             id="mi",
         ),
         pytest.param(("presets",), 0, ["fps.cli", "fps.errors"], id="presets"),
@@ -1019,9 +1019,9 @@ FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb"]
 def test_subcommand_runs_without_scipy(tmp_path, argv, rc, loaded):
     """No subcommand loads scipy; each loads only the modules it runs.
 
-    `presets`, an argparse error and a first-order spectrum at most
-    MAX_FLOAT_PATH_POINTS points large load no numpy, and a first-order
-    spectrum loads neither fps.dynamics nor fps.entangle.  A successful
+    `presets`, an argparse error, `mi`, `classify` and a first-order
+    spectrum at most MAX_FLOAT_PATH_POINTS points large load no numpy, and
+    a first-order spectrum loads neither fps.dynamics nor fps.entangle.  A successful
     call writes nothing to stderr, not even a numpy warning; an argparse
     error writes only its usage message.
     """

@@ -13,8 +13,11 @@ from fps import (
     PumpConfig,
     ZeroPower,
     alpha_param,
+    bandwidth_ratio,
     beta,
     cpm_phase,
+    mi_peak,
+    mi_support_edge,
     nonlinear_length,
     normalize_convention,
 )
@@ -195,6 +198,31 @@ def test_cpm_phase_values():
     assert cpm_phase(3.0, 0.0, 0.3, 0.1) == pytest.approx(0.06)
     with pytest.raises(ValueError):
         cpm_phase(3.0, 0.3, 0.0, -0.1)
+
+
+_ANOMALOUS = FiberParams(gamma=1.0, beta2=-1.0, length=1.0)
+
+
+@pytest.mark.parametrize(
+    "func, args, name",
+    [
+        (nonlinear_length, (-1.0, 1.0), "gamma"),
+        (nonlinear_length, (1.0, -1.0), "power"),
+        (cpm_phase, (-1.0, 1.0, 0.0, 1.0), "gamma"),
+        (cpm_phase, (1.0, -1.0, 0.0, 1.0), "p_same"),
+        (cpm_phase, (1.0, 0.0, -1.0, 1.0), "p_orth"),
+        (mi_peak, (_ANOMALOUS, -1.0), "power"),
+        (mi_support_edge, (_ANOMALOUS, -1.0), "power"),
+        (bandwidth_ratio, (_ANOMALOUS, -1.0, 1.0), "power"),
+        (bandwidth_ratio, (_ANOMALOUS, 1.0, -1.0), "length"),
+    ],
+)
+def test_negative_raw_argument_is_a_named_value_error(func, args, name):
+    # Raw floats, unlike the containers, are not validated on construction:
+    # a negative one must not give a bare math domain error or a negative
+    # length or phase.
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1.0$"):
+        func(*args)
 
 
 def test_normalize_convention_swaps_axes():

@@ -22,6 +22,7 @@ from fps import (
     bandwidths,
     cpm_phase,
     flux_hb,
+    flux_lb,
     lb_peak_and_width,
     mi_asymptotic_flux,
     mi_peak,
@@ -364,6 +365,38 @@ def _phase_matched_omega(fiber, p0):
     return math.sqrt(
         ((2.0 / 3.0) * fiber.gamma * p0 + 2.0 * fiber.delta_beta0) / fiber.beta2
     )
+
+
+def _xi_yy(fiber, pump, omega):
+    """LB amplitude of the (2, 3) entry: the orthogonal channel for an x pump."""
+    entry = coupling_table(fiber, pump, "LB")[Channel.YY.value]
+    return first_order_amplitude(entry, fiber, omega)
+
+
+def test_xi_lb_magnitude_at_phase_matching(fig4a_fiber, pump_x1):
+    short = FiberParams(gamma=3.0, beta2=5.0, length=0.05, delta_beta0=2000.0)
+    omega = _phase_matched_omega(short, 1.0)
+    assert omega == pytest.approx(28.2913, abs=1e-4)
+    # sinc = 1 there, so |xi| is the full prefactor gamma*P0*L/3 = 0.05
+    assert abs(_xi_yy(short, pump_x1, omega)) == pytest.approx(0.05, rel=1e-12)
+
+
+def test_xi_lb_rejects_two_axis_pump(fig4a_fiber):
+    with pytest.raises(PumpNotOnAxis):
+        coupling_table(fig4a_fiber, PumpConfig(p0x=1.0, p0y=0.5), "LB")
+
+
+def test_flux_peak_value(fig4a_fiber, pump_x1):
+    short = FiberParams(gamma=3.0, beta2=5.0, length=0.05, delta_beta0=2000.0)
+    omega = _phase_matched_omega(short, 1.0)
+    _, f_y = flux_lb(short, pump_x1, omega)
+    assert f_y == pytest.approx(0.05**2 / TWO_PI, rel=1e-12)
+    assert f_y == pytest.approx(3.98e-4, rel=1e-2)
+
+
+def test_flux_zero_power(fig4a_fiber):
+    f_x, f_y = flux_lb(fig4a_fiber, PumpConfig(p0x=0.0), np.linspace(-30, 30, 7))
+    assert np.all(f_x == 0.0) and np.all(f_y == 0.0)
 
 
 def test_peak_and_width_values(fig4a_fiber, pump_x1):

@@ -1,4 +1,4 @@
-"""The Python-float path of the first-order amplitudes against the array path.
+"""The Python-float paths against the array paths, bit for bit.
 
 A float omega runs `Coupling.rate` and `first_order_amplitude`, its sinc
 envelope included, in Python floats (math.sin, cmath.exp) instead of
@@ -9,7 +9,10 @@ the state and the HB/LB fluxes must read the four amplitudes of
 `hb.pair_amplitudes`, the fluxes through `fiber.pair_fluxes` with |xi|^2
 as re*re + im*im on both paths.  `coupling_table` reuses its last table
 for the same objects, so interleaved calls must match calls on fresh
-objects.
+objects.  The state's |xi| and its complex divisions are Python helpers
+that reproduce numpy's complex abs and division, pinned here over the
+double range; the MI eigenvalue `lambda_param` at a float omega is pinned
+to the array path as well.
 """
 
 import cmath
@@ -28,7 +31,9 @@ from fps import (
     flux_hb,
     flux_lb,
 )
-from fps.fiber import _PAIR_ENTRIES, Coupling, coupling_table
+import fps.entangle
+from fps.entangle import _abs, _divide
+from fps.fiber import _PAIR_ENTRIES, Coupling, FrequencyGrid, coupling_table, lambda_param
 from fps.hb import first_order_amplitude, pair_amplitudes
 
 N_SETS = 2000
@@ -36,6 +41,10 @@ N_SETS = 2000
 
 def _bits(value) -> bytes:
     return np.complex128(value).tobytes()
+
+
+def _coeff_bits(coeffs) -> bytes:
+    return np.array(coeffs, dtype=complex).tobytes()
 
 
 def _abs2(xi: np.ndarray) -> np.ndarray:
@@ -152,11 +161,13 @@ def test_filtered_state_matches_array_path_bit_for_bit():
         norm = math.sqrt(norm_sq)
         coeffs = raw / norm
         state = filtered_state(fiber, pump, regime, omega, duration)
-        assert state.coeffs.tobytes() == coeffs.tobytes()
+        assert type(state.coeffs) is tuple
+        assert [type(c) for c in state.coeffs] == [complex] * 4
+        assert _coeff_bits(state.coeffs) == coeffs.tobytes()
         assert state.norm.hex() == norm.hex()
         assert state.generation_probability.hex() == (norm_sq / duration).hex()
         amplitudes = pair_amplitudes(fiber, pump, regime, omega)
-        assert (np.array(amplitudes) / state.norm).tobytes() == state.coeffs.tobytes()
+        assert (np.array(amplitudes) / state.norm).tobytes() == _coeff_bits(state.coeffs)
         if regime == "LB":
             assert [(type(xi), _bits(xi)) for xi in amplitudes[2:]] == [(float, _bits(0.0))] * 2
         # The fluxes are the axis sums of the same amplitudes, float and array
@@ -174,8 +185,10 @@ def test_filtered_state_matches_array_path_bit_for_bit():
             assert type(got[0]) is (float if point is omega else np.ndarray)
             assert [np.asarray(f).tobytes() for f in got] == [f_x.tobytes(), f_y.tobytes()]
             assert [np.asarray(f).reshape(-1)[0].hex() for f in got] == [f.hex() for f in floats]
-        # Both scalar coefficients are nonzero in every set; wrap to (-pi, pi].
-        phase = math.remainder(float(np.angle(coeffs[1] / coeffs[0])), math.tau)
+        # Both scalar coefficients are nonzero in every set; the angle of
+        # numpy's quotient is taken by math.atan2, wrapped to (-pi, pi].
+        ratio = coeffs[1] / coeffs[0]
+        phase = math.remainder(math.atan2(ratio.imag, ratio.real), math.tau)
         if phase <= -math.pi:
             phase += math.tau
         assert classify(state).relative_phase.hex() == phase.hex()
@@ -198,7 +211,7 @@ def test_reused_table_matches_fresh_objects_bit_for_bit():
         filtered_state(*sets[index - 1])
         states += [filtered_state(fiber, pump, regime, omega, duration) for _ in range(2)]
         for state in states:
-            assert state.coeffs.tobytes() == fresh.coeffs.tobytes()
+            assert _coeff_bits(state.coeffs) == _coeff_bits(fresh.coeffs)
             assert state.norm.hex() == fresh.norm.hex()
             assert state.generation_probability.hex() == fresh.generation_probability.hex()
 
@@ -230,3 +243,132 @@ def test_scalar_amplitude_is_nan_beyond_double_range():
     for omega in (1e300, 10**400):
         with pytest.raises(NumericalFailure):
             filtered_state(fiber, pump, "HB", omega, 100.0)
+
+
+#: Edge values of one complex part: zeros, subnormals, near overflow, inf, NaN.
+_SPECIAL_PARTS = [0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1.0, -3.0, 1e308, -1.7e308,
+                  math.inf, -math.inf, math.nan]
+
+
+def _edge_complexes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n seeded values over the double range, plus the edge cases of numpy's abs.
+
+    The magnitudes run from 0 (10^-330 underflows) through the subnormals
+    to near overflow.  A quarter of the values sit at chosen ratios
+    r = min/max of the parts: near 1 (where 1 + r*r is often halfway
+    between two doubles), near 2^-26.5 (where r*r crosses half an ulp of
+    1) and near 2^-27; every pair of `_SPECIAL_PARTS` is added, so a zero
+    part, r = 1 and inf and NaN parts all occur.
+    """
+    def parts(size):
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-330, 308.25, size)
+
+    wide = parts(n) + 1j * parts(n)
+    k = n // 12
+    ratios = np.concatenate([
+        rng.uniform(0.7, 1.0, k),
+        2.0**-26.5 * (1.0 + rng.uniform(-1e-6, 1e-6, k)),
+        2.0**-27 * (1.0 + rng.uniform(-1e-6, 1e-6, k)),
+    ])
+    larger = parts(ratios.size)
+    ratioed = larger * ratios + 1j * larger
+    ratioed[::2] = ratioed[::2].imag + 1j * ratioed[::2].real  # the smaller part first too
+    specials = np.array([complex(a, b) for a in _SPECIAL_PARTS for b in _SPECIAL_PARTS])
+    return np.concatenate([wide, ratioed, specials])
+
+
+def _same_bits(got: list, expected: np.ndarray) -> bool:
+    """Bit identity of floats, any NaN matching any NaN."""
+    expected = expected.tolist()
+    return len(got) == len(expected) and all(
+        (g != g and e != e) or np.float64(g).tobytes() == np.float64(e).tobytes()
+        for g, e in zip(got, expected)
+    )
+
+
+def test_abs_helper_is_numpy_complex_abs_bit_for_bit():
+    values = _edge_complexes(np.random.default_rng(20261019), 100_000)
+    assert values.size > 100_000
+    got = [_abs(z) for z in values.tolist()]
+    assert all(type(g) is float for g in got)
+    assert _same_bits(got, np.abs(values))
+    # CPython's abs (which raises OverflowError where |z| overflows) differs
+    # on many of them, so the test can tell the two apart.
+    moderate = values[np.abs(values) < 1e300]
+    assert not _same_bits([abs(z) for z in moderate.tolist()], np.abs(moderate))
+
+
+def test_divide_helper_is_numpy_complex_division_bit_for_bit():
+    rng = np.random.default_rng(20261020)
+    numerators = _edge_complexes(rng, 100_000)
+    divisors = _edge_complexes(rng, 100_000)
+    divisors = divisors[np.isfinite(divisors) & (divisors != 0)]
+    divisors = np.resize(divisors, numerators.size)
+    with np.errstate(all="ignore"):
+        expected = numerators / divisors  # the array loop, as an array / norm divides
+        scalar = [a / b for a, b in zip(numerators[:20_000], divisors[:20_000])]
+    got = [_divide(a, b) for a, b in zip(numerators.tolist(), divisors.tolist())]
+    assert all(type(g) is complex for g in got)
+    for part in ("real", "imag"):
+        assert _same_bits([getattr(g, part) for g in got], getattr(expected, part))
+        # numpy's scalar division, as in classify's coefficient ratio, is the same.
+        assert _same_bits(
+            [getattr(g, part) for g in got[:20_000]],
+            np.array([getattr(q, part) for q in scalar]),
+        )
+    # A real divisor, as in the division by the norm.
+    norms = np.abs(divisors)
+    with np.errstate(all="ignore"):
+        expected = numerators / norms
+    got = [_divide(a, b) for a, b in zip(numerators.tolist(), norms.tolist())]
+    for part in ("real", "imag"):
+        assert _same_bits([getattr(g, part) for g in got], getattr(expected, part))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_non_finite_amplitude_is_a_numerical_failure(monkeypatch, bad, part):
+    # An inf or NaN part of any amplitude makes |xi| inf or NaN, so the state
+    # is rejected, never normalized.
+    fiber = FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0)
+    pump = PumpConfig(p0x=0.15, p0y=0.15)
+    amplitude = complex(bad, 0.5) if part == "real" else complex(0.5, bad)
+    for index in range(4):
+        raw = [0.1 + 0.2j, 0.0, -0.3j, 0.4 + 0.0j]
+        raw[index] = amplitude
+        monkeypatch.setattr(fps.entangle, "pair_amplitudes", lambda *args, raw=raw: raw)
+        with pytest.raises(NumericalFailure):
+            filtered_state(fiber, pump, "HB", 1.0, 100.0)
+
+
+def test_scalar_lambda_is_array_element_bit_for_bit():
+    # Gain and oscillation branches, the band edges, subnormal and huge
+    # detunings; lambda^2 may be inf or NaN there, and both paths agree.
+    rng = np.random.default_rng(23)
+    for index in range(N_SETS):
+        fiber = FiberParams(
+            gamma=10 ** rng.uniform(-2, 2),
+            beta2=rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 3),
+            length=1.0,
+        )
+        power = 10 ** rng.uniform(-3, 2)
+        edge = 2.0 * math.sqrt(fiber.gamma * power / abs(fiber.beta2))
+        omegas = [edge, -edge, 0.0, 5e-324, 1e200, *(edge * rng.uniform(-3, 3, 8))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = lambda_param(fiber, power, np.array(omegas))
+        for omega, expected in zip(omegas, array.tolist()):
+            got = lambda_param(fiber, power, omega)
+            assert type(got) is complex
+            assert _bits(got) == _bits(expected), (fiber, power, omega)
+    grid = FrequencyGrid(-3.0, 3.0, 601)
+    fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.1)
+    floats = [lambda_param(fiber, 0.3, omega) for omega in grid.omega_list]
+    assert np.array(floats).tobytes() == lambda_param(fiber, 0.3, grid.omegas).tobytes()
+
+
+def test_scalar_lambda_is_nan_for_an_int_beyond_double_range():
+    fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.1)
+    assert lambda_param(fiber, 0.3, 10**300) == lambda_param(fiber, 0.3, 1e300)
+    for omega in (10**400, -(10**400)):
+        lam = lambda_param(fiber, 0.3, omega)
+        assert type(lam) is complex and math.isnan(lam.real) and math.isnan(lam.imag)
