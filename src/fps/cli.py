@@ -20,13 +20,12 @@ runners format lists of Python floats either way.
 
 Exit codes: 0 success, 2 input validation (the cost caps included), 3
 numerical failure (symplectic defect above tolerance or a non-finite
-result; an overflow in the library gives inf or NaN, never an exception).
+result, which the library raises as `NumericalFailure`).
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -56,8 +55,8 @@ MAX_STEP_POINTS = 20_000_000
 
 #: Largest grid points x lengths of a spectrum that runs first-order only
 #: and is therefore computed point by point in Python floats, one
-#: `flux_hb(fiber, pump, omega)` call per Python-float omega, without
-#: importing numpy.  Both paths print the same bytes.  Measured on the
+#: `flux_hb` or `flux_lb` call per Python-float omega, without importing
+#: numpy.  Both paths print the same bytes.  Measured on the
 #: fig1a, fig2 and fig4a physics with Python 3.11 and numpy 2.4 on 2 vCPUs:
 #: the float path takes 4-10 us per point, the array path 0.2-0.5 us, and
 #: importing numpy about 170 ms (229 ms for `python -c "import numpy"`
@@ -352,12 +351,6 @@ def _header_lines(command: str, origin: list[str], resolved: dict) -> list[str]:
     return lines
 
 
-def _require_finite(what: str, values: list) -> None:
-    """Raise NumericalFailure (exit 3) unless every float or complex in `values` is finite."""
-    if not all(map(cmath.isfinite, values)):
-        raise NumericalFailure(f"{what} is not finite")
-
-
 def _spectrum_methods(scenario: Scenario) -> tuple[str, ...]:
     """Methods a spectrum call runs; "all" skips closed-form for a two-axis HB pump."""
     if scenario.method != "all":
@@ -456,7 +449,6 @@ def _spectrum_task(
         f_x, f_y = _closed_form_flux(scenario, fiber, omegas)
     if not isinstance(omegas, list):
         f_x, f_y = f_x.tolist(), f_y.tolist()
-    _require_finite(f"{method} flux at L={_fmt(length)}", f_x + f_y)
     return extra, f_x, f_y
 
 
@@ -565,14 +557,13 @@ def run_mi(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
     power = scenario.pump.total
     omegas = scenario.grid.omega_list
     lambda_vals = [lambda_param(scenario.fiber, power, omega) for omega in omegas]
-    _require_finite("mi gain curve", lambda_vals)
     ratio = bandwidth_ratio(scenario.fiber, power, scenario.fiber.length)
     lines = _header_lines("mi", origin, resolved)
     lines.append(f"# pump_total_W = {_fmt(power)}")
     lines.append(f"# bandwidth_ratio = {_fmt(ratio)}")
     lines.append("omega_rad_per_ps,gain_per_km,lambda_re_per_km,lambda_im_per_km")
     # The gain, Re(lambda) clipped at zero, is Re(lambda) itself: the
-    # principal root's real part is never negative (NaN was rejected above).
+    # principal root's real part is never negative (lambda_param raises for NaN).
     for omega, lam in zip(omegas, lambda_vals):
         gain = f"{lam.real:.9g}"
         lines.append(f"{omega:.9g},{gain},{gain},{lam.imag:.9g}")
@@ -664,8 +655,8 @@ def main(argv=None) -> int:
                 "classify": run_classify,
                 "mi": run_mi,
             }[args.command]
-            # Overflow and NaN are reported by the finiteness guard and the
-            # defect check, as one exit-3 line rather than numpy warnings.
+            # Overflow and NaN are reported by the library's finiteness and
+            # defect checks, as one exit-3 line rather than numpy warnings.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 text = runner(scenario, resolved, origin, args)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, StepCountTooSmall
+from .errors import NumericalFailure, StepCountTooSmall, finite
 from .fiber import (
-    _PAIR_ENTRIES, FiberParams, FrequencyGrid, PumpConfig, _scalar_block, coupling_table,
-    lambda_param, pair_fluxes,
+    _PAIR_ENTRIES, FiberParams, FrequencyGrid, PumpConfig, _as_omega, _scalar_block,
+    coupling_table, lambda_param, pair_fluxes,
 )
 
 #: Bogoliubov metric in the (a_x, a_x^dag, a_y, a_y^dag) basis.
@@ -218,9 +218,7 @@ def integrate_transfer_grid(
     phi = _mode_offsets(rate)
     if steps is None:
         generator = (coeff + 1j * phi[..., None] * np.eye(4)) * fiber.length
-        if not np.isfinite(generator).all():
-            raise NumericalFailure("coupled-mode generator is not finite")
-        rotating = _expm(generator)
+        rotating = _expm(finite(generator, NumericalFailure, "coupled-mode generator"))
         error, propagator = NumericalFailure, "the matrix exponential"
     else:
         h = fiber.length / steps
@@ -253,10 +251,10 @@ def _parametric_flux(coupling: float, detuning_rate, length: float):
 
     f = (c^2/2pi) * |sinh(lambda L)/lambda|^2 with lambda^2 = c^2 - w^2/4.
     The lambda -> 0 limit is taken by series, keeping the curve continuous
-    through the gain-band edges.
+    through the gain-band edges.  A flux that is inf or NaN, beyond double
+    range at high gain or from a NaN rate, raises NumericalFailure.
     """
     w = np.asarray(detuning_rate, dtype=float)
-    scalar_input = w.ndim == 0
     x = np.atleast_1d((coupling * coupling - w * w / 4.0) * (length * length))
     growth = np.empty_like(x)
     small = np.abs(x) < 1e-8
@@ -266,9 +264,8 @@ def _parametric_flux(coupling: float, detuning_rate, length: float):
     growth[pos] = np.sinh(np.sqrt(x[pos])) ** 2 / x[pos]
     growth[neg] = np.sin(np.sqrt(-x[neg])) ** 2 / -x[neg]
     flux = (coupling * coupling / (2.0 * np.pi)) * (length * length) * growth
-    if scalar_input:
-        return float(flux[0])
-    return flux
+    finite(flux, NumericalFailure, "closed-form flux")
+    return float(flux[0]) if w.ndim == 0 else flux
 
 
 def exact_scalar_flux(fiber: FiberParams, power: float, omega):
@@ -278,8 +275,7 @@ def exact_scalar_flux(fiber: FiberParams, power: float, omega):
     for gamma*P*L << 1 and to the exponential MI asymptote deep in the
     anomalous gain band.
     """
-    omega = np.asarray(omega, dtype=float)
-    return _parametric_flux(*_scalar_block(fiber, power, omega), fiber.length)
+    return _parametric_flux(*_scalar_block(fiber, power, _as_omega(omega)), fiber.length)
 
 
 def exact_lb_orthogonal_flux(fiber: FiberParams, power: float, omega):
@@ -287,7 +283,7 @@ def exact_lb_orthogonal_flux(fiber: FiberParams, power: float, omega):
 
     For a pump on y, pass the fiber relabeled by `fiber.swap_axes`.
     """
-    omega = np.asarray(omega, dtype=float)
+    omega = _as_omega(omega)
     coupling = fiber.gamma * power / 3.0
     rate = (
         fiber.beta2 * (omega * omega)

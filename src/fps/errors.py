@@ -1,6 +1,13 @@
-"""Exceptions and warnings shared across the package, and `finite`, the overflow rule."""
+"""Exceptions and warnings shared across the package, and `finite`, the overflow rule.
 
-import math
+`finite` is the one finiteness check of the library: the estimators, the
+raw spectra (first-order and exact fluxes, the closed forms, the MI
+eigenvalue) and the exact propagator's generator pass their results
+through it, so an inf or NaN raises `NumericalFailure` or the domain error
+a caller names, and is never returned.
+"""
+
+import cmath
 
 
 class FpsError(Exception):
@@ -48,7 +55,20 @@ class StimulatedOrderingWarning(UserWarning):
 
 
 def finite(value, error: type[Exception], what: str):
-    """Return `value`, or raise `error` when `value` is inf or NaN."""
-    if not math.isfinite(value):
-        raise error(f"{what} is not finite, got {value}")
-    return value
+    """Return `value`, or raise `error` when it is inf or NaN, or holds one.
+
+    A Python int, float or complex (numpy's float64 included) is tested by
+    `cmath.isfinite`, without numpy.  Anything else is taken as an array,
+    which loads numpy, and the message names its first non-finite element
+    in C order.  The message is formatted only when the check fails.
+    """
+    if isinstance(value, (int, float, complex)):
+        if cmath.isfinite(value):
+            return value
+    else:
+        import numpy as np
+
+        if np.isfinite(value).all():
+            return value
+        value = next(entry for entry in np.ravel(value) if not cmath.isfinite(entry))
+    raise error(f"{what} is not finite, got {value}")

@@ -221,6 +221,18 @@ def _scalar_block(fiber: FiberParams, power: float, omega):
     return gp, 2.0 * gp + fiber.beta2 * (omega * omega)
 
 
+def _as_omega(omega):
+    """omega as a Python float, NaN for an int beyond double range, or else as a float array."""
+    if isinstance(omega, (int, float)):
+        try:
+            return float(omega)
+        except OverflowError:
+            return math.nan
+    import numpy as np
+
+    return np.asarray(omega, dtype=float)
+
+
 def lambda_param(fiber: FiberParams, power: float, omega):
     """Parametric eigenvalue lambda(Omega), principal square root.
 
@@ -230,22 +242,18 @@ def lambda_param(fiber: FiberParams, power: float, omega):
 
     A Python int or float omega (numpy's float64 included) runs in Python
     floats (cmath.sqrt) and returns a complex bit-identical to the array
-    path, or NaN for an int beyond double range.  Any other omega is
-    converted to a float array once and runs in numpy, returning complex
-    of its shape.
+    path.  Any other omega is converted to a float array once and runs in
+    numpy, returning complex of its shape.  A lambda that is inf or NaN,
+    as for an int omega beyond double range, raises NumericalFailure.
     """
-    if isinstance(omega, (int, float)):
-        try:
-            omega = float(omega)
-        except OverflowError:
-            return complex(math.nan, math.nan)
-        gp, rate = _scalar_block(fiber, power, omega)
-        return cmath.sqrt(gp * gp - rate * rate / 4.0)
+    omega = _as_omega(omega)
+    gp, rate = _scalar_block(fiber, power, omega)
+    if isinstance(omega, float):
+        return finite(cmath.sqrt(gp * gp - rate * rate / 4.0), NumericalFailure, "lambda")
     import numpy as np
 
-    gp, rate = _scalar_block(fiber, power, np.asarray(omega, dtype=float))
     lam = np.sqrt((gp * gp - rate * rate / 4.0).astype(complex))
-    return complex(lam) if lam.ndim == 0 else lam
+    return finite(complex(lam) if lam.ndim == 0 else lam, NumericalFailure, "lambda")
 
 
 def mi_gain(fiber: FiberParams, power: float, omega):
@@ -283,9 +291,11 @@ class AsymptoticFlux(NamedTuple):
 def mi_asymptotic_flux(fiber: FiberParams, power: float, omega: float) -> AsymptoticFlux:
     """Large-gain asymptote (gamma^2 P^2 / 4 g^2) e^{2 g L} / 2pi.
 
-    valid is True when g(omega)*L >= 3; the value is returned regardless.  g^2 = 0
-    (underflow included) raises ZeroGain, an inf or NaN value NumericalFailure.
+    valid is True when g(omega)*L >= 3; the value is returned regardless.  A
+    negative power raises ValueError, g^2 = 0 (underflow included) ZeroGain,
+    an inf or NaN value NumericalFailure.
     """
+    _require_nonnegative(power=power)
     gain = mi_gain(fiber, power, float(omega))
     gain_sq = gain * gain
     if gain_sq == 0:
@@ -434,8 +444,16 @@ def pair_fluxes(xx, yy, xy, yx):
     |z|^2 is re*re + im*im, so a Python complex gives the bits of an array
     element: numpy's complex abs (a SIMD kernel) and CPython's round
     differently, so neither could serve both.
+
+    A flux that is inf or NaN raises NumericalFailure.  The check reads
+    (f_x + f_y)/2, which is inf or NaN exactly where f_x or f_y is and
+    cannot overflow from two finite fluxes, so a point-by-point float loop
+    and one array call name the same first value.
     """
-    return (_abs2(xx) + _abs2(xy)) / (2.0 * math.pi), (_abs2(yy) + _abs2(yx)) / (2.0 * math.pi)
+    f_x = (_abs2(xx) + _abs2(xy)) / (2.0 * math.pi)
+    f_y = (_abs2(yy) + _abs2(yx)) / (2.0 * math.pi)
+    finite(0.5 * f_x + 0.5 * f_y, NumericalFailure, "pair flux (f_x + f_y)/2")
+    return f_x, f_y
 
 
 def _table_entries(

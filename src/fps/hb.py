@@ -26,6 +26,7 @@ from .fiber import (
     Coupling,
     FiberParams,
     PumpConfig,
+    _as_omega,
     alpha_param,
     coupling_table,
     pair_fluxes,
@@ -49,21 +50,19 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     bit-identical to the array path, or NaN when u is not finite, where
     math.sin and cmath.exp raise, or when an int omega is beyond double
     range.  Any other omega is converted to a float array once and runs in
-    numpy, returning complex of its shape.
+    numpy, returning complex of its shape.  A NaN amplitude is rejected
+    where it is used: `fiber.pair_fluxes`, `filtered_state` and P_T raise
+    NumericalFailure.
     """
-    if isinstance(omega, (int, float)):
-        try:
-            omega = float(omega)
-        except OverflowError:
-            return complex(math.nan, math.nan)
-        u = entry.rate(fiber, omega) * (0.5 * fiber.length)
+    omega = _as_omega(omega)
+    u = entry.rate(fiber, omega) * (0.5 * fiber.length)
+    if isinstance(omega, float):
         if not math.isfinite(u):
             return complex(math.nan, math.nan)
         envelope = 1.0 - u * u / 6.0 if abs(u) < _SINC_SERIES_CUTOFF else math.sin(u) / u
         return 1j * (entry.c * fiber.length) * cmath.exp(1j * (entry.theta + u)) * envelope
     import numpy as np
 
-    u = entry.rate(fiber, np.asarray(omega, dtype=float)) * (0.5 * fiber.length)
     small = np.abs(u) < _SINC_SERIES_CUTOFF
     safe = np.where(small, 1.0, u)
     envelope = np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)

@@ -376,7 +376,8 @@ def test_relabel_path_output_matches_its_sha256(capsys, monkeypatch, tmp_path, r
 
 #: First-order spectra beyond double range: the prefactor gamma*P*L, the
 #: sinc argument R*L/2 through L or through beta2*Omega^2, and the phase
-#: 2*theta0x.  Each gives NaN amplitudes.
+#: 2*theta0x.  Each gives NaN amplitudes, whose flux `fiber.pair_fluxes`
+#: rejects.
 FIRST_ORDER_OVERFLOW = [
     {**_fig1a_small(gamma_per_W_km=1e300, length_km=1e5), "pump": {"p0x_W": 1e5}},
     _fig1a_small(length_km=1e308),
@@ -393,7 +394,7 @@ def test_first_order_overflow_exits_3_on_both_paths(tmp_path, scenario):
     assert floats == array
     rc, out, err = floats
     assert rc == 3 and out == ""
-    assert err.startswith("fps: numerical failure: first-order flux at L=")
+    assert err == "fps: numerical failure: pair flux (f_x + f_y)/2 is not finite, got nan\n"
 
 
 _extreme = st.one_of(

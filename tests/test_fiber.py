@@ -16,6 +16,7 @@ from fps import (
     bandwidth_ratio,
     beta,
     cpm_phase,
+    mi_asymptotic_flux,
     mi_peak,
     mi_support_edge,
     nonlinear_length,
@@ -215,6 +216,8 @@ _ANOMALOUS = FiberParams(gamma=1.0, beta2=-1.0, length=1.0)
         (mi_support_edge, (_ANOMALOUS, -1.0), "power"),
         (bandwidth_ratio, (_ANOMALOUS, -1.0, 1.0), "power"),
         (bandwidth_ratio, (_ANOMALOUS, 1.0, -1.0), "length"),
+        # a normal-dispersion fiber, which a negative gamma*P would give gain
+        (mi_asymptotic_flux, (FiberParams(gamma=1.0, beta2=1.0, length=1.0), -1.0, 0.5), "power"),
     ],
 )
 def test_negative_raw_argument_is_a_named_value_error(func, args, name):

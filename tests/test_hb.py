@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from fps import (
@@ -11,6 +11,7 @@ from fps import (
     DegenerateBirefringence,
     FiberParams,
     FpsError,
+    GainCurve,
     NoFarDetunedPeak,
     NumericalFailure,
     PumpConfig,
@@ -21,10 +22,16 @@ from fps import (
     bandwidth_ratio,
     bandwidths,
     cpm_phase,
+    exact_lb_orthogonal_flux,
+    exact_scalar_flux,
+    flux_from_matrices,
     flux_hb,
     flux_lb,
+    lambda_param,
     lb_peak_and_width,
     mi_asymptotic_flux,
+    mi_gain,
+    mi_gain_curve,
     mi_peak,
     mi_support_edge,
     nonlinear_length,
@@ -435,6 +442,48 @@ def test_sign_mismatch_has_no_peak(pump_x1):
             lb_peak_and_width(fiber, pump_x1)
 
 
+def test_scalar_channel_is_the_hb_scalar(fig4a_fiber, pump_x1):
+    # same code path as the HB xx channel, so equality is exact
+    omegas = np.linspace(-30.0, 30.0, 301)
+    f_x, _ = flux_lb(fig4a_fiber, pump_x1, omegas)
+    np.testing.assert_array_equal(f_x, flux_hb(fig4a_fiber, PumpConfig(p0x=1.0), omegas)[0])
+
+
+def test_pump_phase_changes_neither_spectrum(fig4a_fiber):
+    omegas = np.linspace(-30.0, 30.0, 61)
+    plain = flux_lb(fig4a_fiber, PumpConfig(p0x=1.0), omegas)
+    rotated = flux_lb(fig4a_fiber, PumpConfig(p0x=1.0, theta0x=1.1), omegas)
+    np.testing.assert_allclose(plain[0], rotated[0], rtol=1e-12)
+    np.testing.assert_allclose(plain[1], rotated[1], rtol=1e-12)
+
+
+def test_orthogonal_flux_even_and_bounded(fig4a_fiber, pump_x1):
+    omegas = np.linspace(0.0, 32.0, 400)
+    _, f_pos = flux_lb(fig4a_fiber, pump_x1, omegas)
+    _, f_neg = flux_lb(fig4a_fiber, pump_x1, -omegas)
+    np.testing.assert_allclose(f_pos, f_neg, rtol=1e-14)
+    bound = (fig4a_fiber.gamma * 1.0 * fig4a_fiber.length / 3.0) ** 2 / TWO_PI
+    assert np.all(f_pos <= bound * (1.0 + 1e-12))
+
+
+def test_y_pump_relabeling_mirrors_x_pump():
+    x_fiber = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
+    y_fiber = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=-2000.0)
+    omegas = np.linspace(-30.0, 30.0, 121)
+    fx_x, fy_x = flux_lb(x_fiber, PumpConfig(p0x=1.0), omegas)
+    fx_y, fy_y = flux_lb(y_fiber, PumpConfig(p0x=0.0, p0y=1.0, theta0y=0.4), omegas)
+    np.testing.assert_allclose(fx_y, fy_x, rtol=1e-12)
+    np.testing.assert_allclose(fy_y, fx_x, rtol=1e-12)
+    assert lb_peak_and_width(y_fiber, PumpConfig(p0x=0.0, p0y=1.0)) == lb_peak_and_width(
+        x_fiber, PumpConfig(p0x=1.0)
+    )
+
+
+def test_two_axis_pump_rejected(fig4a_fiber):
+    with pytest.raises(PumpNotOnAxis):
+        flux_lb(fig4a_fiber, PumpConfig(p0x=1.0, p0y=1.0), 1.0)
+
+
 #: |beta2|*L = 1e-400 underflows to 0 although neither factor is 0.
 UNDERFLOWED = FiberParams(gamma=1.0, beta2=1e-200, length=1e-200)
 #: delta_beta1^2 = 1e-400 underflows to 0.
@@ -444,6 +493,10 @@ STRONG_FIBER = FiberParams(gamma=1e200, beta2=-20.0, length=1.0)
 STRONG_PUMP = PumpConfig(p0x=1e200)
 #: gamma*P/|beta2| = 1e320 is beyond double range.
 SUBNORMAL_DISPERSION = FiberParams(gamma=1.0, beta2=-1e-320, length=1.0)
+#: g*L = 1000 at Omega = 1: the closed-form flux e^{2gL} overflows to inf.
+HIGH_GAIN = FiberParams(gamma=1.0, beta2=-1.0, length=1e3)
+#: An ordinary fiber, for a Python int omega beyond double range.
+PLAIN = FiberParams(gamma=1.0, beta2=1.0, length=1.0)
 
 
 @pytest.mark.parametrize(
@@ -603,6 +656,55 @@ SUBNORMAL_DISPERSION = FiberParams(gamma=1.0, beta2=-1e-320, length=1.0)
             NumericalFailure,
             id="xpm-phase-overflow",
         ),
+        *(
+            pytest.param(
+                lambda flux=flux, omega=omega: flux(STRONG_FIBER, STRONG_PUMP, omega),
+                NumericalFailure,
+                id=f"{flux.__name__}-{kind}-strong-pump",
+            )
+            for flux in (flux_hb, flux_lb)
+            for kind, omega in (("float", 1.0), ("array", np.array([1.0, 2.0])))
+        ),
+        pytest.param(
+            lambda: exact_scalar_flux(STRONG_FIBER, 1e200, 1.0),
+            NumericalFailure,
+            id="closed-form-strong-pump",
+        ),
+        pytest.param(
+            lambda: lambda_param(STRONG_FIBER, 1e200, 1.0),
+            NumericalFailure,
+            id="lambda-strong-pump",
+        ),
+        pytest.param(
+            lambda: mi_gain(STRONG_FIBER, 1e200, 1.0),
+            NumericalFailure,
+            id="mi-gain-strong-pump",
+        ),
+        pytest.param(
+            lambda: mi_gain_curve(STRONG_FIBER, 1e200, FrequencyGrid(-1.0, 1.0, 4)),
+            NumericalFailure,
+            id="mi-gain-curve-strong-pump",
+        ),
+        pytest.param(
+            lambda: flux_from_matrices(np.full((2, 4, 4), complex(math.nan, 0.0))),
+            NumericalFailure,
+            id="flux-from-nan-matrices",
+        ),
+        pytest.param(
+            lambda: exact_scalar_flux(HIGH_GAIN, 10.0, 1.0),
+            NumericalFailure,
+            id="closed-form-high-gain",
+        ),
+        pytest.param(
+            lambda: exact_scalar_flux(PLAIN, 1.0, 10**400),
+            NumericalFailure,
+            id="closed-form-int-omega",
+        ),
+        pytest.param(
+            lambda: exact_lb_orthogonal_flux(PLAIN, 1.0, 10**400),
+            NumericalFailure,
+            id="orthogonal-closed-form-int-omega",
+        ),
     ],
 )
 def test_degenerate_and_overflowing_inputs_raise_domain_errors(call, error):
@@ -686,3 +788,58 @@ def test_estimators_give_finite_values_or_documented_errors(
         return
     values = result if isinstance(result, tuple) else (result,)
     assert all(math.isfinite(value) for value in values), (name, result)
+
+
+#: The raw spectra, as f(fiber, pump, omega); LB gets the pump's x part.
+#: The "[]" forms take a float array (or a grid) built from omega, which
+#: cannot hold an int beyond double range.
+RAW_SPECTRA = {
+    "flux_hb": lambda fiber, pump, omega: flux_hb(fiber, pump, omega),
+    "flux_hb[]": lambda fiber, pump, omega: flux_hb(fiber, pump, np.array([omega, 1.0])),
+    "flux_lb": lambda fiber, pump, omega: flux_lb(fiber, PumpConfig(p0x=pump.p0x), omega),
+    "flux_lb[]": lambda fiber, pump, omega: flux_lb(
+        fiber, PumpConfig(p0x=pump.p0x), np.array([omega, 1.0])
+    ),
+    "exact_scalar_flux": lambda fiber, pump, omega: exact_scalar_flux(fiber, pump.p0x, omega),
+    "exact_lb_orthogonal_flux": lambda fiber, pump, omega: exact_lb_orthogonal_flux(
+        fiber, pump.p0x, omega
+    ),
+    "lambda_param": lambda fiber, pump, omega: lambda_param(fiber, pump.p0x, omega),
+    "mi_gain": lambda fiber, pump, omega: mi_gain(fiber, pump.p0x, omega),
+    "mi_gain_curve[]": lambda fiber, pump, omega: mi_gain_curve(
+        fiber, pump.p0x, FrequencyGrid(-abs(omega), abs(omega), 4)
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RAW_SPECTRA)),
+    gamma=extreme_st,
+    beta2=extreme_st,
+    length=extreme_st,
+    delta_beta0=extreme_st,
+    p0x=extreme_st,
+    p0y=extreme_st,
+    omega=st.one_of(extreme_st, st.sampled_from([10**400, -(10**400)])),
+)
+def test_raw_spectra_give_finite_values_or_documented_errors(
+    name, gamma, beta2, length, delta_beta0, p0x, p0y, omega
+):
+    """Every raw spectrum returns finite values or raises a domain error or
+    ValueError, whatever the magnitudes and at a Python int omega beyond
+    double range, never a bare OverflowError, nor inf or NaN."""
+    if name.endswith("[]"):
+        assume(isinstance(omega, float))
+    fiber = FiberParams(
+        gamma=abs(gamma), beta2=beta2, length=abs(length), delta_beta0=delta_beta0
+    )
+    pump = PumpConfig(p0x=abs(p0x), p0y=abs(p0y))
+    try:
+        result = RAW_SPECTRA[name](fiber, pump, omega)
+    except (FpsError, ValueError):
+        return
+    if isinstance(result, GainCurve):
+        result = (result.lambda_vals, result.gain_vals)
+    assert np.isfinite(np.asarray(result, dtype=complex)).all(), (name, result)

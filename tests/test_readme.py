@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fps
+import fps.errors
 from fps.cli import PRESETS, ScenarioError, load_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,18 +27,46 @@ def test_readme_library_example_runs():
     assert printed.getvalue().split()[0] == "bell-like"
 
 
+#: `fps` and its submodules.
+MODULES = [fps] + [
+    importlib.import_module(f"fps.{info.name}")
+    for info in pkgutil.iter_modules(fps.__path__)
+    if not info.name.startswith("_")  # importing __main__ would run the CLI
+]
+
+
+def _unknown(names) -> list[str]:
+    """The names that are an attribute of neither `fps` nor any submodule."""
+    return sorted(name for name in names if not any(hasattr(m, name) for m in MODULES))
+
+
 def test_readme_highlights_name_existing_attributes():
     """Every backticked bare identifier in the module highlights is a real name."""
     text = README.read_text(encoding="utf-8")
     highlights = text.split("Highlights by module:", 1)[1].split("\n## ", 1)[0]
     names = set(re.findall(r"`([A-Za-z_]\w*)`", highlights))
-    modules = [fps] + [
-        importlib.import_module(f"fps.{info.name}")
-        for info in pkgutil.iter_modules(fps.__path__)
-        if not info.name.startswith("_")  # importing __main__ would run the CLI
-    ]
     assert len(names) > 20
-    assert sorted(name for name in names if not any(hasattr(m, name) for m in modules)) == []
+    assert _unknown(names) == []
+
+
+def test_readme_error_table_names_existing_functions_and_errors():
+    """Each row of the error table names real functions and, as its errors,
+    only `ValueError` and `fps` exception classes."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| Function | Input | Error |\n| --- | --- | --- |\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()
+    assert len(rows) > 30
+    errors = {"ValueError"} | {
+        name for name, obj in vars(fps.errors).items()
+        if isinstance(obj, type) and issubclass(obj, fps.FpsError)
+    }
+    for row in rows:
+        cells = re.split(r"(?<!\\)\|", row)[1:-1]  # an escaped \| stays in its cell
+        assert len(cells) == 3, row
+        functions, named = (re.findall(r"`([A-Za-z_]\w*)`", cells[i]) for i in (0, 2))
+        assert functions and named, row
+        assert _unknown(functions) == [], row
+        assert sorted(set(named) - errors) == [], row
 
 
 def test_readme_highlights_cover_every_module():

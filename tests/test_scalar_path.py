@@ -343,8 +343,11 @@ def test_non_finite_amplitude_is_a_numerical_failure(monkeypatch, bad, part):
 
 def test_scalar_lambda_is_array_element_bit_for_bit():
     # Gain and oscillation branches, the band edges, subnormal and huge
-    # detunings; lambda^2 may be inf or NaN there, and both paths agree.
+    # detunings.  Where lambda is finite both paths agree to the bit; where
+    # it is not (lambda^2 = -inf at 1e200, in every set), both raise, and so
+    # does the array of the whole set.
     rng = np.random.default_rng(23)
+    raised = 0
     for index in range(N_SETS):
         fiber = FiberParams(
             gamma=10 ** rng.uniform(-2, 2),
@@ -355,11 +358,20 @@ def test_scalar_lambda_is_array_element_bit_for_bit():
         edge = 2.0 * math.sqrt(fiber.gamma * power / abs(fiber.beta2))
         omegas = [edge, -edge, 0.0, 5e-324, 1e200, *(edge * rng.uniform(-3, 3, 8))]
         with np.errstate(over="ignore", invalid="ignore"):
-            array = lambda_param(fiber, power, np.array(omegas))
-        for omega, expected in zip(omegas, array.tolist()):
-            got = lambda_param(fiber, power, omega)
-            assert type(got) is complex
-            assert _bits(got) == _bits(expected), (fiber, power, omega)
+            for omega in omegas:
+                try:
+                    (expected,) = lambda_param(fiber, power, np.array([omega])).tolist()
+                except NumericalFailure:
+                    with pytest.raises(NumericalFailure):
+                        lambda_param(fiber, power, omega)
+                    raised += 1
+                    continue
+                got = lambda_param(fiber, power, omega)
+                assert type(got) is complex
+                assert _bits(got) == _bits(expected), (fiber, power, omega)
+            with pytest.raises(NumericalFailure):
+                lambda_param(fiber, power, np.array(omegas))
+    assert raised >= N_SETS
     grid = FrequencyGrid(-3.0, 3.0, 601)
     fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.1)
     floats = [lambda_param(fiber, 0.3, omega) for omega in grid.omega_list]
@@ -367,8 +379,16 @@ def test_scalar_lambda_is_array_element_bit_for_bit():
 
 
 def test_scalar_lambda_is_nan_for_an_int_beyond_double_range():
+    # An int omega is its float: equal lambdas in range, the same error at
+    # 10**300, whose lambda^2 is -inf.  Beyond double range it is NaN, which
+    # raises instead of float()'s OverflowError.
     fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.1)
-    assert lambda_param(fiber, 0.3, 10**300) == lambda_param(fiber, 0.3, 1e300)
-    for omega in (10**400, -(10**400)):
-        lam = lambda_param(fiber, 0.3, omega)
-        assert type(lam) is complex and math.isnan(lam.real) and math.isnan(lam.imag)
+    assert lambda_param(fiber, 0.3, 10**2) == lambda_param(fiber, 0.3, 100.0)
+    messages = []
+    for omega in (10**300, 1e300, 10**400, -(10**400)):
+        with pytest.raises(NumericalFailure) as info:
+            lambda_param(fiber, 0.3, omega)
+        messages.append(str(info.value))
+    assert messages == ["lambda is not finite, got infj"] * 2 + [
+        "lambda is not finite, got (nan+nanj)"
+    ] * 2
