@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .errors import FpsError, NumericalFailure
+from .errors import FpsError, NumericalFailure, real
 
 if TYPE_CHECKING:
     from .fiber import FiberParams, FrequencyGrid, PumpConfig
@@ -83,16 +83,6 @@ class Scenario:
 _REQUIRED = object()
 
 
-def _finite_float(value) -> float:
-    """float(value); booleans, strings, NaN and infinity (json.load accepts them) are rejected."""
-    if isinstance(value, (bool, str)):
-        raise ValueError
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError
-    return value
-
-
 def _count(value) -> int:
     """int(value) of an integral number; booleans and strings are rejected."""
     if isinstance(value, (bool, str)) or float(value) != int(value):
@@ -104,25 +94,26 @@ def _lengths(value) -> list[float]:
     """A JSON list of finite numbers."""
     if not isinstance(value, (list, tuple)):
         raise ValueError
-    return [_finite_float(entry) for entry in value]
+    return [real(entry) for entry in value]
 
 
 #: Scenario schema: key -> (parser, default or _REQUIRED, container field).
 #: The container is the key's prefix (fiber, pump or grid); keys without a
-#: field configure the run.
+#: field configure the run.  `real` rejects booleans, strings, NaN and
+#: infinity (json.load accepts them) as the containers do.
 _SCHEMA = {
-    "fiber.gamma_per_W_km": (_finite_float, _REQUIRED, "gamma"),
-    "fiber.beta2_ps2_per_km": (_finite_float, _REQUIRED, "beta2"),
-    "fiber.delta_beta0_per_km": (_finite_float, 0.0, "delta_beta0"),
-    "fiber.delta_beta1_ps_per_km": (_finite_float, 0.0, "delta_beta1"),
-    "fiber.length_km": (_finite_float, _REQUIRED, "length"),
-    "pump.p0x_W": (_finite_float, 0.0, "p0x"),
-    "pump.p0y_W": (_finite_float, 0.0, "p0y"),
-    "pump.theta0x_rad": (_finite_float, 0.0, "theta0x"),
-    "pump.theta0y_rad": (_finite_float, 0.0, "theta0y"),
-    "pump.duration_ps": (_finite_float, None, "duration"),
-    "grid.omega_min": (_finite_float, _REQUIRED, "omega_min"),
-    "grid.omega_max": (_finite_float, _REQUIRED, "omega_max"),
+    "fiber.gamma_per_W_km": (real, _REQUIRED, "gamma"),
+    "fiber.beta2_ps2_per_km": (real, _REQUIRED, "beta2"),
+    "fiber.delta_beta0_per_km": (real, 0.0, "delta_beta0"),
+    "fiber.delta_beta1_ps_per_km": (real, 0.0, "delta_beta1"),
+    "fiber.length_km": (real, _REQUIRED, "length"),
+    "pump.p0x_W": (real, 0.0, "p0x"),
+    "pump.p0y_W": (real, 0.0, "p0y"),
+    "pump.theta0x_rad": (real, 0.0, "theta0x"),
+    "pump.theta0y_rad": (real, 0.0, "theta0y"),
+    "pump.duration_ps": (real, None, "duration"),
+    "grid.omega_min": (real, _REQUIRED, "omega_min"),
+    "grid.omega_max": (real, _REQUIRED, "omega_max"),
     "grid.n_points": (_count, _REQUIRED, "n_points"),
     "regime": (str, _REQUIRED, None),
     "method": (str, "first-order", None),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, StepCountTooSmall, finite
+from .errors import NumericalFailure, StepCountTooSmall, count, finite, real
 from .fiber import (
     _PAIR_ENTRIES, FiberParams, FrequencyGrid, PumpConfig, _as_omega, _scalar_block,
     coupling_table, lambda_param, pair_fluxes,
@@ -199,22 +199,21 @@ def integrate_transfer_grid(
     with N chosen by the caller.  It is evaluated exactly as the telescoped
     power D(L)^-1 (D(h) P_0)^steps of the first step P_0 (see the module
     docstring), so a call costs about 2 log2(steps) batched 4x4
-    multiplications, not four per step.  Returns (matrices, steps) with
-    matrices of shape omegas.shape + (4, 4).
+    multiplications, not four per step.  steps must be an integer >= 1
+    (`errors.count`) whose step length L/steps is a positive float, else
+    ValueError.  Returns (matrices, steps) with matrices of shape
+    omegas.shape + (4, 4).
 
     The symplectic defect of each matrix, relative to max(1, max |M|^2), is
     checked afterwards: one above DEFECT_LIMIT, or a non-finite one, raises
     StepCountTooSmall for RK4 and NumericalFailure for the matrix
     exponential.
     """
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = np.asarray(_as_omega(omegas))
+    steps = None if steps is None else count(steps, "steps", 1)
     coeff, rate = _coefficient_factors(fiber, pump, regime, omegas)
-    if steps is not None and steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     if fiber.length == 0:
-        matrices = np.zeros(omegas.shape + (4, 4), dtype=complex)
-        matrices[...] = np.eye(4)
-        return matrices, steps or 0
+        return np.zeros(omegas.shape + (4, 4), dtype=complex) + np.eye(4), steps or 0
     phi = _mode_offsets(rate)
     if steps is None:
         generator = (coeff + 1j * phi[..., None] * np.eye(4)) * fiber.length
@@ -222,6 +221,8 @@ def integrate_transfer_grid(
         error, propagator = NumericalFailure, "the matrix exponential"
     else:
         h = fiber.length / steps
+        if not h > 0:  # underflowed
+            raise ValueError(f"length/steps must be a positive float, got {h}")
         rotating = np.eye(4) + _rk4_power_offset(coeff, rate, phi, h, steps)
         error, propagator = StepCountTooSmall, f"{steps} steps"
     matrices = np.exp(-1j * phi * fiber.length)[..., None] * rotating
@@ -273,7 +274,8 @@ def exact_scalar_flux(fiber: FiberParams, power: float, omega):
 
     Exact for a single-axis pump; reduces to the first-order sinc spectrum
     for gamma*P*L << 1 and to the exponential MI asymptote deep in the
-    anomalous gain band.
+    anomalous gain band.  A power that is not a finite real >= 0 raises
+    ValueError.
     """
     return _parametric_flux(*_scalar_block(fiber, power, _as_omega(omega)), fiber.length)
 
@@ -281,9 +283,11 @@ def exact_scalar_flux(fiber: FiberParams, power: float, omega):
 def exact_lb_orthogonal_flux(fiber: FiberParams, power: float, omega):
     """Closed-form flux of the LB orthogonal channel (coupling gamma*P/3), pump on x.
 
-    For a pump on y, pass the fiber relabeled by `fiber.swap_axes`.
+    For a pump on y, pass the fiber relabeled by `fiber.swap_axes`.  A
+    power that is not a finite real >= 0 raises ValueError.
     """
     omega = _as_omega(omega)
+    power = real(power, "power", 0)
     coupling = fiber.gamma * power / 3.0
     rate = (
         fiber.beta2 * (omega * omega)

@@ -15,7 +15,9 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import EmptyState, NumericalFailure, PumpNotOnAxis, StimulatedOrderingWarning, finite
+from .errors import (
+    EmptyState, NumericalFailure, PumpNotOnAxis, StimulatedOrderingWarning, finite, real,
+)
 from .fiber import Channel, FiberParams, PumpConfig
 from .hb import pair_amplitudes, total_scatter_probability, xi_hb
 
@@ -123,11 +125,12 @@ def filtered_state(
     the scalar amplitude of the unpumped axis (xi_yy for an x pump, xi_xx
     for a y pump) is the orthogonal-channel one.  The generation probability
     per discrete mode is sum |xi|^2 * dw / 2pi with dw = 2pi/T; it raises
-    NumericalFailure when that probability is not finite.
+    NumericalFailure when that probability is not finite.  A duration that
+    is not a finite real > 0 raises ValueError.
     """
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    if not duration > 0:
+    if not (duration := real(duration, "duration")) > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     raw = pair_amplitudes(fiber, pump, regime, omega)
     # |xi| and the division by the norm round as numpy's do, so the state
@@ -217,13 +220,14 @@ def second_order_quantities(
     and a stimulated second pair in the same mode.  p_any_pair is the total
     pair probability P_T.  Emits StimulatedOrderingWarning when the
     stimulated term outweighs the independent-pair term (d > P_T), since the
-    perturbative ordering is then violated; an inf or NaN n_mode raises NumericalFailure.
+    perturbative ordering is then violated; an inf or NaN n_mode raises
+    NumericalFailure, and a duration that is not a finite real > 0 ValueError.
     """
     if pump.p0y != 0:
         raise PumpNotOnAxis(
             f"second-order count requires scalar pumping, got p0y = {pump.p0y}"
         )
-    if not duration > 0:
+    if not (duration := real(duration, "duration")) > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     p_any_pair = total_scatter_probability(fiber, pump, duration, mode="analytic")
     amplitude = abs(xi_hb(fiber, pump, Channel.XX, omega))

@@ -1,13 +1,23 @@
-"""Exceptions and warnings shared across the package, and `finite`, the overflow rule.
+"""Exceptions and warnings shared across the package, and the rules for numbers.
 
-`finite` is the one finiteness check of the library: the estimators, the
-raw spectra (first-order and exact fluxes, the closed forms, the MI
+`real` and `count` are the one input rule of the library: every raw real a
+caller passes (container fields, powers, gamma, lengths, durations) goes
+through `real`, and every step or point count through `count`, so a bool,
+a string, inf, NaN, an int beyond double range or a negative power is a
+`ValueError` that names the input.  A detuning omega is the exception: it
+may be an array, and `fiber._as_omega` turns one beyond double range into
+NaN or `NumericalFailure`.
+
+`finite` is the one finiteness check of results: the estimators, the raw
+spectra (first-order and exact fluxes, the closed forms, the MI
 eigenvalue) and the exact propagator's generator pass their results
 through it, so an inf or NaN raises `NumericalFailure` or the domain error
 a caller names, and is never returned.
 """
 
 import cmath
+import math
+import operator
 
 
 class FpsError(Exception):
@@ -72,3 +82,41 @@ def finite(value, error: type[Exception], what: str):
             return value
         value = next(entry for entry in np.ravel(value) if not cmath.isfinite(entry))
     raise error(f"{what} is not finite, got {value}")
+
+
+def real(value, name: str = "value", minimum: float | None = None) -> float:
+    """`value` as a finite float, or ValueError naming it `name`.
+
+    A bool, a string or anything else without __float__ or __index__
+    (complex included) is not a real number; inf, NaN and an int beyond
+    double range (reported as +-inf) are not finite; a value below
+    `minimum`, where one is given, is rejected too.
+    """
+    if type(value) is float and math.isfinite(value) and (minimum is None or value >= minimum):
+        return value  # the common case, which needs no conversion
+    try:
+        if value is True or value is False:
+            raise TypeError
+        number = math.ldexp(value, 0)  # float(value), but never parsed from text
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an int beyond double range
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return number
+
+
+def count(value, name: str, minimum: int) -> int:
+    """`value` as an int of at least `minimum`, or ValueError naming it `name`.
+
+    A count passes `real` first, so a bool or an int beyond double range is
+    none, and then needs __index__, so 3.0 is none either.
+    """
+    real(value, name, minimum)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
@@ -25,22 +24,8 @@ from typing import NamedTuple
 
 from .errors import (
     DegenerateBirefringence, NumericalFailure, PumpNotOnAxis, ZeroDispersion, ZeroGain, ZeroPower,
-    finite,
+    count, finite, real,
 )
-
-
-def _require_finite_fields(params) -> None:
-    """Raise ValueError if any field of a parameter container is not a finite real number."""
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if value is None:
-            continue
-        try:
-            finite = math.isfinite(value)
-        except TypeError:
-            raise ValueError(f"{field.name} must be a real number, got {value!r}") from None
-        if not finite:
-            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +49,8 @@ class FiberParams:
     beta1_ref : float
         Absolute inverse group velocity of the y axis, ps/km.  Enters only
         as a common phase, so the default 0 is physically inert.
+
+    Every field is stored as the float `errors.real` makes of it.
     """
 
     gamma: float
@@ -74,14 +61,12 @@ class FiberParams:
     beta1_ref: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite_fields(self)
         # gamma=0 and length=0 stay representable: several degenerate
         # limits (linear propagation, zero-length identity map) are
         # exercised by tests.  Scenario loading enforces strict positivity.
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
+        for name in (field.name for field in fields(self)):
+            minimum = 0 if name in ("gamma", "length") else None
+            object.__setattr__(self, name, real(getattr(self, name), name, minimum))
 
 
 @dataclass(frozen=True)
@@ -89,7 +74,8 @@ class PumpConfig:
     """Monochromatic pump powers and phases on the two optical axes.
 
     duration is the optional pump duration T in ps; setting it enables
-    discrete-mode quantities (mode spacing 2*pi/T).
+    discrete-mode quantities (mode spacing 2*pi/T).  Every field but a None
+    duration is stored as the float `errors.real` makes of it.
     """
 
     p0x: float
@@ -99,9 +85,10 @@ class PumpConfig:
     duration: float | None = None
 
     def __post_init__(self) -> None:
-        _require_finite_fields(self)
-        if self.p0x < 0 or self.p0y < 0:
-            raise ValueError(f"pump powers must be >= 0, got ({self.p0x}, {self.p0y})")
+        for name in (field.name for field in fields(self)):
+            if getattr(self, name) is not None:
+                minimum = 0 if name in ("p0x", "p0y") else None
+                object.__setattr__(self, name, real(getattr(self, name), name, minimum))
         if self.duration is not None and self.duration <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
 
@@ -113,20 +100,20 @@ class PumpConfig:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform grid of frequency detunings Omega in rad/ps."""
+    """Uniform grid of frequency detunings Omega in rad/ps.
+
+    The bounds are stored as floats and n_points as an int, as `errors.real`
+    and `errors.count` make them.
+    """
 
     omega_min: float
     omega_max: float
     n_points: int
 
     def __post_init__(self) -> None:
-        _require_finite_fields(self)
-        try:
-            operator.index(self.n_points)
-        except TypeError:
-            raise ValueError(f"n_points must be an integer, got {self.n_points!r}") from None
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        object.__setattr__(self, "omega_min", real(self.omega_min, "omega_min"))
+        object.__setattr__(self, "omega_max", real(self.omega_max, "omega_max"))
+        object.__setattr__(self, "n_points", count(self.n_points, "n_points", 2))
         if not self.omega_min < self.omega_max:
             raise ValueError(
                 f"omega_min must be < omega_max, got [{self.omega_min}, {self.omega_max}]"
@@ -186,20 +173,12 @@ def alpha_param(fiber: FiberParams, pump: PumpConfig) -> float:
     return finite(fiber.beta2 * fiber.gamma * pump.total / walk_off_sq, NumericalFailure, "alpha")
 
 
-def _require_nonnegative(**values: float) -> None:
-    """Raise ValueError naming the first of `values` that is negative."""
-    for name, value in values.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-
-
 def nonlinear_length(gamma: float, power: float) -> float:
     """Nonlinearity length 1/(gamma*P) in km; gamma*P = 0, underflow included, raises ZeroPower.
 
     A negative gamma or power raises ValueError.
     """
-    _require_nonnegative(gamma=gamma, power=power)
-    gp = gamma * power
+    gp = real(gamma, "gamma", 0) * real(power, "power", 0)
     if gp == 0:
         raise ZeroPower("nonlinear length diverges at gamma*P = 0")
     return finite(1.0 / gp, NumericalFailure, "nonlinear length")
@@ -211,18 +190,25 @@ def cpm_phase(gamma: float, p_same: float, p_orth: float, z: float) -> float:
     The orthogonal-axis power is weighted by 1/3.  A negative argument
     raises ValueError.
     """
-    _require_nonnegative(gamma=gamma, p_same=p_same, p_orth=p_orth, z=z)
-    return finite(2.0 * gamma * (p_same + p_orth / 3.0) * z, NumericalFailure, "XPM phase")
+    gamma = real(gamma, "gamma", 0)
+    phase = 2.0 * gamma * (real(p_same, "p_same", 0) + real(p_orth, "p_orth", 0) / 3.0)
+    return finite(phase * real(z, "z", 0), NumericalFailure, "XPM phase")
 
 
 def _scalar_block(fiber: FiberParams, power: float, omega):
-    """Coupling gamma*P and phase rate 2*gamma*P + beta2*Omega^2 of the scalar 2x2 block."""
-    gp = fiber.gamma * power
+    """Coupling gamma*P and phase rate 2*gamma*P + beta2*Omega^2 of the scalar 2x2 block.
+
+    A power that is not a finite real >= 0 raises ValueError.
+    """
+    gp = fiber.gamma * real(power, "power", 0)
     return gp, 2.0 * gp + fiber.beta2 * (omega * omega)
 
 
 def _as_omega(omega):
-    """omega as a Python float, NaN for an int beyond double range, or else as a float array."""
+    """omega as a Python float, NaN for an int beyond double range, or else as a float array.
+
+    A sequence holding an int beyond double range raises NumericalFailure.
+    """
     if isinstance(omega, (int, float)):
         try:
             return float(omega)
@@ -230,7 +216,10 @@ def _as_omega(omega):
             return math.nan
     import numpy as np
 
-    return np.asarray(omega, dtype=float)
+    try:
+        return np.asarray(omega, dtype=float)
+    except OverflowError:
+        raise NumericalFailure("omega holds an int beyond double range") from None
 
 
 def lambda_param(fiber: FiberParams, power: float, omega):
@@ -264,7 +253,7 @@ def mi_gain(fiber: FiberParams, power: float, omega):
 
 def _mi_band_scale(fiber: FiberParams, power: float) -> float:
     """gamma*P/|beta2| of an MI band: beta2 = 0 raises ZeroDispersion, no gain ZeroGain."""
-    _require_nonnegative(power=power)
+    power = real(power, "power", 0)
     if fiber.beta2 == 0:
         raise ZeroDispersion("MI gain band requires beta2 < 0")
     if fiber.beta2 > 0 or power == 0:
@@ -295,8 +284,7 @@ def mi_asymptotic_flux(fiber: FiberParams, power: float, omega: float) -> Asympt
     negative power raises ValueError, g^2 = 0 (underflow included) ZeroGain,
     an inf or NaN value NumericalFailure.
     """
-    _require_nonnegative(power=power)
-    gain = mi_gain(fiber, power, float(omega))
+    gain = mi_gain(fiber, power, omega)  # the power rule is _scalar_block's
     gain_sq = gain * gain
     if gain_sq == 0:
         raise ZeroGain(f"gain^2 vanishes at omega = {omega}")
@@ -317,7 +305,7 @@ def bandwidth_ratio(fiber: FiberParams, power: float, length: float) -> float:
     leaving sqrt(2/pi) * sqrt(gamma P L) ~ 0.8 sqrt(gamma P L).  A negative
     power or length raises ValueError.
     """
-    _require_nonnegative(power=power, length=length)
+    power, length = real(power, "power", 0), real(length, "length", 0)
     if fiber.beta2 == 0:
         raise ZeroDispersion("both widths require beta2 != 0")
     ratio = math.sqrt(2.0 / math.pi) * math.sqrt(fiber.gamma * power * length)

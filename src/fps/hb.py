@@ -18,7 +18,7 @@ import math
 
 from .errors import (
     DegenerateBirefringence, NoFarDetunedPeak, NumericalFailure, PumpNotOnAxis, ZeroDispersion,
-    finite,
+    finite, real,
 )
 from .fiber import (
     _PAIR_ENTRIES,
@@ -45,16 +45,15 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     entry this is the two-photon amplitude of its channel, the first-order
     part of the same entry of the transfer matrix.
 
-    A Python int or float omega (numpy's float64 included) runs in Python
+    omega is what `fiber._as_omega` makes of a raw one, which the callers
+    convert once.  A Python float (numpy's float64 included) runs in Python
     floats end to end (math.sin, cmath.exp) and returns a complex
     bit-identical to the array path, or NaN when u is not finite, where
-    math.sin and cmath.exp raise, or when an int omega is beyond double
-    range.  Any other omega is converted to a float array once and runs in
-    numpy, returning complex of its shape.  A NaN amplitude is rejected
-    where it is used: `fiber.pair_fluxes`, `filtered_state` and P_T raise
-    NumericalFailure.
+    math.sin and cmath.exp raise (as for the NaN of an int omega beyond
+    double range).  A float array runs in numpy, returning complex of its
+    shape.  A NaN amplitude is rejected where it is used:
+    `fiber.pair_fluxes`, `filtered_state` and P_T raise NumericalFailure.
     """
-    omega = _as_omega(omega)
     u = entry.rate(fiber, omega) * (0.5 * fiber.length)
     if isinstance(omega, float):
         if not math.isfinite(u):
@@ -77,7 +76,7 @@ def xi_hb(fiber: FiberParams, pump: PumpConfig, channel: Channel, omega):
     vector channels carry i*(2/3)*gamma*sqrt(P0x*P0y)*L and theta0x+theta0y.
     """
     entry = coupling_table(fiber, pump, "HB")[channel.value]
-    return first_order_amplitude(entry, fiber, omega)
+    return first_order_amplitude(entry, fiber, _as_omega(omega))
 
 
 def pair_amplitudes(fiber: FiberParams, pump: PumpConfig, regime: str, omega) -> list:
@@ -87,6 +86,7 @@ def pair_amplitudes(fiber: FiberParams, pump: PumpConfig, regime: str, omega) ->
     table; an entry the table lacks (the LB vector channels) is 0.0.
     """
     table = coupling_table(fiber, pump, regime)
+    omega = _as_omega(omega)
     return [
         first_order_amplitude(table[entry], fiber, omega) if entry in table else 0.0
         for entry in _PAIR_ENTRIES
@@ -128,12 +128,12 @@ def total_scatter_probability(
 
     Both modes count the x-pumped scalar channel only, so a pump on y
     alone (p0x = 0 < p0y) raises PumpNotOnAxis instead of returning 0;
-    relabel the axes with `fiber.swap_axes` first.  A bad duration or mode
-    raises ValueError, |beta2|*L = 0 (underflow included; the closed form is
-    0 at L = 0) ZeroDispersion, and an inf or NaN P_T NumericalFailure.
+    relabel the axes with `fiber.swap_axes` first.  A duration that is not
+    a finite real >= 0, or a bad mode, raises ValueError, |beta2|*L = 0
+    (underflow included; the closed form is 0 at L = 0) ZeroDispersion, and
+    an inf or NaN P_T NumericalFailure.
     """
-    if not 0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and >= 0, got {duration}")
+    duration = real(duration, "duration", 0)
     if pump.p0x == 0 < pump.p0y:
         raise PumpNotOnAxis(f"P_T counts the x-pumped channel, got p0x = 0 < p0y = {pump.p0y}")
     if mode not in ("analytic", "numeric"):

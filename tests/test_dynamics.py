@@ -226,6 +226,39 @@ def test_step_count_too_small_raises(monkeypatch):
     assert symplectic_defect(mats) > 1e-6
 
 
+@pytest.mark.parametrize(
+    "length, steps, message",
+    [
+        # 1/10**400 rounds to 0.0: the steps would be empty and the flux 0
+        # where the matrix exponential gives 0.0692 at Omega = 0.5.
+        pytest.param(1, 10**400, "steps must be finite, got inf", id="int-length-beyond-range"),
+        pytest.param(1.0, 10**400, "steps must be finite, got inf", id="beyond-range"),
+        pytest.param(1.0, 0, "steps must be >= 1, got 0", id="zero"),
+        pytest.param(1.0, 2.0, "steps must be an integer, got 2.0", id="float"),
+        pytest.param(1.0, True, "steps must be a real number, got True", id="bool"),
+        pytest.param(
+            1e-300, 10**30, "length/steps must be a positive float, got 0.0", id="step-underflow"
+        ),
+    ],
+)
+def test_rk4_steps_follow_the_count_rule(length, steps, message):
+    fiber = FiberParams(gamma=3, beta2=-20, length=length)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        integrate_transfer_grid(fiber, PumpConfig(0.3), "HB", np.array([0.5, 1.0]), steps=steps)
+
+
+def test_rk4_at_the_largest_step_counts_is_the_matrix_exponential():
+    # 10**307 steps of h = 1e-307 km: binary powering keeps every digit the
+    # CSV prints.
+    fiber = FiberParams(gamma=3, beta2=-20, length=1)
+    omegas = np.array([0.5, 1.0])
+    exact = flux_from_matrices(integrate_transfer_grid(fiber, PumpConfig(0.3), "HB", omegas)[0])
+    np.testing.assert_allclose(exact[0], [0.0692301573, 0.000204938833], rtol=1e-8)
+    matrices, steps = integrate_transfer_grid(fiber, PumpConfig(0.3), "HB", omegas, steps=10**307)
+    assert steps == 10**307
+    np.testing.assert_allclose(flux_from_matrices(matrices), exact, rtol=1e-12)
+
+
 #: RK4 step count for the oracle comparisons below.
 ORACLE_STEPS = 40_000
 

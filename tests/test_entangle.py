@@ -19,6 +19,8 @@ from fps import (
     classify,
     concurrence,
     filtered_state,
+    flux_hb,
+    flux_lb,
     second_order_quantities,
     total_scatter_probability,
 )
@@ -173,6 +175,62 @@ def test_concurrence_ignores_global_phase(parts, alpha):
     assert concurrence(c * np.exp(1j * alpha)) == pytest.approx(
         concurrence(c), abs=1e-12
     )
+
+
+@settings(max_examples=200)
+@given(
+    parts=st.lists(
+        st.floats(min_value=-1.0, max_value=1.0), min_size=8, max_size=8
+    ).filter(lambda p: sum(v * v for v in p) > 1e-6),
+)
+def test_concurrence_is_twice_the_linear_entropy_of_the_reduced_state(parts):
+    """C^2 = 2(1 - Tr rho_A^2) for a normalized pure two-qubit state.
+
+    Wootters, PRL 80, 2245 (1998) gives the pure-state concurrence
+    2|c_xx c_yy - c_xy c_yx|; Rungta et al., PRA 64, 042315 (2001) give it
+    from the reduced state rho_A = M M^dag of the 2x2 coefficient matrix M,
+    rows the anti-Stokes axis and columns the Stokes axis.  The oracle forms
+    no determinant, so a sign slip in `concurrence` shows here.
+    """
+    c = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    c_xx, c_yy, c_xy, c_yx = (complex(v) for v in c / np.linalg.norm(c))
+    matrix = np.array([[c_xx, c_xy], [c_yx, c_yy]])
+    rho_a = matrix @ matrix.conj().T
+    linear_entropy = 1.0 - np.trace(rho_a @ rho_a).real
+    conc = concurrence((c_xx, c_yy, c_xy, c_yx))
+    assert abs(conc * conc - 2.0 * linear_entropy) <= 1e-12
+
+
+#: (fiber, pump, regime, flux) of the pair-probability oracle: HB with a
+#: two-axis pump and nonzero phases, LB with the pump on x and on y.
+_LB_FIBER = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
+PROBABILITY_CASES = {
+    "hb-two-axis-phases": (
+        FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0),
+        PumpConfig(p0x=0.15, p0y=0.1, theta0x=0.3, theta0y=-0.4),
+        "HB",
+        flux_hb,
+    ),
+    "lb-x-pump": (_LB_FIBER, PumpConfig(p0x=1.0, theta0x=0.7), "LB", flux_lb),
+    "lb-y-pump": (_LB_FIBER, PumpConfig(p0x=0.0, p0y=1.0, theta0y=-0.5), "LB", flux_lb),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBABILITY_CASES))
+def test_generation_probability_is_the_pair_flux_in_one_mode(case):
+    """generation_probability * T = 2 pi (f_x + f_y) at the same Omega.
+
+    The state and the spectra read the same four amplitudes, so the pair
+    probability of one mode, of width 2 pi/T, is the summed flux density
+    times that width.
+    """
+    fiber, pump, regime, flux = PROBABILITY_CASES[case]
+    duration = 100.0
+    for omega in np.linspace(0.05, 32.0, 200).tolist():
+        state = filtered_state(fiber, pump, regime, omega, duration)
+        f_x, f_y = flux(fiber, pump, omega)
+        expected = 2.0 * math.pi * (f_x + f_y)
+        assert state.generation_probability * duration == pytest.approx(expected, rel=1e-13)
 
 
 def test_relative_phase_tracks_pump_phases(fig2_fiber):

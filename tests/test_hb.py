@@ -1,9 +1,10 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from fps import (
@@ -24,6 +25,7 @@ from fps import (
     cpm_phase,
     exact_lb_orthogonal_flux,
     exact_scalar_flux,
+    filtered_state,
     flux_from_matrices,
     flux_hb,
     flux_lb,
@@ -273,7 +275,8 @@ def test_total_scatter_probability_analytic(fig1_fiber, pump_x03):
 @pytest.mark.parametrize("mode", ["analytic", "numeric"])
 @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
 def test_total_scatter_probability_rejects_bad_duration(fig1_fiber, pump_x03, mode, duration):
-    with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+    rule = ">= 0" if duration < 0 else "finite"
+    with pytest.raises(ValueError, match=f"^duration must be {rule}, got {duration}$"):
         total_scatter_probability(fig1_fiber, pump_x03, duration, mode=mode)
 
 
@@ -497,6 +500,65 @@ SUBNORMAL_DISPERSION = FiberParams(gamma=1.0, beta2=-1e-320, length=1.0)
 HIGH_GAIN = FiberParams(gamma=1.0, beta2=-1.0, length=1e3)
 #: An ordinary fiber, for a Python int omega beyond double range.
 PLAIN = FiberParams(gamma=1.0, beta2=1.0, length=1.0)
+#: A Python int beyond double range, which `errors.real` reports as inf.
+BEYOND = 10**400
+
+#: Raw inputs that must raise a ValueError naming them: id -> (call, message).
+NAMED_INPUT_ERRORS = {
+    "fiber-field-beyond-range": (
+        lambda: FiberParams(gamma=BEYOND, beta2=1, length=1), "gamma must be finite, got inf"
+    ),
+    "grid-bound-beyond-range": (
+        lambda: FrequencyGrid(-1, BEYOND, 4), "omega_max must be finite, got inf"
+    ),
+    "pump-duration-beyond-range": (
+        lambda: PumpConfig(p0x=1.0, duration=BEYOND), "duration must be finite, got inf"
+    ),
+    **{
+        f"{func.__name__}-power-beyond-range": (
+            lambda func=func: func(PLAIN, BEYOND, 1.0), "power must be finite, got inf"
+        )
+        for func in (lambda_param, mi_gain, exact_scalar_flux, exact_lb_orthogonal_flux)
+    },
+    "mi_gain_curve-power-beyond-range": (
+        lambda: mi_gain_curve(PLAIN, BEYOND, FrequencyGrid(-1.0, 1.0, 4)),
+        "power must be finite, got inf",
+    ),
+    "mi_peak-power-beyond-range": (
+        lambda: mi_peak(PLAIN, BEYOND), "power must be finite, got inf"
+    ),
+    "mi_support_edge-power-beyond-range": (
+        lambda: mi_support_edge(PLAIN, BEYOND), "power must be finite, got inf"
+    ),
+    "nonlinear-length-gamma-beyond-range": (
+        lambda: nonlinear_length(BEYOND, 1.0), "gamma must be finite, got inf"
+    ),
+    "xpm-phase-z-beyond-range": (
+        lambda: cpm_phase(1.0, 1.0, 1.0, BEYOND), "z must be finite, got inf"
+    ),
+    "bandwidth-ratio-length-beyond-range": (
+        lambda: bandwidth_ratio(PLAIN, 1.0, BEYOND), "length must be finite, got inf"
+    ),
+    "pt-duration-beyond-range": (
+        lambda: total_scatter_probability(PLAIN, PumpConfig(p0x=1.0), BEYOND),
+        "duration must be finite, got inf",
+    ),
+    "state-duration-beyond-range": (
+        lambda: filtered_state(PLAIN, PumpConfig(p0x=1.0), "HB", 1.0, BEYOND),
+        "duration must be finite, got inf",
+    ),
+    "second-order-duration-beyond-range": (
+        lambda: second_order_quantities(PLAIN, PumpConfig(p0x=1.0), 1.0, BEYOND),
+        "duration must be finite, got inf",
+    ),
+    # an infinite gamma is an input error, not a nonlinear length of 0.0
+    "nonlinear-length-infinite-gamma": (
+        lambda: nonlinear_length(math.inf, 1.0), "gamma must be finite, got inf"
+    ),
+    "xpm-phase-string-power": (
+        lambda: cpm_phase(1.0, "a", 1.0, 1.0), "p_same must be a real number, got 'a'"
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -705,13 +767,30 @@ PLAIN = FiberParams(gamma=1.0, beta2=1.0, length=1.0)
             NumericalFailure,
             id="orthogonal-closed-form-int-omega",
         ),
+        pytest.param(
+            lambda: mi_asymptotic_flux(PLAIN, 1.0, BEYOND),
+            NumericalFailure,
+            id="mi-asymptote-int-omega",
+        ),
+        pytest.param(
+            lambda: flux_hb(PLAIN, PumpConfig(p0x=1.0, p0y=0.5), [1.0, BEYOND]),
+            (NumericalFailure, "^omega holds an int beyond double range$"),
+            id="flux_hb-list-int-omega",
+        ),
+        *(
+            pytest.param(call, (ValueError, f"^{re.escape(message)}$"), id=name)
+            for name, (call, message) in NAMED_INPUT_ERRORS.items()
+        ),
     ],
 )
 def test_degenerate_and_overflowing_inputs_raise_domain_errors(call, error):
     """A zero or underflowed divisor and a result beyond double range raise the
     documented error, not a bare ZeroDivisionError or OverflowError, nor
-    return inf or NaN.  numpy's overflow warnings on the way are beside the point."""
-    with np.errstate(all="ignore"), pytest.raises(error):
+    return inf or NaN.  A raw input beyond double range, infinite or not a
+    number raises a ValueError naming it, whose message is then given as
+    (error, pattern).  numpy's overflow warnings on the way are beside the point."""
+    error, match = error if isinstance(error, tuple) else (error, None)
+    with np.errstate(all="ignore"), pytest.raises(error, match=match):
         call()
 
 
@@ -730,6 +809,11 @@ EXTREME_MAGNITUDES = (
     0.0, 5e-324, 1e-320, 1e-200, 1e-160, 1e-3, 1.0, 3.0, 1e3, 1e160, 1e200, 1e300
 )
 extreme_st = st.sampled_from([sign * m for m in EXTREME_MAGNITUDES for sign in (1.0, -1.0)])
+#: The same values and +-10**400, Python ints that no float can hold, drawn
+#: as often as any one value.
+wide_st = st.sampled_from(
+    [sign * m for m in EXTREME_MAGNITUDES for sign in (1.0, -1.0)] + [BEYOND, -BEYOND]
+)
 
 #: Every estimator of a paper landmark, as f(fiber, pump, a, b, c, d) with
 #: four free floats a..d for its scalar arguments.
@@ -759,30 +843,31 @@ ESTIMATORS = {
 @settings(max_examples=300, deadline=None)
 @given(
     name=st.sampled_from(sorted(ESTIMATORS)),
-    gamma=extreme_st,
-    beta2=extreme_st,
-    length=extreme_st,
-    delta_beta0=extreme_st,
-    delta_beta1=extreme_st,
-    p0x=extreme_st,
-    p0y=extreme_st,
-    args=st.tuples(extreme_st, extreme_st, extreme_st, extreme_st),
+    gamma=wide_st,
+    beta2=wide_st,
+    length=wide_st,
+    delta_beta0=wide_st,
+    delta_beta1=wide_st,
+    p0x=wide_st,
+    p0y=wide_st,
+    args=st.tuples(wide_st, wide_st, wide_st, wide_st),
 )
 def test_estimators_give_finite_values_or_documented_errors(
     name, gamma, beta2, length, delta_beta0, delta_beta1, p0x, p0y, args
 ):
-    """Every estimator returns finite floats or raises a domain error or
-    ValueError, whatever the magnitudes, never a bare ZeroDivisionError or
+    """Every estimator, and the containers it reads, return finite floats or
+    raise a domain error or ValueError, whatever the magnitudes and for a
+    Python int beyond double range, never a bare ZeroDivisionError or
     OverflowError, nor inf or NaN."""
-    fiber = FiberParams(
-        gamma=abs(gamma),
-        beta2=beta2,
-        length=abs(length),
-        delta_beta0=delta_beta0,
-        delta_beta1=delta_beta1,
-    )
-    pump = PumpConfig(p0x=abs(p0x), p0y=abs(p0y))
     try:
+        fiber = FiberParams(
+            gamma=abs(gamma),
+            beta2=beta2,
+            length=abs(length),
+            delta_beta0=delta_beta0,
+            delta_beta1=delta_beta1,
+        )
+        pump = PumpConfig(p0x=abs(p0x), p0y=abs(p0y))
         result = ESTIMATORS[name](fiber, pump, *args)
     except (FpsError, ValueError):
         return
@@ -790,24 +875,31 @@ def test_estimators_give_finite_values_or_documented_errors(
     assert all(math.isfinite(value) for value in values), (name, result)
 
 
-#: The raw spectra, as f(fiber, pump, omega); LB gets the pump's x part.
-#: The "[]" forms take a float array (or a grid) built from omega, which
-#: cannot hold an int beyond double range.
+#: The raw spectra, as f(fiber, pump, power, omega); the fluxes read the
+#: pump (LB its x part) and the rest the raw power.  The "[]" forms take an
+#: array (or a grid) built from omega, the "[list]" forms a list, which can
+#: hold an int beyond double range.
 RAW_SPECTRA = {
-    "flux_hb": lambda fiber, pump, omega: flux_hb(fiber, pump, omega),
-    "flux_hb[]": lambda fiber, pump, omega: flux_hb(fiber, pump, np.array([omega, 1.0])),
-    "flux_lb": lambda fiber, pump, omega: flux_lb(fiber, PumpConfig(p0x=pump.p0x), omega),
-    "flux_lb[]": lambda fiber, pump, omega: flux_lb(
+    "flux_hb": lambda fiber, pump, power, omega: flux_hb(fiber, pump, omega),
+    "flux_hb[]": lambda fiber, pump, power, omega: flux_hb(fiber, pump, np.array([omega, 1.0])),
+    "flux_hb[list]": lambda fiber, pump, power, omega: flux_hb(fiber, pump, [omega, 1.0]),
+    "flux_lb": lambda fiber, pump, power, omega: flux_lb(
+        fiber, PumpConfig(p0x=pump.p0x), omega
+    ),
+    "flux_lb[]": lambda fiber, pump, power, omega: flux_lb(
         fiber, PumpConfig(p0x=pump.p0x), np.array([omega, 1.0])
     ),
-    "exact_scalar_flux": lambda fiber, pump, omega: exact_scalar_flux(fiber, pump.p0x, omega),
-    "exact_lb_orthogonal_flux": lambda fiber, pump, omega: exact_lb_orthogonal_flux(
-        fiber, pump.p0x, omega
+    "exact_scalar_flux": lambda fiber, pump, power, omega: exact_scalar_flux(fiber, power, omega),
+    "exact_scalar_flux[list]": lambda fiber, pump, power, omega: exact_scalar_flux(
+        fiber, power, [omega, 1.0]
     ),
-    "lambda_param": lambda fiber, pump, omega: lambda_param(fiber, pump.p0x, omega),
-    "mi_gain": lambda fiber, pump, omega: mi_gain(fiber, pump.p0x, omega),
-    "mi_gain_curve[]": lambda fiber, pump, omega: mi_gain_curve(
-        fiber, pump.p0x, FrequencyGrid(-abs(omega), abs(omega), 4)
+    "exact_lb_orthogonal_flux": lambda fiber, pump, power, omega: exact_lb_orthogonal_flux(
+        fiber, power, omega
+    ),
+    "lambda_param": lambda fiber, pump, power, omega: lambda_param(fiber, power, omega),
+    "mi_gain": lambda fiber, pump, power, omega: mi_gain(fiber, power, omega),
+    "mi_gain_curve[]": lambda fiber, pump, power, omega: mi_gain_curve(
+        fiber, power, FrequencyGrid(-abs(omega), abs(omega), 4)
     ),
 }
 
@@ -816,28 +908,28 @@ RAW_SPECTRA = {
 @settings(max_examples=300, deadline=None)
 @given(
     name=st.sampled_from(sorted(RAW_SPECTRA)),
-    gamma=extreme_st,
-    beta2=extreme_st,
-    length=extreme_st,
-    delta_beta0=extreme_st,
-    p0x=extreme_st,
-    p0y=extreme_st,
-    omega=st.one_of(extreme_st, st.sampled_from([10**400, -(10**400)])),
+    gamma=wide_st,
+    beta2=wide_st,
+    length=wide_st,
+    delta_beta0=wide_st,
+    p0x=wide_st,
+    p0y=wide_st,
+    power=wide_st,
+    omega=st.one_of(extreme_st, st.sampled_from([BEYOND, -BEYOND])),
 )
 def test_raw_spectra_give_finite_values_or_documented_errors(
-    name, gamma, beta2, length, delta_beta0, p0x, p0y, omega
+    name, gamma, beta2, length, delta_beta0, p0x, p0y, power, omega
 ):
-    """Every raw spectrum returns finite values or raises a domain error or
-    ValueError, whatever the magnitudes and at a Python int omega beyond
-    double range, never a bare OverflowError, nor inf or NaN."""
-    if name.endswith("[]"):
-        assume(isinstance(omega, float))
-    fiber = FiberParams(
-        gamma=abs(gamma), beta2=beta2, length=abs(length), delta_beta0=delta_beta0
-    )
-    pump = PumpConfig(p0x=abs(p0x), p0y=abs(p0y))
+    """Every raw spectrum, and the containers it reads, return finite values
+    or raise a domain error or ValueError, whatever the magnitudes and for a
+    Python int beyond double range, never a bare OverflowError, nor inf or
+    NaN."""
     try:
-        result = RAW_SPECTRA[name](fiber, pump, omega)
+        fiber = FiberParams(
+            gamma=abs(gamma), beta2=beta2, length=abs(length), delta_beta0=delta_beta0
+        )
+        pump = PumpConfig(p0x=abs(p0x), p0y=abs(p0y))
+        result = RAW_SPECTRA[name](fiber, pump, abs(power), omega)
     except (FpsError, ValueError):
         return
     if isinstance(result, GainCurve):
