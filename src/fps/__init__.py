@@ -57,7 +57,6 @@ _EXPORTS = {
         "PumpConfig",
         "alpha_param",
         "bandwidth_ratio",
-        "beta",
         "cpm_phase",
         "lambda_param",
         "mi_asymptotic_flux",

@@ -431,9 +431,12 @@ def _spectrum_task(
     elif method == "exact-ode":
         from .dynamics import flux_from_matrices, integrate_transfer_grid
 
-        matrices, used_steps = integrate_transfer_grid(
-            fiber, scenario.pump, scenario.regime, omegas, steps=steps
-        )
+        try:
+            matrices, used_steps = integrate_transfer_grid(
+                fiber, scenario.pump, scenario.regime, omegas, steps=steps
+            )
+        except ValueError as exc:  # a step length L/steps that underflows to 0
+            raise ScenarioError(str(exc)) from None
         f_x, f_y = flux_from_matrices(matrices)
         extra.append(f"# steps.L={_fmt(length)} = {used_steps or 'expm'}")
     else:

@@ -125,10 +125,10 @@ def filtered_state(
     the scalar amplitude of the unpumped axis (xi_yy for an x pump, xi_xx
     for a y pump) is the orthogonal-channel one.  The generation probability
     per discrete mode is sum |xi|^2 * dw / 2pi with dw = 2pi/T; it raises
-    NumericalFailure when that probability is not finite.  A duration that
-    is not a finite real > 0 raises ValueError.
+    NumericalFailure when that probability is not finite.  An omega or a
+    duration that is not a finite real > 0 raises ValueError.
     """
-    if not omega > 0:
+    if not (omega := real(omega, "omega")) > 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     if not (duration := real(duration, "duration")) > 0:
         raise ValueError(f"duration must be > 0, got {duration}")

@@ -145,22 +145,6 @@ class FrequencyGrid:
         return values
 
 
-def beta(fiber: FiberParams, axis: str, omega: float) -> float:
-    """Propagation constant beta_j(Omega) in 1/km on axis j in {"x", "y"}.
-
-    Second-order Taylor form beta0j + beta1j*Omega + (beta2/2)*Omega^2 with
-    the absolute offsets fixed by convention: beta0y = 0, beta1y = beta1_ref,
-    so that beta_x - beta_y = delta_beta0 + delta_beta1*Omega exactly.
-    """
-    if axis == "x":
-        beta0, beta1 = fiber.delta_beta0, fiber.beta1_ref + fiber.delta_beta1
-    elif axis == "y":
-        beta0, beta1 = 0.0, fiber.beta1_ref
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return beta0 + beta1 * omega + 0.5 * fiber.beta2 * omega**2
-
-
 def alpha_param(fiber: FiberParams, pump: PumpConfig) -> float:
     """Dimensionless overlap parameter alpha = beta2*gamma*P0/delta_beta1^2.
 

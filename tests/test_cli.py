@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import hashlib
 import importlib
 import io
 import json
@@ -17,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import capture_pins
 import fps
 from fps import PumpConfig, flux_hb
 from fps import cli
@@ -45,8 +45,8 @@ def data_rows(text):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
-def write_scenario(tmp_path, payload, name="scenario.json"):
-    path = tmp_path / name
+def write_scenario(tmp_path, payload):
+    path = tmp_path / "scenario.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 
@@ -257,121 +257,28 @@ def test_first_order_csv_is_the_same_on_both_paths(name):
     assert floats == array
 
 
-#: SHA-256 of the outputs the benchmark pins byte for byte (perfbench/refs.json).
-BENCHMARK_SHA256 = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "refs.json").read_text()
-)["sha256"]
-
-#: The CLI call behind each reference, run on the preset files written below.
-BENCHMARK_CALLS = {
-    **{
-        f"spectrum-first-order:{name}": (
-            "spectrum", "--scenario", f"preset-{name}.json", "--method", "first-order"
-        )
-        for name in ALL_PRESETS
-    },
-    "mi:fig1a": ("mi", "--scenario", "preset-fig1a.json"),
-    **{
-        f"classify:{name}:{omega}": (
-            "classify", "--scenario", f"preset-{name}.json", "--omega", omega
-        )
-        for name, omega in (("fig2", "1.0"), ("fig1a", "0.5"), ("fig4a", "24.0"))
-    },
-    "presets": ("presets",),
-}
+PINS = json.loads(capture_pins.TABLE.read_text(encoding="utf-8"))
 
 
-def test_benchmark_calls_cover_every_reference():
-    assert sorted(BENCHMARK_CALLS) == sorted(BENCHMARK_SHA256)
+@pytest.fixture(scope="module")
+def pin_directory(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("pins")
+    capture_pins.setup(directory, PINS["scenarios"])
+    return directory
 
 
-@pytest.mark.parametrize("ref", sorted(BENCHMARK_CALLS))
-def test_output_matches_the_benchmark_sha256(tmp_path, monkeypatch, capsys, ref):
-    """The output is byte-identical to the benchmark's reference.
-
-    Each preset is written as `preset-<name>.json` into the working
-    directory, as the benchmark writes it, so the `# scenario = ...` header
-    echoes the same name.
-    """
-    monkeypatch.chdir(tmp_path)
-    for name, flat in PRESETS.items():
-        text = json.dumps(flat, indent=1, sort_keys=True) + "\n"
-        (tmp_path / f"preset-{name}.json").write_text(text, encoding="utf-8")
-    rc, out, err = run(capsys, *BENCHMARK_CALLS[ref])
-    assert (rc, err) == (0, "")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BENCHMARK_SHA256[ref]
+@pytest.mark.parametrize("row", PINS["rows"], ids=lambda row: " ".join(row["argv"]))
+def test_cli_call_matches_its_pin(pin_directory, monkeypatch, row):
+    """Exit code, stdout SHA-256 and stderr of one call equal its row of cli_pins.json."""
+    monkeypatch.chdir(pin_directory)
+    assert {**row, **capture_pins.call(row["argv"])} == row
 
 
-#: Exit code and stdout SHA-256 of every exact-path preset call: spectrum
-#: with exact-ode, closed-form and all, and compare.  closed-form exits 2
-#: with no output on the two-axis presets fig2 and fig3.
-EXACT_PATH_SHA256 = json.loads(Path(__file__).with_name("exact_path_sha256.json").read_text())
-
-
-@pytest.mark.parametrize("ref", sorted(EXACT_PATH_SHA256))
-def test_exact_path_output_matches_its_sha256(capsys, ref):
-    command, name = ref.split(":")
-    argv = ("compare",) if command == "compare" else (
-        "spectrum", "--method", command.removeprefix("spectrum-"))
-    rc, out, err = run(capsys, *argv, "--preset", name)
-    expected = EXACT_PATH_SHA256[ref]
-    assert rc == expected["exit"]
-    assert (err == "") == (rc == 0)
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected["stdout_sha256"]
-
-
-#: Scenarios that only run after an axis relabel or on the y-pump LB table:
-#: (a) a two-axis HB pump with delta_beta1 < 0, which `normalize_convention`
-#: swaps; (b) an LB pump on y alone with a nonzero phase.
-RELABEL_SCENARIOS = {
-    "relabel-a": {
-        "fiber": {"gamma_per_W_km": 3.0, "beta2_ps2_per_km": 15.0, "delta_beta0_per_km": 40.0,
-                  "delta_beta1_ps_per_km": -200.0, "length_km": 0.2},
-        "pump": {"p0x_W": 0.1, "p0y_W": 0.2, "theta0x_rad": 0.3, "theta0y_rad": -0.5,
-                 "duration_ps": 100.0},
-        "grid": {"omega_min": -15.0, "omega_max": 15.0, "n_points": 60},
-        "regime": "HB",
-        "lengths_km": [0.1, 0.2],
-    },
-    "relabel-b": {
-        "fiber": {"gamma_per_W_km": 3.0, "beta2_ps2_per_km": 5.0, "delta_beta0_per_km": -2000.0,
-                  "length_km": 0.15},
-        "pump": {"p0y_W": 1.0, "theta0y_rad": 0.7, "duration_ps": 100.0},
-        "grid": {"omega_min": -32.0, "omega_max": 32.0, "n_points": 64},
-        "regime": "LB",
-        "lengths_km": [0.1, 0.15],
-    },
-}
-
-#: Exit code and stdout SHA-256 of every command on the two relabel
-#: scenarios (spectrum per method, compare, mi, classify per omega), and of
-#: mi on every preset.  closed-form exits 2 with no output on scenario (a).
-RELABEL_PATH_SHA256 = json.loads(
-    Path(__file__).with_name("relabel_path_sha256.json").read_text()
-)
-
-
-@pytest.mark.parametrize("ref", sorted(RELABEL_PATH_SHA256))
-def test_relabel_path_output_matches_its_sha256(capsys, monkeypatch, tmp_path, ref):
-    command, name = ref.split(":")
-    if name in RELABEL_SCENARIOS:
-        monkeypatch.chdir(tmp_path)
-        write_scenario(tmp_path, RELABEL_SCENARIOS[name], f"{name}.json")
-        source = ("--scenario", f"{name}.json")
-    else:
-        source = ("--preset", name)
-    command, _, option = command.partition("-")
-    if command == "spectrum":
-        argv = ("spectrum", "--method", option)
-    elif command == "classify":
-        argv = ("classify", "--omega", option)
-    else:
-        argv = (command,)
-    rc, out, err = run(capsys, *argv, *source)
-    expected = RELABEL_PATH_SHA256[ref]
-    assert rc == expected["exit"]
-    assert (err == "") == (rc == 0)
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected["stdout_sha256"]
+def test_pins_hold_the_benchmark_references():
+    """The rows the benchmark also pins hold the SHA-256 of perfbench/refs.json."""
+    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
+    pinned = {row["ref"]: row["stdout_sha256"] for row in PINS["rows"] if "ref" in row}
+    assert pinned == json.loads(refs.read_text())["sha256"]
 
 
 #: First-order spectra beyond double range: the prefactor gamma*P*L, the
@@ -1098,7 +1005,7 @@ def test_package_names_are_their_modules_objects():
         for info in pkgutil.iter_modules(fps.__path__)
         if not info.name.startswith("_")  # importing __main__ would run the CLI
     ]
-    assert len(fps.__all__) == len(set(fps.__all__)) == 52
+    assert len(fps.__all__) == len(set(fps.__all__)) == 51
     for name in fps.__all__:
         value = getattr(fps, name)
         homes = [module for module in modules if hasattr(module, name)]

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from fps import (
     filtered_state,
     flux_hb,
     flux_lb,
+    integrate_transfer_grid,
     second_order_quantities,
     total_scatter_probability,
 )
@@ -134,6 +137,16 @@ def test_filtered_state_argument_validation(fig2_fiber, fig2_pump):
         filtered_state(fig2_fiber, fig2_pump, "HB", 1.0, 0.0)
     with pytest.raises(ValueError):
         filtered_state(fig2_fiber, fig2_pump, "circular", 1.0, 100.0)
+    # omega passes the one conversion rule before it is compared
+    for omega, message in [
+        ("a", "omega must be a real number, got 'a'"),
+        (True, "omega must be a real number, got True"),
+        (math.inf, "omega must be finite, got inf"),
+        (math.nan, "omega must be finite, got nan"),
+        (10**400, "omega must be finite, got inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            filtered_state(fig2_fiber, fig2_pump, "HB", omega, 100.0)
 
 
 def test_lb_state_is_scalar_pair(fig4a_fiber, pump_x1):
@@ -231,6 +244,70 @@ def test_generation_probability_is_the_pair_flux_in_one_mode(case):
         f_x, f_y = flux(fiber, pump, omega)
         expected = 2.0 * math.pi * (f_x + f_y)
         assert state.generation_probability * duration == pytest.approx(expected, rel=1e-13)
+
+
+#: (fiber, pump, regime, omega) of the exact-moment oracle: HB with a vector
+#: admixture, with an unequal split and with an axis relabel (delta_beta1 <
+#: 0), all with pump phases; LB with the pump on x and on y.
+EXACT_CASES = {
+    "hb-vector-admixture": (
+        FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0),
+        PumpConfig(p0x=0.15, p0y=0.15, theta0x=0.3, theta0y=-0.4), "HB", 20.0,
+    ),
+    "hb-unequal-split": (
+        FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0),
+        PumpConfig(p0x=0.25, p0y=0.05, theta0x=0.3, theta0y=-0.4), "HB", 1.0,
+    ),
+    "hb-relabeled": (
+        FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta0=40.0, delta_beta1=-200.0),
+        PumpConfig(p0x=0.1, p0y=0.2, theta0x=0.3, theta0y=-0.5), "HB", 3.0,
+    ),
+    "lb-x-pump": (_LB_FIBER, PumpConfig(p0x=1.0, theta0x=0.3), "LB", math.sqrt(800.0)),
+    "lb-y-pump": (_LB_FIBER, PumpConfig(p0x=0.0, p0y=1.0, theta0y=0.7), "LB", 20.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_pair_moments_converge_to_classify(case):
+    """The exact pair state's concurrence, label and phase tend to `classify`'s as g -> 0.
+
+    The output vacuum's anomalous moments K_jk = <a_j(+W) a_k(-W)>
+    (Braunstein and van Loock, RMP 77, 513 (2005)) are
+    M[j,0] conj(M[k',0]) + M[j,2] conj(M[k',2]) of the transfer matrix, with
+    j = 0 (x) or 2 (y) the anti-Stokes row and k' = 1 (x) or 3 (y) the
+    creation row of the Stokes axis.  M is taken as `integrate_transfer_grid`
+    returns it, in the frame of the first-order amplitudes
+    xi = integral C exp(i R z) dz, its first Magnus term: the propagation
+    phases exp(i beta_j L) are not in M, and its factor diag(exp(-i phi L))
+    belongs to that frame (without it arg(K_yy/K_xx) moves by (R01 - R23) L,
+    which does not vanish with the power).
+
+    The tolerance is the first neglected order: K = xi (1 + O(g)) with
+    g = gamma*P0*L, taken with unit coefficient.  Normalizing then moves the
+    coefficients by at most 2g, the concurrence |c^T J c| (||J|| = 1) by at
+    most |c - c'| |c + c'| <= 4g, and arg c_j by at most (pi/2) 2g/|c_j|.
+    The exact concurrence is 2|det K| / |K|^2, not `concurrence`.
+    """
+    fiber, pump, regime, omega = EXACT_CASES[case]
+    for scale in (1e-1, 1e-2, 1e-3):
+        weak = replace(pump, p0x=scale * pump.p0x, p0y=scale * pump.p0y)
+        g = fiber.gamma * weak.total * fiber.length
+        state = filtered_state(fiber, weak, regime, omega, 100.0)
+        m = integrate_transfer_grid(fiber, weak, regime, [omega])[0][0]
+        moments = np.array([
+            [m[j, 0] * np.conj(m[k, 0]) + m[j, 2] * np.conj(m[k, 2]) for k in (1, 3)]
+            for j in (0, 2)
+        ])
+        moments /= np.linalg.norm(moments)
+        (k_xx, k_xy), (k_yx, k_yy) = moments.tolist()
+        exact = classify(FilteredPairState(omega, (k_xx, k_yy, k_xy, k_yx), 1.0, 0.0))
+        report = classify(state)
+        assert abs(2.0 * abs(np.linalg.det(moments)) - report.concurrence) <= 4.0 * g
+        assert exact.classification == report.classification
+        c_xx, c_yy = state.coeffs[:2]
+        if c_xx != 0 and c_yy != 0:
+            drift = math.remainder(exact.relative_phase - report.relative_phase, math.tau)
+            assert abs(drift) <= math.pi * g * (1.0 / abs(c_xx) + 1.0 / abs(c_yy))
 
 
 def test_relative_phase_tracks_pump_phases(fig2_fiber):

@@ -14,7 +14,6 @@ from fps import (
     ZeroPower,
     alpha_param,
     bandwidth_ratio,
-    beta,
     cpm_phase,
     mi_asymptotic_flux,
     mi_peak,
@@ -25,7 +24,6 @@ from fps import (
 from fps import fiber as fiber_module
 from fps.fiber import coupling_table
 
-finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e3, max_value=1e3)
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 
 
@@ -126,38 +124,6 @@ def test_grid_validation():
     np.testing.assert_allclose(grid.omegas, [-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
-def test_beta_quadratic_term():
-    fiber = FiberParams(gamma=3.0, beta2=20.0, length=0.1)
-    assert beta(fiber, "y", 2.0) == pytest.approx(40.0)
-
-
-def test_beta_axis_difference_examples():
-    fiber = FiberParams(
-        gamma=3.0, beta2=15.0, length=0.1, delta_beta0=7.0, delta_beta1=200.0
-    )
-    assert beta(fiber, "x", 0.0) - beta(fiber, "y", 0.0) == pytest.approx(7.0)
-    assert beta(fiber, "x", 1.0) - beta(fiber, "y", 1.0) == pytest.approx(207.0)
-
-
-def test_beta_rejects_unknown_axis():
-    fiber = FiberParams(gamma=3.0, beta2=15.0, length=0.1)
-    with pytest.raises(ValueError):
-        beta(fiber, "z", 0.0)
-
-
-@given(db0=finite, db1=finite, b2=finite, b1r=finite, omega=finite)
-def test_beta_difference_is_linear(db0, db1, b2, b1r, omega):
-    fiber = FiberParams(
-        gamma=1.0, beta2=b2, length=0.1,
-        delta_beta0=db0, delta_beta1=db1, beta1_ref=b1r,
-    )
-    diff = beta(fiber, "x", omega) - beta(fiber, "y", omega)
-    # the quadratic and beta1_ref terms cancel up to roundoff in the
-    # canceled magnitudes, leaving the mismatch line db0 + db1*omega
-    scale = 1.0 + abs(b2) * omega**2 + abs(b1r * omega)
-    assert diff == pytest.approx(db0 + db1 * omega, rel=1e-12, abs=1e-12 * scale)
-
-
 def test_alpha_values():
     fib3 = FiberParams(gamma=36.0, beta2=-139.0, length=1e-4, delta_beta1=400.0)
     assert alpha_param(fib3, PumpConfig(p0x=20.0, p0y=20.0)) == pytest.approx(-1.251)
@@ -238,16 +204,20 @@ def test_normalize_convention_swaps_axes():
     assert swapped_fiber.delta_beta0 == -100.0
     assert swapped_pump.p0x == 0.2 and swapped_pump.p0y == 0.1
     assert swapped_pump.theta0x == 0.4 and swapped_pump.theta0y == 0.3
-    # relabeled axes keep the original propagation constants up to one
-    # omega-independent common offset (beta0y is pinned to 0 by convention)
-    offset = beta(swapped_fiber, "x", 0.0) - beta(fiber, "y", 0.0)
+    # relabeled axes keep the original propagation constants
+    # beta_j(W) = beta0j + beta1j*W + (beta2/2)*W^2 up to one
+    # omega-independent common offset (beta0y = 0, beta1y = beta1_ref by convention)
+    def betas(f, w):  # (beta_x(W), beta_y(W))
+        quadratic = 0.5 * f.beta2 * w**2
+        return f.delta_beta0 + (f.beta1_ref + f.delta_beta1) * w + quadratic, (
+            f.beta1_ref * w + quadratic
+        )
+
+    offset = swapped_fiber.delta_beta0
     for omega in (-3.0, 0.0, 1.7):
-        assert beta(swapped_fiber, "x", omega) - beta(fiber, "y", omega) == (
-            pytest.approx(offset, abs=1e-9)
-        )
-        assert beta(swapped_fiber, "y", omega) - beta(fiber, "x", omega) == (
-            pytest.approx(offset, abs=1e-9)
-        )
+        (x_swapped, y_swapped), (x, y) = betas(swapped_fiber, omega), betas(fiber, omega)
+        assert x_swapped - y == pytest.approx(offset, abs=1e-9)
+        assert y_swapped - x == pytest.approx(offset, abs=1e-9)
 
 
 def test_normalize_convention_is_identity_for_positive_mismatch():
@@ -262,7 +232,6 @@ def test_operations_are_pure():
     fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.1, delta_beta1=10.0)
     pump = PumpConfig(p0x=0.3)
     assert alpha_param(fiber, pump) == alpha_param(fiber, pump)
-    assert beta(fiber, "x", 1.3) == beta(fiber, "x", 1.3)
     assert math.isfinite(nonlinear_length(fiber.gamma, pump.total))
 
 
@@ -346,16 +315,20 @@ def _nls_rhs(fiber, fields, omega):
     """d/dz of the HB vector-NLS fields at the detunings (-omega, 0, +omega).
 
     fields[j] holds axis j's (x, then y) amplitudes there, each the
-    coefficient of exp(-i w t).  The linear part is i beta_j(w) A_j(w) from
-    `fiber.beta`; the Kerr part i gamma (|A_j|^2 + (2/3)|A_k|^2) A_j is
+    coefficient of exp(-i w t).  The linear part is i beta_j(w) A_j(w) with
+    beta_j(w) = beta0j + beta1j*w + (beta2/2)*w^2, beta0y = 0 and
+    beta1y = beta1_ref; the Kerr part i gamma (|A_j|^2 + (2/3)|A_k|^2) A_j is
     multiplied out by convolving coefficients and kept at the same three
     detunings, which is exact at linear order in the sidebands.
     """
     intensity = [np.convolve(row[::-1].conj(), row) for row in fields]  # at -2w..2w
+    detunings = np.array([-omega, 0.0, omega])
+    beta0 = (fiber.delta_beta0, 0.0)
+    beta1 = (fiber.beta1_ref + fiber.delta_beta1, fiber.beta1_ref)
     rhs = np.empty((2, 3), dtype=complex)
-    for j, axis in enumerate("xy"):
+    for j in range(2):
         kerr = np.convolve(intensity[j] + (2.0 / 3.0) * intensity[1 - j], fields[j])[2:5]
-        linear = np.array([beta(fiber, axis, w) for w in (-omega, 0.0, omega)])
+        linear = beta0[j] + beta1[j] * detunings + 0.5 * fiber.beta2 * detunings**2
         rhs[j] = 1j * linear * fields[j] + 1j * fiber.gamma * kerr
     return rhs
 

@@ -235,13 +235,17 @@ def test_scalar_amplitude_is_nan_beyond_double_range():
     # Python int takes the float path too, without a numpy overflow warning,
     # and one beyond double range gives NaN, not float()'s OverflowError:
     # `pair_amplitudes` converts the raw omega once for its four amplitudes.
+    # `filtered_state` converts its omega by the one rule first, so there an
+    # int beyond double range is a ValueError.
     fiber = FiberParams(gamma=3.0, beta2=15.0, length=0.2, delta_beta1=200.0)
     pump = PumpConfig(p0x=0.15, p0y=0.15)
     for omega in (1e300, 10**300, 10**400, -(10**400)):
         assert all(cmath.isnan(xi) for xi in pair_amplitudes(fiber, pump, "HB", omega))
-    for omega in (1e300, 10**400):
+    for omega in (1e300, 10**300):
         with pytest.raises(NumericalFailure):
             filtered_state(fiber, pump, "HB", omega, 100.0)
+    with pytest.raises(ValueError, match="^omega must be finite, got inf$"):
+        filtered_state(fiber, pump, "HB", 10**400, 100.0)
 
 
 #: Edge values of one complex part: zeros, subnormals, near overflow, inf, NaN.
