@@ -274,11 +274,26 @@ def test_cli_call_matches_its_pin(pin_directory, monkeypatch, row):
     assert {**row, **capture_pins.call(row["argv"])} == row
 
 
-def test_pins_hold_the_benchmark_references():
-    """The rows the benchmark also pins hold the SHA-256 of perfbench/refs.json."""
-    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
-    pinned = {row["ref"]: row["stdout_sha256"] for row in PINS["rows"] if "ref" in row}
-    assert pinned == json.loads(refs.read_text())["sha256"]
+#: SHA-256 of the outputs the benchmark pins byte for byte (perfbench/refs.json).
+BENCHMARK_SHA256 = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "refs.json").read_text()
+)["sha256"]
+BENCHMARK_ROWS = {row["ref"]: row for row in PINS["rows"] if "ref" in row}
+
+
+def test_benchmark_calls_cover_every_reference():
+    """Each perfbench/refs.json reference is the `ref` of exactly one row."""
+    refs = sorted(row["ref"] for row in PINS["rows"] if "ref" in row)
+    assert refs == sorted(BENCHMARK_SHA256)
+
+
+@pytest.mark.parametrize("ref", sorted(BENCHMARK_SHA256))
+def test_output_matches_the_benchmark_sha256(pin_directory, monkeypatch, ref):
+    """The row behind one benchmark reference holds, and prints, its refs.json SHA-256."""
+    monkeypatch.chdir(pin_directory)
+    row = BENCHMARK_ROWS[ref]
+    assert row["stdout_sha256"] == BENCHMARK_SHA256[ref]
+    assert capture_pins.call(row["argv"])["stdout_sha256"] == BENCHMARK_SHA256[ref]
 
 
 #: First-order spectra beyond double range: the prefactor gamma*P*L, the
