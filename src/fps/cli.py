@@ -59,8 +59,8 @@ MAX_STEP_POINTS = 20_000_000
 #: numpy.  Both paths print the same bytes.  Measured on the
 #: fig1a, fig2 and fig4a physics with Python 3.11 and numpy 2.4 on 2 vCPUs:
 #: the float path takes 4-10 us per point, the array path 0.2-0.5 us, and
-#: importing numpy about 170 ms (229 ms for `python -c "import numpy"`
-#: against 58 ms for `python -c pass`), so the two break even between
+#: importing numpy about 170 ms (229 ms for a `python -c` that imports
+#: numpy against 58 ms for `python -c pass`), so the two break even between
 #: about 17,000 and 40,000 points; 10,000 keeps a margin.
 MAX_FLOAT_PATH_POINTS = 10_000
 
@@ -342,8 +342,15 @@ def _header_lines(command: str, origin: list[str], resolved: dict) -> list[str]:
     return lines
 
 
-def _spectrum_methods(scenario: Scenario) -> tuple[str, ...]:
-    """Methods a spectrum call runs; "all" skips closed-form for a two-axis HB pump."""
+def _methods(scenario: Scenario, command: str) -> tuple[str, ...]:
+    """Spectrum methods a command runs: compare runs two, mi and classify none.
+
+    spectrum runs the scenario's method; "all" skips closed-form for a two-axis HB pump.
+    """
+    if command == "compare":
+        return ("first-order", "exact-ode")
+    if command != "spectrum":
+        return ()
     if scenario.method != "all":
         return (scenario.method,)
     if scenario.regime == "HB" and scenario.pump.p0x != 0 and scenario.pump.p0y != 0:
@@ -358,12 +365,8 @@ def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
     --steps where no exact-ode runs, which nothing would read, is rejected too.
     """
     n_points, n_lengths = scenario.grid.n_points, len(scenario.lengths)
-    if command == "spectrum":
-        methods = _spectrum_methods(scenario)
-    elif command == "compare":
-        methods = ("first-order", "exact-ode")
-    else:  # mi reads the grid once, classify not at all
-        methods = ()
+    methods = _methods(scenario, command)
+    # mi reads the grid once, classify not at all
     points = n_points * n_lengths * len(methods) if methods else n_points
     if points > MAX_SPECTRAL_POINTS:
         raise ScenarioError(
@@ -382,31 +385,6 @@ def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
             f"{step_points} RK4 step-points (--steps x grid x lengths) exceed the cap "
             f"{MAX_STEP_POINTS}"
         )
-
-
-def _closed_form_flux(scenario: Scenario, fiber: FiberParams, omegas):
-    """(f_x, f_y) from the x-pump closed forms, kept independent of the coupling table.
-
-    A y pump is relabeled onto x by `swap_axes`, and the two fluxes swapped back.
-    """
-    import numpy as np
-
-    from .dynamics import exact_lb_orthogonal_flux, exact_scalar_flux
-    from .fiber import swap_axes
-
-    pump = scenario.pump
-    if pump.p0x != 0 and pump.p0y != 0:  # LB scenarios never get here
-        raise ScenarioError(
-            "closed-form method requires a single-axis pump in the HB regime"
-        )
-    on_y = pump.p0y != 0
-    fiber, pump = swap_axes(fiber, pump) if on_y else (fiber, pump)
-    f_pump = exact_scalar_flux(fiber, pump.p0x, omegas)
-    if scenario.regime == "LB":
-        f_orth = exact_lb_orthogonal_flux(fiber, pump.p0x, omegas)
-    else:
-        f_orth = np.zeros_like(omegas)
-    return (f_orth, f_pump) if on_y else (f_pump, f_orth)
 
 
 def _spectrum_task(
@@ -440,14 +418,16 @@ def _spectrum_task(
         f_x, f_y = flux_from_matrices(matrices)
         extra.append(f"# steps.L={_fmt(length)} = {used_steps or 'expm'}")
     else:
-        f_x, f_y = _closed_form_flux(scenario, fiber, omegas)
+        from .dynamics import _closed_form_flux
+
+        f_x, f_y = _closed_form_flux(fiber, scenario.pump, scenario.regime, omegas)
     if not isinstance(omegas, list):
         f_x, f_y = f_x.tolist(), f_y.tolist()
     return extra, f_x, f_y
 
 
 def run_spectrum(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
-    methods = _spectrum_methods(scenario)
+    methods = _methods(scenario, "spectrum")
     points = scenario.grid.n_points * len(scenario.lengths)
     if methods == ("first-order",) and points <= MAX_FLOAT_PATH_POINTS:
         omegas = omega_list = scenario.grid.omega_list
@@ -508,10 +488,6 @@ def run_compare(scenario: Scenario, resolved: dict, origin: list[str], args) -> 
 
 
 def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
-    for name in ("omega", "duration", "tol"):
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise ScenarioError(f"--{name} must be finite, got {value}")
     duration = args.duration
     if duration is None:
         duration = scenario.pump.duration
@@ -523,9 +499,9 @@ def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) ->
         state = filtered_state(
             scenario.fiber, scenario.pump, scenario.regime, args.omega, duration
         )
+        report = classify(state, tol=args.tol)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    report = classify(state, tol=args.tol)
     payload = {
         "command": "classify",
         "scenario": resolved,
@@ -654,13 +630,10 @@ def main(argv=None) -> int:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 text = runner(scenario, resolved, origin, args)
-    except ScenarioError as exc:
-        print(f"fps: error: {exc}", file=sys.stderr)
-        return 2
     except NumericalFailure as exc:
         print(f"fps: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FpsError as exc:
+    except (ScenarioError, FpsError) as exc:
         print(f"fps: error: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, StepCountTooSmall, count, finite, real
+from .errors import NumericalFailure, PumpNotOnAxis, StepCountTooSmall, count, finite, real
 from .fiber import (
     _PAIR_ENTRIES, FiberParams, FrequencyGrid, PumpConfig, _as_omega, _scalar_block,
-    coupling_table, lambda_param, pair_fluxes,
+    coupling_table, lambda_param, pair_fluxes, swap_axes,
 )
 
 #: Bogoliubov metric in the (a_x, a_x^dag, a_y, a_y^dag) basis.
@@ -283,8 +283,8 @@ def exact_scalar_flux(fiber: FiberParams, power: float, omega):
 def exact_lb_orthogonal_flux(fiber: FiberParams, power: float, omega):
     """Closed-form flux of the LB orthogonal channel (coupling gamma*P/3), pump on x.
 
-    For a pump on y, pass the fiber relabeled by `fiber.swap_axes`.  A
-    power that is not a finite real >= 0 raises ValueError.
+    `_closed_form_flux` relabels a pump on y onto x.  A power that is not a
+    finite real >= 0 raises ValueError.
     """
     omega = _as_omega(omega)
     power = real(power, "power", 0)
@@ -295,6 +295,27 @@ def exact_lb_orthogonal_flux(fiber: FiberParams, power: float, omega):
         - 2.0 * fiber.delta_beta0
     )
     return _parametric_flux(coupling, rate, fiber.length)
+
+
+def _closed_form_flux(fiber: FiberParams, pump: PumpConfig, regime: str, omega):
+    """(f_x, f_y) from the x-pump closed forms, kept independent of the coupling table.
+
+    The oracle of a single-axis pump: a pump on y is relabeled onto x by
+    `swap_axes`, and the two fluxes swapped back.  The unpumped axis carries
+    the LB orthogonal channel, or nothing in HB.  A pump on both axes raises
+    PumpNotOnAxis.
+    """
+    if pump.p0x != 0 and pump.p0y != 0:
+        raise PumpNotOnAxis("closed-form method requires a single-axis pump in the HB regime")
+    on_y = pump.p0y != 0
+    if on_y:
+        fiber, pump = swap_axes(fiber, pump)
+    f_pump = exact_scalar_flux(fiber, pump.p0x, omega)
+    if regime == "LB":
+        f_orth = exact_lb_orthogonal_flux(fiber, pump.p0x, omega)
+    else:
+        f_orth = np.zeros_like(f_pump)
+    return (f_orth, f_pump) if on_y else (f_pump, f_orth)
 
 
 def mi_gain_curve(fiber: FiberParams, power: float, grid: FrequencyGrid) -> GainCurve:

@@ -171,8 +171,9 @@ def classify(state: FilteredPairState, tol: float = 1e-3) -> EntanglementReport:
     coefficients with no vector admixture give "bell-like" when the
     concurrence reaches BELL_CONCURRENCE_MIN; everything else is "partial".
     The relative phase arg(c_yy/c_xx) is NaN when either scalar coefficient
-    vanishes.
+    vanishes.  A tol that is not a finite real raises ValueError.
     """
+    tol = real(tol, "tol")
     values = state.coeffs
     conc = concurrence(values)
     significant = tuple(abs(c) ** 2 >= tol for c in values)

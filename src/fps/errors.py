@@ -5,8 +5,9 @@ caller passes (container fields, powers, gamma, lengths, durations) goes
 through `real`, and every step or point count through `count`, so a bool,
 a string, inf, NaN, an int beyond double range or a negative power is a
 `ValueError` that names the input.  A detuning omega is the exception: it
-may be an array, and `fiber._as_omega` turns one beyond double range into
-NaN or `NumericalFailure`.
+may be an array, so `fiber._as_omega` converts it, raising the same
+`ValueError` for one that is not a number but turning one beyond double
+range into NaN or `NumericalFailure`.
 
 `finite` is the one finiteness check of results: the estimators, the raw
 spectra (first-order and exact fluxes, the closed forms, the MI

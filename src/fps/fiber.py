@@ -191,9 +191,13 @@ def _scalar_block(fiber: FiberParams, power: float, omega):
 def _as_omega(omega):
     """omega as a Python float, NaN for an int beyond double range, or else as a float array.
 
-    A sequence holding an int beyond double range raises NumericalFailure.
+    None, a bool, a string, a complex or anything else numpy cannot convert
+    to floats raises ValueError naming omega; a sequence holding an int
+    beyond double range raises NumericalFailure.
     """
-    if isinstance(omega, (int, float)):
+    if type(omega) is float:
+        return omega
+    if isinstance(omega, (int, float)) and not isinstance(omega, bool):
         try:
             return float(omega)
         except OverflowError:
@@ -201,9 +205,13 @@ def _as_omega(omega):
     import numpy as np
 
     try:
+        if omega is None or isinstance(omega, (bool, str, bytes)):
+            raise TypeError
         return np.asarray(omega, dtype=float)
     except OverflowError:
         raise NumericalFailure("omega holds an int beyond double range") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"omega must be a real number, got {omega!r}") from None
 
 
 def lambda_param(fiber: FiberParams, power: float, omega):

@@ -34,6 +34,7 @@ from fps import (
 )
 from fps.dynamics import (
     J_METRIC,
+    _closed_form_flux,
     _coefficient_factors,
     _expm,
     _mode_offsets,
@@ -155,6 +156,27 @@ def test_lb_regime_requires_single_axis_pump():
     fiber = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
     with pytest.raises(PumpNotOnAxis):
         integrate_transfer_grid(fiber, PumpConfig(p0x=1.0, p0y=1.0), "LB", np.array([1.0]))
+    # the closed-form oracle has no two-axis solution in either regime
+    for regime in ("HB", "LB"):
+        with pytest.raises(PumpNotOnAxis, match="^closed-form method requires a single-axis"):
+            _closed_form_flux(fiber, PumpConfig(p0x=1.0, p0y=1.0), regime, np.array([1.0]))
+
+
+@pytest.mark.parametrize("regime", ["HB", "LB"])
+def test_closed_form_oracle_relabels_a_y_pump_without_the_coupling_table(
+    monkeypatch, regime
+):
+    """The y-pump closed form is the x-pump one on the relabeled fiber, axes swapped."""
+    monkeypatch.setattr(fps.dynamics, "coupling_table", None)  # any read fails
+    x_fiber = FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0)
+    y_fiber = replace(x_fiber, delta_beta0=-2000.0)
+    omegas = np.linspace(-32.0, 32.0, 64)
+    f_x, f_y = _closed_form_flux(x_fiber, PumpConfig(p0x=1.0), regime, omegas)
+    y_pump = PumpConfig(p0x=0.0, p0y=1.0, theta0y=0.7)
+    g_x, g_y = _closed_form_flux(y_fiber, y_pump, regime, omegas)
+    assert (g_x == f_y).all() and (g_y == f_x).all()
+    assert (f_x == exact_scalar_flux(x_fiber, 1.0, omegas)).all()
+    assert (f_y != 0).any() == (regime == "LB")
 
 
 @pytest.mark.parametrize("steps", [None, 3000])

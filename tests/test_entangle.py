@@ -115,6 +115,14 @@ def test_classify_tolerance_controls_significance():
     state = _handmade_state([1.0, 0.05, 0.0, 0.0])  # |c_yy|^2 = 2.5e-3
     assert classify(state, tol=1e-3).classification == "partial"
     assert classify(state, tol=1e-2).classification == "scalar-only-x"
+    # tol passes the one conversion rule: no label from a NaN or a bool
+    for tol, message in [
+        (math.nan, "tol must be finite, got nan"),
+        (math.inf, "tol must be finite, got inf"),
+        (True, "tol must be a real number, got True"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify(state, tol=tol)
 
 
 def test_empty_state_for_dark_pump(fig2_fiber):

@@ -29,6 +29,7 @@ from fps import (
     flux_from_matrices,
     flux_hb,
     flux_lb,
+    integrate_transfer_grid,
     lambda_param,
     lb_peak_and_width,
     mi_asymptotic_flux,
@@ -558,6 +559,27 @@ NAMED_INPUT_ERRORS = {
     "xpm-phase-string-power": (
         lambda: cpm_phase(1.0, "a", 1.0, 1.0), "p_same must be a real number, got 'a'"
     ),
+    # every omega entry point converts through `fiber._as_omega`
+    **{
+        f"{name}-omega-{omega!r}": (
+            lambda call=call, omega=omega: call(omega),
+            f"omega must be a real number, got {omega!r}",
+        )
+        for name, call in {
+            "flux_hb": lambda omega: flux_hb(PLAIN, PumpConfig(p0x=1.0), omega),
+            "lambda_param": lambda omega: lambda_param(PLAIN, 1.0, omega),
+            "xi_hb": lambda omega: xi_hb(PLAIN, PumpConfig(p0x=1.0), Channel.XX, omega),
+            "mi_asymptotic_flux": lambda omega: mi_asymptotic_flux(PLAIN, 1.0, omega),
+            "exact_scalar_flux": lambda omega: exact_scalar_flux(PLAIN, 1.0, omega),
+            "integrate_transfer_grid": lambda omega: integrate_transfer_grid(
+                PLAIN, PumpConfig(p0x=1.0), "HB", omega
+            ),
+            "second_order_quantities": lambda omega: second_order_quantities(
+                PLAIN, PumpConfig(p0x=1.0), omega, 100.0
+            ),
+        }.items()
+        for omega in ("a", None, 1j, True)
+    },
 }
 
 
