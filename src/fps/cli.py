@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .errors import FpsError, NumericalFailure, real
+from .errors import FpsError, NumericalFailure, count, real
 
 if TYPE_CHECKING:
     from .fiber import FiberParams, FrequencyGrid, PumpConfig
@@ -83,41 +83,28 @@ class Scenario:
 _REQUIRED = object()
 
 
-def _count(value) -> int:
-    """int(value) of an integral number; booleans and strings are rejected."""
-    if isinstance(value, (bool, str)) or float(value) != int(value):
-        raise ValueError
-    return int(value)
-
-
-def _lengths(value) -> list[float]:
-    """A JSON list of finite numbers."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError
-    return [real(entry) for entry in value]
-
-
-#: Scenario schema: key -> (parser, default or _REQUIRED, container field).
-#: The container is the key's prefix (fiber, pump or grid); keys without a
-#: field configure the run.  `real` rejects booleans, strings, NaN and
-#: infinity (json.load accepts them) as the containers do.
+#: Scenario schema: key -> (default or _REQUIRED, container field).  The
+#: container is the key's prefix (fiber, pump or grid) and converts the raw
+#: JSON value by its own rule (`errors.real`, `errors.count`), so a boolean,
+#: a string, NaN, infinity or a non-integral count is its ValueError naming
+#: the field.  Keys without a field configure the run.
 _SCHEMA = {
-    "fiber.gamma_per_W_km": (real, _REQUIRED, "gamma"),
-    "fiber.beta2_ps2_per_km": (real, _REQUIRED, "beta2"),
-    "fiber.delta_beta0_per_km": (real, 0.0, "delta_beta0"),
-    "fiber.delta_beta1_ps_per_km": (real, 0.0, "delta_beta1"),
-    "fiber.length_km": (real, _REQUIRED, "length"),
-    "pump.p0x_W": (real, 0.0, "p0x"),
-    "pump.p0y_W": (real, 0.0, "p0y"),
-    "pump.theta0x_rad": (real, 0.0, "theta0x"),
-    "pump.theta0y_rad": (real, 0.0, "theta0y"),
-    "pump.duration_ps": (real, None, "duration"),
-    "grid.omega_min": (real, _REQUIRED, "omega_min"),
-    "grid.omega_max": (real, _REQUIRED, "omega_max"),
-    "grid.n_points": (_count, _REQUIRED, "n_points"),
-    "regime": (str, _REQUIRED, None),
-    "method": (str, "first-order", None),
-    "lengths_km": (_lengths, None, None),
+    "fiber.gamma_per_W_km": (_REQUIRED, "gamma"),
+    "fiber.beta2_ps2_per_km": (_REQUIRED, "beta2"),
+    "fiber.delta_beta0_per_km": (0.0, "delta_beta0"),
+    "fiber.delta_beta1_ps_per_km": (0.0, "delta_beta1"),
+    "fiber.length_km": (_REQUIRED, "length"),
+    "pump.p0x_W": (0.0, "p0x"),
+    "pump.p0y_W": (0.0, "p0y"),
+    "pump.theta0x_rad": (0.0, "theta0x"),
+    "pump.theta0y_rad": (0.0, "theta0y"),
+    "pump.duration_ps": (None, "duration"),
+    "grid.omega_min": (_REQUIRED, "omega_min"),
+    "grid.omega_max": (_REQUIRED, "omega_max"),
+    "grid.n_points": (_REQUIRED, "n_points"),
+    "regime": (_REQUIRED, None),
+    "method": ("first-order", None),
+    "lengths_km": (None, None),
 }
 
 #: Built-in parameter sets mirroring the reference spectra.  Symmetric
@@ -219,7 +206,9 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
     """Validate a flat key/value mapping into a Scenario.
 
     Returns the scenario together with the resolved flat mapping (defaults
-    filled in, axis convention normalized) used for provenance headers.
+    filled in, fields as the containers store them, axis convention
+    normalized) used for provenance headers.  A field the containers reject
+    raises their ValueError; every other violation raises ScenarioError.
     """
     from .fiber import FiberParams, FrequencyGrid, PumpConfig, normalize_convention
 
@@ -227,46 +216,42 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
     if unknown:
         raise ScenarioError(f"unknown scenario field(s): {', '.join(unknown)}")
     resolved = {}
-    for key, (parse, default, _) in _SCHEMA.items():
+    fields = {"fiber": {}, "pump": {}, "grid": {}}
+    for key, (default, field) in _SCHEMA.items():
         if flat.get(key) is not None:
-            try:
-                resolved[key] = parse(flat[key])
-            except (TypeError, ValueError, OverflowError):
-                raise ScenarioError(f"field {key}: cannot parse {flat[key]!r}") from None
+            resolved[key] = flat[key]
         elif default is _REQUIRED:
             raise ScenarioError(f"missing required scenario field: {key}")
         else:
             resolved[key] = default
+        if field is not None:
+            fields[key.partition(".")[0]][field] = resolved[key]
     if resolved["regime"] not in ("HB", "LB"):
         raise ScenarioError(f"field regime: must be HB or LB, got {resolved['regime']!r}")
     if resolved["method"] not in METHOD_ORDER + ("all",):
         raise ScenarioError(
             f"field method: must be one of {', '.join(METHOD_ORDER + ('all',))}"
         )
-    if resolved["lengths_km"] is None:
-        resolved["lengths_km"] = [resolved["fiber.length_km"]]
-    if not resolved["lengths_km"] or any(l <= 0 for l in resolved["lengths_km"]):
+    fiber, pump = normalize_convention(
+        FiberParams(**fields["fiber"]), PumpConfig(**fields["pump"])
+    )
+    grid = FrequencyGrid(**fields["grid"])
+    lengths = resolved["lengths_km"]
+    if lengths is None:
+        lengths = [fiber.length]
+    if isinstance(lengths, (list, tuple)):
+        lengths = resolved["lengths_km"] = [real(length, "lengths_km") for length in lengths]
+    if not isinstance(lengths, list) or not lengths or min(lengths) <= 0:
         raise ScenarioError("field lengths_km: must be a nonempty list of positive lengths")
-    if resolved["fiber.gamma_per_W_km"] <= 0:
+    if fiber.gamma <= 0:
         raise ScenarioError("field fiber.gamma_per_W_km: must be > 0")
-    if resolved["fiber.length_km"] <= 0:
+    if fiber.length <= 0:
         raise ScenarioError("field fiber.length_km: must be > 0")
-    if resolved["pump.p0x_W"] + resolved["pump.p0y_W"] <= 0:
+    if pump.total <= 0:
         raise ScenarioError("field pump.p0x_W/p0y_W: total pump power must be > 0")
-    fields = {"fiber": {}, "pump": {}, "grid": {}}
-    for key, (_, _, field) in _SCHEMA.items():
-        if field is not None:
-            fields[key.partition(".")[0]][field] = resolved[key]
-    try:
-        fiber, pump = normalize_convention(
-            FiberParams(**fields["fiber"]), PumpConfig(**fields["pump"])
-        )
-        grid = FrequencyGrid(**fields["grid"])
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
     # Echo the normalized values: a negative delta_beta1 swaps the axes.
     containers = {"fiber": fiber, "pump": pump, "grid": grid}
-    for key, (_, _, field) in _SCHEMA.items():
+    for key, (_, field) in _SCHEMA.items():
         if field is not None:
             resolved[key] = getattr(containers[key.partition(".")[0]], field)
     if resolved["regime"] == "LB" and pump.p0x != 0 and pump.p0y != 0:
@@ -276,7 +261,7 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
         pump=pump,
         grid=grid,
         regime=resolved["regime"],
-        lengths=tuple(resolved["lengths_km"]),
+        lengths=tuple(lengths),
         method=resolved["method"],
     )
     return scenario, resolved
@@ -362,7 +347,8 @@ def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
     """Raise ScenarioError above MAX_SPECTRAL_POINTS or MAX_STEP_POINTS.
 
     Runs before any grid is built, so an oversized request allocates nothing.
-    --steps where no exact-ode runs, which nothing would read, is rejected too.
+    --steps below 1 (`errors.count`'s ValueError) and --steps where no
+    exact-ode runs, which nothing would read, are rejected too.
     """
     n_points, n_lengths = scenario.grid.n_points, len(scenario.lengths)
     methods = _methods(scenario, command)
@@ -375,6 +361,7 @@ def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
         )
     if steps is None:
         return
+    count(steps, "--steps", 1)
     if "exact-ode" not in methods:
         raise ScenarioError(
             f"--steps applies to exact-ode only; this {command} runs {', '.join(methods)}"
@@ -409,12 +396,9 @@ def _spectrum_task(
     elif method == "exact-ode":
         from .dynamics import flux_from_matrices, integrate_transfer_grid
 
-        try:
-            matrices, used_steps = integrate_transfer_grid(
-                fiber, scenario.pump, scenario.regime, omegas, steps=steps
-            )
-        except ValueError as exc:  # a step length L/steps that underflows to 0
-            raise ScenarioError(str(exc)) from None
+        matrices, used_steps = integrate_transfer_grid(
+            fiber, scenario.pump, scenario.regime, omegas, steps=steps
+        )
         f_x, f_y = flux_from_matrices(matrices)
         extra.append(f"# steps.L={_fmt(length)} = {used_steps or 'expm'}")
     else:
@@ -495,13 +479,8 @@ def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) ->
         raise ScenarioError("classify needs --duration or pump.duration_ps")
     from .entangle import BASIS, bell_phase, classify, filtered_state
 
-    try:
-        state = filtered_state(
-            scenario.fiber, scenario.pump, scenario.regime, args.omega, duration
-        )
-        report = classify(state, tol=args.tol)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    state = filtered_state(scenario.fiber, scenario.pump, scenario.regime, args.omega, duration)
+    report = classify(state, tol=args.tol)
     payload = {
         "command": "classify",
         "scenario": resolved,
@@ -611,14 +590,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        steps = getattr(args, "steps", None)
-        if steps is not None and steps < 1:
-            raise ScenarioError(f"--steps must be >= 1, got {steps}")
         if args.command == "presets":
             text = run_presets(args)
         else:
             scenario, resolved, origin = _resolve_scenario(args)
-            _check_cost(scenario, args.command, steps)
+            _check_cost(scenario, args.command, getattr(args, "steps", None))
             runner = {
                 "spectrum": run_spectrum,
                 "compare": run_compare,
@@ -633,7 +609,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"fps: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ScenarioError, FpsError) as exc:
+    except (ValueError, FpsError) as exc:  # ScenarioError and the library's input errors
         print(f"fps: error: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -303,10 +303,14 @@ def _closed_form_flux(fiber: FiberParams, pump: PumpConfig, regime: str, omega):
     The oracle of a single-axis pump: a pump on y is relabeled onto x by
     `swap_axes`, and the two fluxes swapped back.  The unpumped axis carries
     the LB orthogonal channel, or nothing in HB.  A pump on both axes raises
-    PumpNotOnAxis.
+    PumpNotOnAxis, and a regime other than HB or LB ValueError.
     """
+    if regime not in ("HB", "LB"):
+        raise ValueError(f"regime must be 'HB' or 'LB', got {regime!r}")
     if pump.p0x != 0 and pump.p0y != 0:
-        raise PumpNotOnAxis("closed-form method requires a single-axis pump in the HB regime")
+        raise PumpNotOnAxis(
+            f"closed-form method requires a single-axis pump in the {regime} regime"
+        )
     on_y = pump.p0y != 0
     if on_y:
         fiber, pump = swap_axes(fiber, pump)

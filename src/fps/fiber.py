@@ -191,9 +191,10 @@ def _scalar_block(fiber: FiberParams, power: float, omega):
 def _as_omega(omega):
     """omega as a Python float, NaN for an int beyond double range, or else as a float array.
 
-    None, a bool, a string, a complex or anything else numpy cannot convert
-    to floats raises ValueError naming omega; a sequence holding an int
-    beyond double range raises NumericalFailure.
+    None, a bool, a string, a complex, or an array or sequence holding one
+    (which numpy alone would read as 1.5 for "1.5", 1 for True or NaN for
+    None, or drop the imaginary part of) raises ValueError naming omega; a
+    sequence holding an int beyond double range raises NumericalFailure.
     """
     if type(omega) is float:
         return omega
@@ -202,12 +203,18 @@ def _as_omega(omega):
             return float(omega)
         except OverflowError:
             return math.nan
+    import numbers
+
     import numpy as np
 
     try:
-        if omega is None or isinstance(omega, (bool, str, bytes)):
+        array = np.asarray(omega)
+        # Object entries are Python ints beyond int64, or not numbers at all.
+        if array.dtype.kind not in "iufO" or (array.dtype.kind == "O" and not all(
+            isinstance(entry, numbers.Real) and not isinstance(entry, bool) for entry in array.flat
+        )):
             raise TypeError
-        return np.asarray(omega, dtype=float)
+        return np.asarray(array, dtype=float)
     except OverflowError:
         raise NumericalFailure("omega holds an int beyond double range") from None
     except (TypeError, ValueError):

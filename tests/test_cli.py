@@ -556,6 +556,8 @@ def test_unknown_field(tmp_path, capsys):
         {"lengths_km": [0.1, True]},
         # JSON strings are not numbers ("8" used to run 8 points)
         {"grid": {**SMALL_SCALAR["grid"], "n_points": "8"}},
+        # a count is a JSON integer, as FrequencyGrid takes it (8.0 used to run 8 points)
+        {"grid": {**SMALL_SCALAR["grid"], "n_points": 8.0}},
         {"fiber": {**SMALL_SCALAR["fiber"], "gamma_per_W_km": "3.0"}},
         {"lengths_km": ["0.1"]},
         # PumpConfig's own checks: no negative power, a positive duration

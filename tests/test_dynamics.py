@@ -158,8 +158,15 @@ def test_lb_regime_requires_single_axis_pump():
         integrate_transfer_grid(fiber, PumpConfig(p0x=1.0, p0y=1.0), "LB", np.array([1.0]))
     # the closed-form oracle has no two-axis solution in either regime
     for regime in ("HB", "LB"):
-        with pytest.raises(PumpNotOnAxis, match="^closed-form method requires a single-axis"):
+        with pytest.raises(
+            PumpNotOnAxis,
+            match=f"^closed-form method requires a single-axis pump in the {regime} regime$",
+        ):
             _closed_form_flux(fiber, PumpConfig(p0x=1.0, p0y=1.0), regime, np.array([1.0]))
+    # nor does it run any other regime as HB, whatever the pump
+    for pump in (PumpConfig(p0x=1.0), PumpConfig(p0x=1.0, p0y=1.0)):
+        with pytest.raises(ValueError, match="^regime must be 'HB' or 'LB', got 'lb'$"):
+            _closed_form_flux(fiber, pump, "lb", np.array([1.0]))
 
 
 @pytest.mark.parametrize("regime", ["HB", "LB"])

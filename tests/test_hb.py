@@ -578,7 +578,12 @@ NAMED_INPUT_ERRORS = {
                 PLAIN, PumpConfig(p0x=1.0), omega, 100.0
             ),
         }.items()
-        for omega in ("a", None, 1j, True)
+        # numpy alone would read "1.5" as 1.5, True as 1 and None as NaN,
+        # and drop an imaginary part with a ComplexWarning
+        for omega in (
+            "a", None, 1j, True, ["1.5"], np.array(["1.5"]), [True], np.True_,
+            np.array([1.0 + 1j]), [None],
+        )
     },
 }
 

@@ -4,12 +4,14 @@ import contextlib
 import fnmatch
 import importlib
 import io
+import json
 import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import capture_pins
 import fps
 import fps.errors
 from fps.cli import PRESETS, ScenarioError, load_scenario
@@ -112,3 +114,16 @@ def test_readme_required_field_is_required(key):
 @pytest.mark.parametrize("key", OPTIONAL)
 def test_readme_optional_field_may_be_left_out(key):
     load_scenario({k: v for k, v in PRESETS["fig2"].items() if k != key})
+
+
+def test_readme_quoted_cli_errors_are_pinned():
+    """Every complete `fps: error: ...` or `fps: numerical failure: ...` line
+    the README quotes is the stderr of a row of tests/cli_pins.json.  A quote
+    ending in `...` is a template and is skipped."""
+    text = README.read_text(encoding="utf-8")
+    quotes = re.findall(r"`(fps: (?:error|numerical failure): [^`]*)`", text)
+    lines = {" ".join(quote.split()) for quote in quotes if not quote.endswith("...")}
+    assert len(lines) >= 2
+    pins = json.loads(capture_pins.TABLE.read_text(encoding="utf-8"))
+    stderr = {row["stderr"] for row in pins["rows"]}
+    assert sorted(line for line in lines if line + "\n" not in stderr) == []
