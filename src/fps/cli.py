@@ -42,8 +42,12 @@ METHOD_ORDER = ("first-order", "exact-ode", "closed-form")
 
 #: Cap on the spectral points of one call: grid points x lengths x methods
 #: for spectrum (two methods for compare), the grid once for mi and
-#: classify.  The matrix exponential needs about 3.6 KB and 17 us per point,
-#: so a call at the cap stays below ~1 GB and a few seconds.  Exit 2 above it.
+#: classify.  A one-length exact-ode call needs about 2.9 KB and 20 us per
+#: point (730 MB peak RSS and 5.0-5.4 s at the cap for fig2's physics, on
+#: 2 vCPUs), so a call at the cap stays below ~1 GB and a few seconds.  A
+#: generator with a huge norm is the exception: the matrix exponential then
+#: squares about 1000 times per point, and one such call at the cap ran
+#: 186 s before its exit 3.  Exit 2 above it.
 MAX_SPECTRAL_POINTS = 250_000
 
 #: Cap on --steps x grid points x lengths of one RK4 run.  The oracle
@@ -63,10 +67,6 @@ MAX_STEP_POINTS = 20_000_000
 #: numpy against 58 ms for `python -c pass`), so the two break even between
 #: about 17,000 and 40,000 points; 10,000 keeps a margin.
 MAX_FLOAT_PATH_POINTS = 10_000
-
-
-class ScenarioError(ValueError):
-    """Scenario schema or constraint violation; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -207,29 +207,29 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
 
     Returns the scenario together with the resolved flat mapping (defaults
     filled in, fields as the containers store them, axis convention
-    normalized) used for provenance headers.  A field the containers reject
-    raises their ValueError; every other violation raises ScenarioError.
+    normalized) used for provenance headers.  Every violation, a field the
+    containers reject included, raises ValueError.
     """
     from .fiber import FiberParams, FrequencyGrid, PumpConfig, normalize_convention
 
     unknown = sorted(set(flat) - set(_SCHEMA))
     if unknown:
-        raise ScenarioError(f"unknown scenario field(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown scenario field(s): {', '.join(unknown)}")
     resolved = {}
     fields = {"fiber": {}, "pump": {}, "grid": {}}
     for key, (default, field) in _SCHEMA.items():
         if flat.get(key) is not None:
             resolved[key] = flat[key]
         elif default is _REQUIRED:
-            raise ScenarioError(f"missing required scenario field: {key}")
+            raise ValueError(f"missing required scenario field: {key}")
         else:
             resolved[key] = default
         if field is not None:
             fields[key.partition(".")[0]][field] = resolved[key]
     if resolved["regime"] not in ("HB", "LB"):
-        raise ScenarioError(f"field regime: must be HB or LB, got {resolved['regime']!r}")
+        raise ValueError(f"field regime: must be HB or LB, got {resolved['regime']!r}")
     if resolved["method"] not in METHOD_ORDER + ("all",):
-        raise ScenarioError(
+        raise ValueError(
             f"field method: must be one of {', '.join(METHOD_ORDER + ('all',))}"
         )
     fiber, pump = normalize_convention(
@@ -242,20 +242,20 @@ def load_scenario(flat: dict) -> tuple[Scenario, dict]:
     if isinstance(lengths, (list, tuple)):
         lengths = resolved["lengths_km"] = [real(length, "lengths_km") for length in lengths]
     if not isinstance(lengths, list) or not lengths or min(lengths) <= 0:
-        raise ScenarioError("field lengths_km: must be a nonempty list of positive lengths")
+        raise ValueError("field lengths_km: must be a nonempty list of positive lengths")
     if fiber.gamma <= 0:
-        raise ScenarioError("field fiber.gamma_per_W_km: must be > 0")
+        raise ValueError("field fiber.gamma_per_W_km: must be > 0")
     if fiber.length <= 0:
-        raise ScenarioError("field fiber.length_km: must be > 0")
+        raise ValueError("field fiber.length_km: must be > 0")
     if pump.total <= 0:
-        raise ScenarioError("field pump.p0x_W/p0y_W: total pump power must be > 0")
+        raise ValueError("field pump.p0x_W/p0y_W: total pump power must be > 0")
     # Echo the normalized values: a negative delta_beta1 swaps the axes.
     containers = {"fiber": fiber, "pump": pump, "grid": grid}
     for key, (_, field) in _SCHEMA.items():
         if field is not None:
             resolved[key] = getattr(containers[key.partition(".")[0]], field)
     if resolved["regime"] == "LB" and pump.p0x != 0 and pump.p0y != 0:
-        raise ScenarioError("regime LB requires the pump on a single axis")
+        raise ValueError("regime LB requires the pump on a single axis")
     scenario = Scenario(
         fiber=fiber,
         pump=pump,
@@ -281,9 +281,9 @@ def _fmt(value) -> str:
 
 
 def _preset(name: str) -> dict:
-    """The built-in parameter set `name`; ScenarioError for an unknown name."""
+    """The built-in parameter set `name`; ValueError for an unknown name."""
     if name not in PRESETS:
-        raise ScenarioError(
+        raise ValueError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
     return PRESETS[name]
@@ -291,7 +291,7 @@ def _preset(name: str) -> dict:
 
 def _resolve_scenario(args) -> tuple[Scenario, dict, list[str]]:
     if args.preset is not None and args.scenario is not None:
-        raise ScenarioError("give either --preset or --scenario, not both")
+        raise ValueError("give either --preset or --scenario, not both")
     if args.preset is not None:
         flat = dict(_preset(args.preset))
         origin = [f"# preset = {args.preset}"]
@@ -300,17 +300,17 @@ def _resolve_scenario(args) -> tuple[Scenario, dict, list[str]]:
             with open(args.scenario, encoding="utf-8") as handle:
                 raw = json.load(handle)
         except OSError as exc:
-            raise ScenarioError(f"cannot read scenario file: {exc}") from None
+            raise ValueError(f"cannot read scenario file: {exc}") from None
         except (ValueError, RecursionError) as exc:
             # ValueError: JSONDecodeError, or an integer literal beyond
             # Python's digit limit for int conversion.
-            raise ScenarioError(f"scenario file is not valid JSON: {exc}") from None
+            raise ValueError(f"scenario file is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
-            raise ScenarioError("scenario file must contain a JSON object")
+            raise ValueError("scenario file must contain a JSON object")
         flat = _flatten(raw)
         origin = [f"# scenario = {args.scenario}"]
     else:
-        raise ScenarioError("a scenario is required: give --preset or --scenario")
+        raise ValueError("a scenario is required: give --preset or --scenario")
     method = getattr(args, "method", None)
     if method is not None:
         flat["method"] = method
@@ -344,7 +344,7 @@ def _methods(scenario: Scenario, command: str) -> tuple[str, ...]:
 
 
 def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
-    """Raise ScenarioError above MAX_SPECTRAL_POINTS or MAX_STEP_POINTS.
+    """Raise ValueError above MAX_SPECTRAL_POINTS or MAX_STEP_POINTS.
 
     Runs before any grid is built, so an oversized request allocates nothing.
     --steps below 1 (`errors.count`'s ValueError) and --steps where no
@@ -355,7 +355,7 @@ def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
     # mi reads the grid once, classify not at all
     points = n_points * n_lengths * len(methods) if methods else n_points
     if points > MAX_SPECTRAL_POINTS:
-        raise ScenarioError(
+        raise ValueError(
             f"{points} spectral points (grid x lengths x methods) exceed the cap "
             f"{MAX_SPECTRAL_POINTS}"
         )
@@ -363,12 +363,12 @@ def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
         return
     count(steps, "--steps", 1)
     if "exact-ode" not in methods:
-        raise ScenarioError(
+        raise ValueError(
             f"--steps applies to exact-ode only; this {command} runs {', '.join(methods)}"
         )
     step_points = steps * n_points * n_lengths
     if step_points > MAX_STEP_POINTS:
-        raise ScenarioError(
+        raise ValueError(
             f"{step_points} RK4 step-points (--steps x grid x lengths) exceed the cap "
             f"{MAX_STEP_POINTS}"
         )
@@ -446,7 +446,7 @@ def run_compare(scenario: Scenario, resolved: dict, origin: list[str], args) -> 
         _, ex_x, ex_y = _spectrum_task(scenario, "exact-ode", length, args.steps, omegas)
         peak = max(ex_x + ex_y)
         if peak == 0:
-            raise ScenarioError("exact spectrum is identically zero; nothing to compare")
+            raise ValueError("exact spectrum is identically zero; nothing to compare")
         deviation = [abs(fo - ex) / peak for fo, ex in zip(fo_x + fo_y, ex_x + ex_y)]
         max_dev, mean_dev = max(deviation), math.fsum(deviation) / len(deviation)
         deviations.append(max_dev)
@@ -476,7 +476,7 @@ def run_classify(scenario: Scenario, resolved: dict, origin: list[str], args) ->
     if duration is None:
         duration = scenario.pump.duration
     if duration is None:
-        raise ScenarioError("classify needs --duration or pump.duration_ps")
+        raise ValueError("classify needs --duration or pump.duration_ps")
     from .entangle import BASIS, bell_phase, classify, filtered_state
 
     state = filtered_state(scenario.fiber, scenario.pump, scenario.regime, args.omega, duration)
@@ -609,7 +609,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"fps: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FpsError) as exc:  # ScenarioError and the library's input errors
+    except (ValueError, FpsError) as exc:  # scenario and library input errors
         print(f"fps: error: {exc}", file=sys.stderr)
         return 2
     if args.out:

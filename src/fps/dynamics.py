@@ -51,24 +51,25 @@ class GainCurve:
 def _coefficient_factors(
     fiber: FiberParams, pump: PumpConfig, regime: str, omegas
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split A(z) = C * exp(i R z) into constant coefficients and phase rates.
+    """The constant coupling matrix C and the mode offsets phi of A(z).
 
-    The independent entries come from `coupling_table`; A = -J A^dag J
-    fills the rest: C_kj = -J_j J_k conj(C_jk) and R_kj = -R_jk.
-    Returns (C, R) with shape omegas.shape + (4, 4); C is complex, R real.
+    A_jk(z) = C_jk exp(i (phi_k - phi_j) z).  The independent entries of C
+    come from `coupling_table`; A = -J A^dag J fills the rest:
+    C_kj = -J_j J_k conj(C_jk).  phi = (0, R01, R02, R02 + R23) from the
+    table's phase rates matches every nonzero entry in both regimes (LB has
+    no cross-axis coupling, so its R02 = 0 is a free choice).  Returns C of
+    shape (4, 4), complex, and phi of shape omegas.shape + (4,), real.
     """
     w = np.asarray(omegas, dtype=float)
-    shape = w.shape + (4, 4)
-    coeff = np.zeros(shape, dtype=complex)
-    rate = np.zeros(shape, dtype=float)
-    for (j, k), entry in coupling_table(fiber, pump, regime).items():
+    table = coupling_table(fiber, pump, regime)
+    coeff = np.zeros((4, 4), dtype=complex)
+    for (j, k), entry in table.items():
         c = 1j * entry.c * np.exp(1j * entry.theta)
-        same_metric = J_METRIC[j, j] == J_METRIC[k, k]
-        coeff[..., j, k] = c
-        coeff[..., k, j] = -np.conj(c) if same_metric else np.conj(c)
-        rate[..., j, k] = entry.rate(fiber, w)
-        rate[..., k, j] = -rate[..., j, k]
-    return coeff, rate
+        coeff[j, k] = c
+        coeff[k, j] = -np.conj(c) if J_METRIC[j, j] == J_METRIC[k, k] else np.conj(c)
+    r01, r23 = table[0, 1].rate(fiber, w), table[2, 3].rate(fiber, w)
+    r02 = table[0, 2].rate(fiber, w) if (0, 2) in table else np.zeros_like(w)
+    return coeff, np.stack([np.zeros_like(w), r01, r02, r02 + r23], axis=-1)
 
 
 def _metric_residual(matrix: np.ndarray) -> np.ndarray:
@@ -137,28 +138,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def _mode_offsets(rate: np.ndarray) -> np.ndarray:
-    """Per-mode wave-number offsets phi with rate[j, k] = phi[k] - phi[j].
-
-    phi = (0, R01, R02, R02 + R23) holds on every entry where the coupling
-    is nonzero, in both regimes (LB has no cross-axis coupling, so its
-    R02 = 0 is a free choice).  Shape omegas.shape + (4,).
-    """
-    r01, r02, r23 = rate[..., 0, 1], rate[..., 0, 2], rate[..., 2, 3]
-    return np.stack([np.zeros_like(r01), r01, r02, r02 + r23], axis=-1)
-
-
-def _rk4_power_offset(
-    coeff: np.ndarray, rate: np.ndarray, phi: np.ndarray, h: float, steps: int
-) -> np.ndarray:
+def _rk4_power_offset(coeff: np.ndarray, phi: np.ndarray, h: float, steps: int) -> np.ndarray:
     """(D(h) P0)^steps - I for the RK4 step P0 from z = 0, D(h) = diag(exp(i phi h)).
 
     P0 is built from the sub-step coefficients C, C exp(i R h/2) and
-    C exp(i R h), as a stepwise loop would build it.  Binary powering
+    C exp(i R h), with the rates R_jk = phi_k - phi_j.  Binary powering
     carries every power B^m of B = D(h) P0 as its offset B^m - I (a squaring
     is Y -> 2Y + Y Y, a product T -> T + Y + Y T), so the identity is never
     added to an O(h) step, where it would round away the step's low bits.
     """
+    rate = phi[..., None, :] - phi[..., :, None]
     a_mid = coeff * np.exp(1j * rate * (0.5 * h))
     a_end = coeff * np.exp(1j * rate * h)
     k2 = a_mid + (0.5 * h) * (a_mid @ coeff)
@@ -211,10 +200,9 @@ def integrate_transfer_grid(
     """
     omegas = np.asarray(_as_omega(omegas))
     steps = None if steps is None else count(steps, "steps", 1)
-    coeff, rate = _coefficient_factors(fiber, pump, regime, omegas)
+    coeff, phi = _coefficient_factors(fiber, pump, regime, omegas)
     if fiber.length == 0:
         return np.zeros(omegas.shape + (4, 4), dtype=complex) + np.eye(4), steps or 0
-    phi = _mode_offsets(rate)
     if steps is None:
         generator = (coeff + 1j * phi[..., None] * np.eye(4)) * fiber.length
         rotating = _expm(finite(generator, NumericalFailure, "coupled-mode generator"))
@@ -223,7 +211,7 @@ def integrate_transfer_grid(
         h = fiber.length / steps
         if not h > 0:  # underflowed
             raise ValueError(f"length/steps must be a positive float, got {h}")
-        rotating = np.eye(4) + _rk4_power_offset(coeff, rate, phi, h, steps)
+        rotating = np.eye(4) + _rk4_power_offset(coeff, phi, h, steps)
         error, propagator = StepCountTooSmall, f"{steps} steps"
     matrices = np.exp(-1j * phi * fiber.length)[..., None] * rotating
     defect = _relative_defect(matrices)

@@ -46,9 +46,9 @@ class FiberParams:
         Group mismatch beta1x - beta1y, ps/km.  Positive under the
         x-is-slow-axis convention; use `normalize_convention` to fold a
         negative value into an axis relabel.
-    beta1_ref : float
-        Absolute inverse group velocity of the y axis, ps/km.  Enters only
-        as a common phase, so the default 0 is physically inert.
+
+    The y axis is the reference: beta0y = beta1y = 0.  An absolute group
+    delay common to both axes enters only as a common phase.
 
     Every field is stored as the float `errors.real` makes of it.
     """
@@ -58,7 +58,6 @@ class FiberParams:
     length: float
     delta_beta0: float = 0.0
     delta_beta1: float = 0.0
-    beta1_ref: float = 0.0
 
     def __post_init__(self) -> None:
         # gamma=0 and length=0 stay representable: several degenerate
@@ -314,16 +313,11 @@ def bandwidth_ratio(fiber: FiberParams, power: float, length: float) -> float:
 def swap_axes(fiber: FiberParams, pump: PumpConfig) -> tuple[FiberParams, PumpConfig]:
     """Relabel the optical axes x <-> y.
 
-    Swapping the labels flips the signs of both mismatch parameters and
-    exchanges the pump components; the old x-axis inverse group velocity
-    becomes the new reference.
+    A pure relabel: the signs of both mismatch parameters flip and the pump
+    components are exchanged.  The new y axis is the reference again, which
+    shifts both axes by the same phase and changes no output.
     """
-    swapped_fiber = replace(
-        fiber,
-        delta_beta0=-fiber.delta_beta0,
-        delta_beta1=-fiber.delta_beta1,
-        beta1_ref=fiber.beta1_ref + fiber.delta_beta1,
-    )
+    swapped_fiber = replace(fiber, delta_beta0=-fiber.delta_beta0, delta_beta1=-fiber.delta_beta1)
     swapped_pump = replace(
         pump, p0x=pump.p0y, p0y=pump.p0x, theta0x=pump.theta0y, theta0y=pump.theta0x
     )

@@ -37,7 +37,6 @@ from fps.dynamics import (
     _closed_form_flux,
     _coefficient_factors,
     _expm,
-    _mode_offsets,
     _relative_defect,
 )
 from fps.cli import PRESETS, load_scenario
@@ -47,10 +46,25 @@ from fps.hb import first_order_amplitude
 TWO_PI = 2.0 * math.pi
 
 
+def _rates(fiber, pump, regime, omegas):
+    """Phase rates R of A(z) = C exp(i R z), from `Coupling.rate` alone.
+
+    R_jk is the rate of the table entry (j, k) and R_kj = -R_jk; entries
+    outside the table, where C vanishes, get 0.  The mode offsets phi of
+    the production path are never used.
+    """
+    w = np.asarray(omegas, dtype=float)
+    rate = np.zeros(w.shape + (4, 4))
+    for (j, k), entry in coupling_table(fiber, pump, regime).items():
+        rate[..., j, k] = entry.rate(fiber, w)
+        rate[..., k, j] = -rate[..., j, k]
+    return rate
+
+
 def _generator(fiber, pump, regime, omega, z):
     """Coefficient matrix A(z) = C exp(i R z) of d/dz v = A(z) v at one detuning."""
-    coeff, rate = _coefficient_factors(fiber, pump, regime, float(omega))
-    return coeff * np.exp(1j * rate * z)
+    coeff, _ = _coefficient_factors(fiber, pump, regime, float(omega))
+    return coeff * np.exp(1j * _rates(fiber, pump, regime, float(omega)) * z)
 
 
 def _transfer(fiber, pump, regime, omega):
@@ -324,18 +338,33 @@ def test_expm_matches_rk4_oracle(case):
     assert symplectic_defect(exact) <= 1e-12
 
 
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_mode_offsets_give_every_coupled_rate(case):
+    """C is one constant matrix, and phi_k - phi_j is R_jk wherever C_jk != 0."""
+    fiber, pump, regime, omegas = ORACLE_CASES[case]
+    coeff, phi = _coefficient_factors(fiber, pump, regime, omegas)
+    assert coeff.shape == (4, 4) and phi.shape == omegas.shape + (4,)
+    rate = _rates(fiber, pump, regime, omegas)
+    offsets = phi[:, None, :] - phi[:, :, None]
+    coupled = coeff != 0
+    assert coupled.sum() == 2 * len(coupling_table(fiber, pump, regime))
+    gap = np.abs(offsets - rate)[:, coupled]
+    assert gap.max() <= 1e-13 * np.abs(rate).max()
+
+
 def _stepwise_rk4(fiber, pump, regime, omegas, steps):
     """Fixed-step RK4, one step at a time, from the phase rates R alone.
 
     The sampled coefficients C exp(i R z) are advanced by half-step
-    factors; the mode offsets phi, which the powered oracle shares with the
-    matrix exponential, are never used.
+    factors.  R comes from `_rates`, so the mode offsets phi, which the
+    powered oracle shares with the matrix exponential, are never used.
     """
-    coeff, rate = _coefficient_factors(fiber, pump, regime, omegas)
+    coeff, _ = _coefficient_factors(fiber, pump, regime, omegas)
+    rate = _rates(fiber, pump, regime, omegas)
     matrices = np.zeros(omegas.shape + (4, 4), dtype=complex)
     matrices[...] = np.eye(4)
     h = fiber.length / steps
-    phase = np.ones_like(coeff)
+    phase = np.ones(rate.shape, dtype=complex)
     half_step_factor = np.exp(1j * rate * (0.5 * h))
     for _ in range(steps):
         a_start = coeff * phase
@@ -456,8 +485,8 @@ EXPM_CASES = {
 @pytest.mark.parametrize("case", sorted(EXPM_CASES))
 def test_numpy_expm_matches_scipy(case):
     fiber, pump, regime, omegas = EXPM_CASES[case]
-    coeff, rate = _coefficient_factors(fiber, pump, regime, omegas)
-    generator = (coeff + 1j * _mode_offsets(rate)[..., None] * np.eye(4)) * fiber.length
+    coeff, phi = _coefficient_factors(fiber, pump, regime, omegas)
+    generator = (coeff + 1j * phi[..., None] * np.eye(4)) * fiber.length
     reference = scipy_expm(generator)
     scale = np.maximum(1.0, np.abs(reference))
     assert (np.abs(_expm(generator) - reference) / scale).max() <= 1e-12

@@ -173,6 +173,11 @@ def test_bell_phase_values():
     assert bell_phase(opposite) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_bell_phase_maps_minus_pi_to_pi():
+    # 2*(theta0y - theta0x) = -pi exactly, which math.remainder keeps as -pi
+    assert bell_phase(PumpConfig(p0x=1.0, theta0y=-math.pi / 2)) == math.pi
+
+
 @settings(max_examples=80)
 @given(
     tx=st.floats(min_value=-10.0, max_value=10.0),

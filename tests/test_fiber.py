@@ -51,9 +51,7 @@ def test_pump_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "field", ["gamma", "beta2", "length", "delta_beta0", "delta_beta1", "beta1_ref"]
-)
+@pytest.mark.parametrize("field", ["gamma", "beta2", "length", "delta_beta0", "delta_beta1"])
 def test_fiber_rejects_non_finite_fields(field, bad):
     fields = dict(gamma=3.0, beta2=-20.0, length=0.1)
     with pytest.raises(ValueError, match=field):
@@ -205,19 +203,17 @@ def test_normalize_convention_swaps_axes():
     assert swapped_pump.p0x == 0.2 and swapped_pump.p0y == 0.1
     assert swapped_pump.theta0x == 0.4 and swapped_pump.theta0y == 0.3
     # relabeled axes keep the original propagation constants
-    # beta_j(W) = beta0j + beta1j*W + (beta2/2)*W^2 up to one
-    # omega-independent common offset (beta0y = 0, beta1y = beta1_ref by convention)
+    # beta_j(W) = beta0j + beta1j*W + (beta2/2)*W^2 up to a term common to
+    # both axes, a common phase (beta0y = beta1y = 0 in either labelling)
     def betas(f, w):  # (beta_x(W), beta_y(W))
         quadratic = 0.5 * f.beta2 * w**2
-        return f.delta_beta0 + (f.beta1_ref + f.delta_beta1) * w + quadratic, (
-            f.beta1_ref * w + quadratic
-        )
+        return f.delta_beta0 + f.delta_beta1 * w + quadratic, quadratic
 
-    offset = swapped_fiber.delta_beta0
     for omega in (-3.0, 0.0, 1.7):
         (x_swapped, y_swapped), (x, y) = betas(swapped_fiber, omega), betas(fiber, omega)
-        assert x_swapped - y == pytest.approx(offset, abs=1e-9)
-        assert y_swapped - x == pytest.approx(offset, abs=1e-9)
+        common = swapped_fiber.delta_beta0 + swapped_fiber.delta_beta1 * omega
+        assert x_swapped - y == pytest.approx(common, abs=1e-9)
+        assert y_swapped - x == pytest.approx(common, abs=1e-9)
 
 
 def test_normalize_convention_is_identity_for_positive_mismatch():
@@ -317,14 +313,14 @@ def _nls_rhs(fiber, fields, omega):
     fields[j] holds axis j's (x, then y) amplitudes there, each the
     coefficient of exp(-i w t).  The linear part is i beta_j(w) A_j(w) with
     beta_j(w) = beta0j + beta1j*w + (beta2/2)*w^2, beta0y = 0 and
-    beta1y = beta1_ref; the Kerr part i gamma (|A_j|^2 + (2/3)|A_k|^2) A_j is
+    beta1y = 0; the Kerr part i gamma (|A_j|^2 + (2/3)|A_k|^2) A_j is
     multiplied out by convolving coefficients and kept at the same three
     detunings, which is exact at linear order in the sidebands.
     """
     intensity = [np.convolve(row[::-1].conj(), row) for row in fields]  # at -2w..2w
     detunings = np.array([-omega, 0.0, omega])
     beta0 = (fiber.delta_beta0, 0.0)
-    beta1 = (fiber.beta1_ref + fiber.delta_beta1, fiber.beta1_ref)
+    beta1 = (fiber.delta_beta1, 0.0)
     rhs = np.empty((2, 3), dtype=complex)
     for j in range(2):
         kerr = np.convolve(intensity[j] + (2.0 / 3.0) * intensity[1 - j], fields[j])[2:5]

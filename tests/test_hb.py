@@ -200,13 +200,13 @@ def test_pairwise_sum_rule(px, py, omega):
 
 def test_pump_exchange_symmetry():
     fiber = _fiber()
+    # x <-> y by hand; beta1y = 0 in either labelling, a common phase
     relabeled = FiberParams(
         gamma=fiber.gamma,
         beta2=fiber.beta2,
         length=fiber.length,
         delta_beta0=-fiber.delta_beta0,
         delta_beta1=-fiber.delta_beta1,
-        beta1_ref=fiber.beta1_ref + fiber.delta_beta1,
     )
     pump = PumpConfig(p0x=0.25, p0y=0.05, theta0x=0.2, theta0y=-0.7)
     swapped = PumpConfig(p0x=0.05, p0y=0.25, theta0x=-0.7, theta0y=0.2)
@@ -341,6 +341,13 @@ def test_vector_peak_overlap_regime():
 def test_vector_peak_requires_birefringence(pump_x03):
     with pytest.raises(DegenerateBirefringence):
         vector_peak_detuning(FiberParams(gamma=3.0, beta2=15.0, length=0.1), pump_x03)
+
+
+def test_vector_peak_requires_dispersion(pump_x03):
+    # alpha is 0 at beta2 = 0, so only the estimator's own check can raise
+    fiber = FiberParams(gamma=3.0, beta2=0.0, length=0.1, delta_beta1=1.0)
+    with pytest.raises(ZeroDispersion):
+        vector_peak_detuning(fiber, pump_x03)
 
 
 def test_bandwidth_estimators(pump_x03):

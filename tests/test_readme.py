@@ -14,7 +14,7 @@ import pytest
 import capture_pins
 import fps
 import fps.errors
-from fps.cli import PRESETS, ScenarioError, load_scenario
+from fps.cli import PRESETS, load_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -107,7 +107,7 @@ def test_readme_scenario_fields_cover_a_preset():
 @pytest.mark.parametrize("key", REQUIRED)
 def test_readme_required_field_is_required(key):
     flat = {k: v for k, v in PRESETS["fig2"].items() if k != key}
-    with pytest.raises(ScenarioError, match=f"missing required scenario field: {key}"):
+    with pytest.raises(ValueError, match=f"missing required scenario field: {key}"):
         load_scenario(flat)
 
 
