@@ -42,12 +42,13 @@ METHOD_ORDER = ("first-order", "exact-ode", "closed-form")
 
 #: Cap on the spectral points of one call: grid points x lengths x methods
 #: for spectrum (two methods for compare), the grid once for mi and
-#: classify.  A one-length exact-ode call needs about 2.9 KB and 20 us per
-#: point (730 MB peak RSS and 5.0-5.4 s at the cap for fig2's physics, on
-#: 2 vCPUs), so a call at the cap stays below ~1 GB and a few seconds.  A
-#: generator with a huge norm is the exception: the matrix exponential then
-#: squares about 1000 times per point, and one such call at the cap ran
-#: 186 s before its exit 3.  Exit 2 above it.
+#: classify.  A one-length exact-ode call needs about 2.9 KB and 15-19 us
+#: per point (730 MB peak RSS and 3.6-4.7 s at the cap for fig2's physics,
+#: on 2 vCPUs), so a call at the cap stays below ~1 GB and a few seconds.
+#: The matrix exponential squares at most 53 times per point and rejects a
+#: generator that asks for more before any work (`dynamics._expm`).  The
+#: worst accepted case, 53 squarings at every point, took 9.9-14 s at the
+#: cap (731 MB) before its exit 3.  Exit 2 above it.
 MAX_SPECTRAL_POINTS = 250_000
 
 #: Cap on --steps x grid points x lengths of one RK4 run.  The oracle
@@ -107,19 +108,16 @@ _SCHEMA = {
     "lengths_km": (None, None),
 }
 
-#: Built-in parameter sets mirroring the reference spectra.  Symmetric
-#: grids with even point counts keep Omega = 0 off the grid.
+#: Built-in parameter sets mirroring the reference spectra: each lists
+#: only the fields its figure sets, and `_preset` fills in _SCHEMA's
+#: defaults.  Symmetric grids with even point counts keep Omega = 0 off
+#: the grid.
 PRESETS: dict[str, dict] = {
     "fig1a": {
         "fiber.gamma_per_W_km": 3.0,
         "fiber.beta2_ps2_per_km": -20.0,
-        "fiber.delta_beta0_per_km": 0.0,
-        "fiber.delta_beta1_ps_per_km": 0.0,
         "fiber.length_km": 0.1,
         "pump.p0x_W": 0.3,
-        "pump.p0y_W": 0.0,
-        "pump.theta0x_rad": 0.0,
-        "pump.theta0y_rad": 0.0,
         "pump.duration_ps": 100.0,
         "grid.omega_min": -2.0,
         "grid.omega_max": 2.0,
@@ -131,31 +129,24 @@ PRESETS: dict[str, dict] = {
     "fig2": {
         "fiber.gamma_per_W_km": 3.0,
         "fiber.beta2_ps2_per_km": 15.0,
-        "fiber.delta_beta0_per_km": 0.0,
         "fiber.delta_beta1_ps_per_km": 200.0,
         "fiber.length_km": 0.2,
         "pump.p0x_W": 0.15,
         "pump.p0y_W": 0.15,
-        "pump.theta0x_rad": 0.0,
-        "pump.theta0y_rad": 0.0,
         "pump.duration_ps": 100.0,
         "grid.omega_min": -15.0,
         "grid.omega_max": 15.0,
         "grid.n_points": 600,
         "regime": "HB",
-        "method": "first-order",
         "lengths_km": [0.1, 0.2, 0.3],
     },
     "fig3": {
         "fiber.gamma_per_W_km": 36.0,
         "fiber.beta2_ps2_per_km": -139.0,
-        "fiber.delta_beta0_per_km": 0.0,
         "fiber.delta_beta1_ps_per_km": 400.0,
         "fiber.length_km": 0.00015,
         "pump.p0x_W": 20.0,
         "pump.p0y_W": 20.0,
-        "pump.theta0x_rad": 0.0,
-        "pump.theta0y_rad": 0.0,
         "pump.duration_ps": 100.0,
         "grid.omega_min": -10.0,
         "grid.omega_max": 10.0,
@@ -168,18 +159,13 @@ PRESETS: dict[str, dict] = {
         "fiber.gamma_per_W_km": 3.0,
         "fiber.beta2_ps2_per_km": 5.0,
         "fiber.delta_beta0_per_km": 2000.0,
-        "fiber.delta_beta1_ps_per_km": 0.0,
         "fiber.length_km": 0.15,
         "pump.p0x_W": 1.0,
-        "pump.p0y_W": 0.0,
-        "pump.theta0x_rad": 0.0,
-        "pump.theta0y_rad": 0.0,
         "pump.duration_ps": 100.0,
         "grid.omega_min": -32.0,
         "grid.omega_max": 32.0,
         "grid.n_points": 640,
         "regime": "LB",
-        "method": "first-order",
         "lengths_km": [0.05, 0.1, 0.15],
     },
 }
@@ -281,19 +267,22 @@ def _fmt(value) -> str:
 
 
 def _preset(name: str) -> dict:
-    """The built-in parameter set `name`; ValueError for an unknown name."""
+    """The built-in parameter set `name` with _SCHEMA's defaults filled in.
+
+    The fill is the one `load_scenario` applies, so the result resolves to
+    itself.  An unknown name raises ValueError.
+    """
     if name not in PRESETS:
-        raise ValueError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        )
-    return PRESETS[name]
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    defaults = {key: default for key, (default, _) in _SCHEMA.items() if default is not _REQUIRED}
+    return {**defaults, **PRESETS[name]}
 
 
 def _resolve_scenario(args) -> tuple[Scenario, dict, list[str]]:
     if args.preset is not None and args.scenario is not None:
         raise ValueError("give either --preset or --scenario, not both")
     if args.preset is not None:
-        flat = dict(_preset(args.preset))
+        flat = _preset(args.preset)
         origin = [f"# preset = {args.preset}"]
     elif args.scenario is not None:
         try:
@@ -520,10 +509,8 @@ def run_mi(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
 
 
 def run_presets(args) -> str:
-    if args.name is not None:
-        selected = {args.name: _preset(args.name)}
-    else:
-        selected = {name: PRESETS[name] for name in sorted(PRESETS)}
+    names = sorted(PRESETS) if args.name is None else [args.name]
+    selected = {name: _preset(name) for name in names}
     return json.dumps(selected, indent=2, sort_keys=True) + "\n"
 
 

@@ -104,20 +104,39 @@ _PADE13 = (
 )
 _THETA13 = 5.371920351148152
 
+#: Most squarings `_expm` takes: log2(1/u) for the unit roundoff u = 2^-53.
+_MAX_SQUARINGS = 53
+
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a (..., n, n) stack by Pade-13 scaling and squaring.
 
     Each matrix is scaled by 2^-s with s = max(0, ceil(log2(|A|_1/theta_13))),
     replaced by its degree-13 Pade approximant, and squared s times.  The
-    scaling uses finite norms only (a non-finite norm counts as 0), so s is
-    at most 1022 whatever the input; non-finite entries come out as
-    non-finite matrices, which callers must reject.
+    scaling uses finite norms only (a non-finite norm counts as 0);
+    non-finite entries come out as non-finite matrices, which callers must
+    reject.
+
+    An s above _MAX_SQUARINGS raises NumericalFailure before any work.  A
+    squaring doubles the relative error already in M (the first-order error
+    of (M + E)^2 is M E + E M), so s squarings amplify the Pade result's
+    rounding error, of order u = 2^-53, to about 2^s u.  The relative
+    symplectic defect then exceeds DEFECT_LIMIT from about
+    s = log2(DEFECT_LIMIT/u) = 33 on.  The bound adds log2(1/DEFECT_LIMIT)
+    = 20 squarings of margin, s = log2(1/u) = 53: there the amplified error
+    is of order 1, no digit of M survives, and the defect check fails even
+    if the rounding was a factor 1/DEFECT_LIMIT below u.
     """
     b = _PADE13
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     norm = np.where(np.isfinite(norm), norm, 0.0)
     s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    squarings = int(s.max(initial=0))
+    if squarings > _MAX_SQUARINGS:
+        raise NumericalFailure(
+            f"the matrix exponential needs {squarings} squarings; "
+            f"beyond {_MAX_SQUARINGS} no digit of the result survives"
+        )
     a = a * np.exp2(-s)[..., None, None]
     ident = np.eye(a.shape[-1])
     a2 = a @ a
@@ -132,7 +151,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     )
     result = np.linalg.solve(v - u, v + u)
-    for squaring in range(int(s.max(initial=0))):
+    for squaring in range(squarings):
         more = s > squaring
         result[more] = result[more] @ result[more]
     return result
@@ -189,14 +208,17 @@ def integrate_transfer_grid(
     power D(L)^-1 (D(h) P_0)^steps of the first step P_0 (see the module
     docstring), so a call costs about 2 log2(steps) batched 4x4
     multiplications, not four per step.  steps must be an integer >= 1
-    (`errors.count`) whose step length L/steps is a positive float, else
-    ValueError.  Returns (matrices, steps) with matrices of shape
-    omegas.shape + (4, 4).
+    (`errors.count`), else ValueError; for L > 0, so does a step length
+    L/steps that is not a positive float (an underflowed one).  L = 0
+    returns the identity on either propagator.  Returns (matrices, steps)
+    with matrices of shape omegas.shape + (4, 4).
 
     The symplectic defect of each matrix, relative to max(1, max |M|^2), is
     checked afterwards: one above DEFECT_LIMIT, or a non-finite one, raises
     StepCountTooSmall for RK4 and NumericalFailure for the matrix
-    exponential.
+    exponential.  A generator whose norm asks for more squarings than leave
+    a digit of the result raises NumericalFailure before any of them
+    (`_expm`).
     """
     omegas = np.asarray(_as_omega(omegas))
     steps = None if steps is None else count(steps, "steps", 1)

@@ -150,8 +150,7 @@ def total_scatter_probability(
     else:
         import numpy as np
 
-        scalar_width, _ = bandwidths(fiber, pump, require_vector=False)
-        omegas = np.linspace(0.0, 5.0 * scalar_width, 20001)
+        omegas = np.linspace(0.0, 5.0 * _scalar_width(fiber), 20001)
         density = np.abs(xi_hb(fiber, pump, Channel.XX, omegas)) ** 2 / (2.0 * np.pi)
         # h/3 * (y_0 + y_N + 4 * sum(odd y) + 2 * sum(interior even y))
         weighted = (
@@ -175,28 +174,33 @@ def overlapping_regime(fiber: FiberParams, pump: PumpConfig) -> bool:
     return abs(alpha_param(fiber, pump)) >= 1.0
 
 
-def bandwidths(
-    fiber: FiberParams, pump: PumpConfig, require_vector: bool = True
-) -> tuple[float, float]:
+def _scalar_width(fiber: FiberParams) -> float:
+    """First-zero width 2*sqrt(2*pi/(|beta2|*L)) of the scalar band in rad/ps.
+
+    A width beyond double range, from |beta2|*L = 0 or subnormal, raises
+    ValueError.
+    """
+    dispersion = abs(fiber.beta2) * fiber.length
+    scalar = 2.0 * math.sqrt(2.0 * math.pi / dispersion) if dispersion else math.inf
+    return finite(scalar, ValueError, f"scalar width at |beta2|*L = {dispersion}")
+
+
+def bandwidths(fiber: FiberParams, pump: PumpConfig) -> tuple[float, float]:
     """First-zero width estimators (scalar, vector) in rad/ps.
 
     Scalar band: 2*sqrt(2*pi/(|beta2|*L)), scaling as L**-0.5.  Vector
     peaks: 4*pi/(delta_beta1*L), scaling as L**-1.  beta2 = 0 raises
     ZeroDispersion.  A width beyond double range, from a divisor that is 0
     or subnormal, raises ValueError for the scalar band and
-    DegenerateBirefringence for the vector peaks, or gives a NaN vector
-    entry with require_vector False.
+    DegenerateBirefringence for the vector peaks.
     """
     if fiber.beta2 == 0:
         raise ZeroDispersion("scalar width requires beta2 != 0")
-    dispersion = abs(fiber.beta2) * fiber.length
-    scalar = 2.0 * math.sqrt(2.0 * math.pi / dispersion) if dispersion else math.inf
-    finite(scalar, ValueError, f"scalar width at |beta2|*L = {dispersion}")
+    scalar = _scalar_width(fiber)
     walk_off = fiber.delta_beta1 * fiber.length
     vector = 4.0 * math.pi / walk_off if walk_off else math.inf
-    if require_vector:
-        finite(vector, DegenerateBirefringence, f"vector width at delta_beta1*L = {walk_off}")
-    return scalar, vector if math.isfinite(vector) else math.nan
+    finite(vector, DegenerateBirefringence, f"vector width at delta_beta1*L = {walk_off}")
+    return scalar, vector
 
 
 def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, float]:

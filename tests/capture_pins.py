@@ -22,14 +22,14 @@ import os
 import tempfile
 from pathlib import Path
 
-from fps.cli import PRESETS, main
+from fps.cli import PRESETS, _preset, main
 
 TABLE = Path(__file__).with_name("cli_pins.json")
 
 
 def setup(directory: Path, scenarios: dict) -> None:
     """Write every preset as `preset-<name>.json` and each scenario under its file name."""
-    files = {f"preset-{name}.json": flat for name, flat in PRESETS.items()}
+    files = {f"preset-{name}.json": _preset(name) for name in PRESETS}
     for name, payload in {**files, **scenarios}.items():
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
         (directory / name).write_text(text, encoding="utf-8")

@@ -85,7 +85,17 @@ def test_every_preset_validates(name):
     scenario, resolved = load_scenario(dict(PRESETS[name]))
     assert scenario.grid.omega_min == -scenario.grid.omega_max
     assert not np.any(scenario.grid.omegas == 0.0)  # even count skips Omega=0
-    assert resolved["method"] == PRESETS[name]["method"]
+    assert resolved == cli._preset(name)
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_preset_states_no_default_and_lists_its_resolved_scenario(capsys, name):
+    """A preset sets only what differs from _SCHEMA, and `presets` shows what it resolves to."""
+    restated = [key for key, value in PRESETS[name].items() if value == cli._SCHEMA[key][0]]
+    assert restated == []
+    rc, out, _ = run(capsys, "presets", "--name", name)
+    assert rc == 0
+    assert json.loads(out) == {name: load_scenario(dict(PRESETS[name]))[1]}
 
 
 def test_spectrum_header_and_row_count(capsys):
@@ -94,7 +104,7 @@ def test_spectrum_header_and_row_count(capsys):
     lines = out.splitlines()
     assert lines[0] == "# fps spectrum"
     assert lines[1] == "# preset = fig2"
-    for key in PRESETS["fig2"]:
+    for key in cli._preset("fig2"):
         assert any(line.startswith(f"# {key} = ") for line in lines)
     assert any(line.startswith("# units = ") for line in lines)
     header, rows = data_rows(out)

@@ -117,11 +117,13 @@ def test_generator_lb_preserves_commutators():
         assert np.abs(residue).max() < 1e-14
 
 
-def test_zero_length_gives_identity():
+@pytest.mark.parametrize("steps", [None, 4], ids=["expm", "rk4"])
+def test_zero_length_gives_identity(steps):
     fiber = FiberParams(gamma=3.0, beta2=-20.0, length=0.0)
-    m = _transfer(fiber, PumpConfig(p0x=0.3), "HB", 1.0)
-    np.testing.assert_array_equal(m, np.eye(4))
-    assert flux_from_matrices(m) == (0.0, 0.0)
+    mats, used = integrate_transfer_grid(fiber, PumpConfig(p0x=0.3), "HB", [1.0], steps=steps)
+    assert used == (steps or 0)
+    np.testing.assert_array_equal(mats[0], np.eye(4))
+    assert flux_from_matrices(mats[0]) == (0.0, 0.0)
 
 
 def test_zero_gamma_gives_identity():
@@ -493,18 +495,33 @@ def test_numpy_expm_matches_scipy(case):
 
 
 def test_expm_terminates_on_non_finite_and_huge_input():
-    # a non-finite norm must not reach the squaring count, and a 1e300 norm
-    # asks for about 1000 squarings, not an unbounded loop
-    batch = np.zeros((3, 4, 4), dtype=complex)
+    # a non-finite norm must not reach the squaring count, and a 1e300 norm,
+    # which asks for about 1000 squarings, raises before any of them
+    batch = np.zeros((2, 4, 4), dtype=complex)
     batch[0, 0, 1] = np.inf
     batch[1, 2, 3] = np.nan
-    batch[2, 1, 0] = 1e300
     start = time.perf_counter()
     with np.errstate(all="ignore"):
         result = _expm(batch)
     assert time.perf_counter() - start < 1.0
-    assert result.shape == (3, 4, 4)
+    assert result.shape == (2, 4, 4)
     assert not np.isfinite(result[0]).all() and not np.isfinite(result[1]).all()
+    huge = np.zeros((3, 4, 4), dtype=complex)
+    huge[2, 1, 0] = 1e300
+    with pytest.raises(NumericalFailure, match="needs 995 squarings; beyond 53 no digit"):
+        _expm(huge)
+
+
+def test_expm_squarings_are_bounded():
+    # |A|_1 = theta_13 * 2^s asks for exactly s squarings: log2(1/u) = 53
+    # run, 54 raise
+    assert fps.dynamics._MAX_SQUARINGS == -math.log2(np.finfo(float).eps / 2)
+    generator = np.zeros((2, 4, 4), dtype=complex)
+    generator[1, 0, 0] = 1j * fps.dynamics._THETA13 * 2.0**53
+    assert np.isfinite(_expm(generator)).all()
+    generator[1, 0, 0] *= 2.0
+    with pytest.raises(NumericalFailure, match="needs 54 squarings"):
+        _expm(generator)
 
 
 def test_non_finite_generator_is_a_numerical_failure():

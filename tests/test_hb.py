@@ -45,7 +45,7 @@ from fps import (
     xi_hb,
 )
 from fps.fiber import Coupling, FrequencyGrid, coupling_table, swap_axes
-from fps.hb import first_order_amplitude
+from fps.hb import _scalar_width, first_order_amplitude
 
 TWO_PI = 2.0 * math.pi
 
@@ -271,6 +271,8 @@ def test_total_scatter_probability_analytic(fig1_fiber, pump_x03):
     value = total_scatter_probability(fig1_fiber, pump_x03, 100.0, mode="analytic")
     assert value == pytest.approx(0.1524, abs=1e-4)
     assert total_scatter_probability(fig1_fiber, pump_x03, 0.0, mode="analytic") == 0.0
+    zero_length = FiberParams(gamma=3.0, beta2=-20.0, length=0.0)
+    assert total_scatter_probability(zero_length, pump_x03, 100.0, mode="analytic") == 0.0
 
 
 @pytest.mark.parametrize("mode", ["analytic", "numeric"])
@@ -291,7 +293,7 @@ def test_total_scatter_probability_numeric_close(fig1_fiber, pump_x03):
 def test_numeric_total_probability_matches_scipy_simpson(beta2, power):
     fiber = FiberParams(gamma=3.0, beta2=beta2, length=0.1)
     pump = PumpConfig(p0x=power)
-    omegas = np.linspace(0.0, 5.0 * bandwidths(fiber, pump, require_vector=False)[0], 20001)
+    omegas = np.linspace(0.0, 5.0 * _scalar_width(fiber), 20001)
     density = np.abs(xi_hb(fiber, pump, Channel.XX, omegas)) ** 2 / TWO_PI
     reference = 100.0 * simpson(density, x=omegas)
     numeric = total_scatter_probability(fiber, pump, 100.0, mode="numeric")
@@ -374,8 +376,7 @@ def test_bandwidth_errors(pump_x03):
     no_biref = FiberParams(gamma=3.0, beta2=20.0, length=0.1)
     with pytest.raises(DegenerateBirefringence):
         bandwidths(no_biref, pump_x03)
-    scalar, vector = bandwidths(no_biref, pump_x03, require_vector=False)
-    assert math.isfinite(scalar) and math.isnan(vector)
+    assert math.isfinite(_scalar_width(no_biref))
 
 
 def _phase_matched_omega(fiber, p0):
@@ -633,11 +634,7 @@ NAMED_INPUT_ERRORS = {
         ),
         # Subnormal divisors: 1e-320 passes a zero test, but 2*pi/1e-320 overflows.
         pytest.param(
-            lambda: bandwidths(
-                FiberParams(gamma=1.0, beta2=1e-160, length=1e-160),
-                PumpConfig(p0x=1.0),
-                require_vector=False,
-            ),
+            lambda: _scalar_width(FiberParams(gamma=1.0, beta2=1e-160, length=1e-160)),
             ValueError,
             id="scalar-width-subnormal",
         ),
@@ -828,13 +825,14 @@ def test_degenerate_and_overflowing_inputs_raise_domain_errors(call, error):
         call()
 
 
-def test_underflowed_vector_width_is_nan_when_not_required():
+def test_underflowed_vector_width_raises_with_a_finite_scalar_width():
     for fiber in (
         FiberParams(gamma=1.0, beta2=1.0, length=1e-300, delta_beta1=1e-100),
         FiberParams(gamma=1.0, beta2=1.0, length=1e-160, delta_beta1=1e-160),  # subnormal
     ):
-        scalar, vector = bandwidths(fiber, PumpConfig(p0x=1.0), require_vector=False)
-        assert math.isfinite(scalar) and math.isnan(vector)
+        assert math.isfinite(_scalar_width(fiber))
+        with pytest.raises(DegenerateBirefringence):
+            bandwidths(fiber, PumpConfig(p0x=1.0))
 
 
 #: Magnitudes of the estimator fuzz: 0, subnormals, values whose squares or

@@ -14,7 +14,7 @@ import pytest
 import capture_pins
 import fps
 import fps.errors
-from fps.cli import PRESETS, load_scenario
+from fps.cli import _SCHEMA, _preset, load_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,14 +83,14 @@ def test_readme_highlights_cover_every_module():
 def _scenario_fields(label: str) -> list[str]:
     """Keys the README lists after `label`, up to the end of that sentence.
 
-    A wildcard such as `grid.*` expands to the matching keys of a preset;
+    A wildcard such as `grid.*` expands to the matching scenario keys;
     a name that matches none is kept, so the coverage check reports it.
     """
     text = README.read_text(encoding="utf-8")
     sentence = re.search(rf"{label}: (.*?)\.\s", text, flags=re.DOTALL).group(1)
     keys = []
     for token in re.findall(r"`([^`]+)`", sentence):
-        keys.extend(fnmatch.filter(PRESETS["fig2"], token) or [token])
+        keys.extend(fnmatch.filter(_SCHEMA, token) or [token])
     return keys
 
 
@@ -98,22 +98,22 @@ REQUIRED = _scenario_fields("Required fields")
 OPTIONAL = _scenario_fields("Optional")
 
 
-def test_readme_scenario_fields_cover_a_preset():
+def test_readme_scenario_fields_cover_the_schema():
     assert len(REQUIRED) == len(set(REQUIRED)) == 7
     assert set(REQUIRED).isdisjoint(OPTIONAL)
-    assert set(REQUIRED) | set(OPTIONAL) == set(PRESETS["fig2"])
+    assert set(REQUIRED) | set(OPTIONAL) == set(_SCHEMA)
 
 
 @pytest.mark.parametrize("key", REQUIRED)
 def test_readme_required_field_is_required(key):
-    flat = {k: v for k, v in PRESETS["fig2"].items() if k != key}
+    flat = {k: v for k, v in _preset("fig2").items() if k != key}
     with pytest.raises(ValueError, match=f"missing required scenario field: {key}"):
         load_scenario(flat)
 
 
 @pytest.mark.parametrize("key", OPTIONAL)
 def test_readme_optional_field_may_be_left_out(key):
-    load_scenario({k: v for k, v in PRESETS["fig2"].items() if k != key})
+    load_scenario({k: v for k, v in _preset("fig2").items() if k != key})
 
 
 def test_readme_quoted_cli_errors_are_pinned():
