@@ -12,10 +12,14 @@ significant digits), so a last-bit change shows there first.
 Each subcommand imports only the modules it runs, so `presets`, argument
 errors, `mi` and `classify` never load numpy: `mi` sweeps
 `FrequencyGrid.omega_list` through `lambda_param` in Python floats, and
-`classify` evaluates one detuning.  `run_spectrum` is the one place that
-picks between Python floats and numpy, from its grid: a first-order-only
-spectrum of at most MAX_FLOAT_PATH_POINTS points runs on
-`FrequencyGrid.omega_list` without numpy, every other on the array.  The
+`classify` evaluates one detuning.  Each spectrum method is one library
+call on (fiber, pump, regime, omegas): `fiber.pair_fluxes` of
+`hb.pair_amplitudes` at first order, `dynamics.flux_from_matrices` of
+`integrate_transfer_grid` for exact-ode, `dynamics._closed_form_flux` for
+closed-form.  `run_spectrum` is the one place that picks between Python
+floats and numpy, from its grid: a first-order-only spectrum of at most
+MAX_FLOAT_PATH_POINTS points runs on `FrequencyGrid.omega_list` without
+numpy, one first-order call per value, every other on the array.  The
 runners format lists of Python floats either way.
 
 Exit codes: 0 success, 2 input validation (the cost caps included), 3
@@ -42,13 +46,16 @@ METHOD_ORDER = ("first-order", "exact-ode", "closed-form")
 
 #: Cap on the spectral points of one call: grid points x lengths x methods
 #: for spectrum (two methods for compare), the grid once for mi and
-#: classify.  A one-length exact-ode call needs about 2.9 KB and 15-19 us
-#: per point (730 MB peak RSS and 3.6-4.7 s at the cap for fig2's physics,
-#: on 2 vCPUs), so a call at the cap stays below ~1 GB and a few seconds.
-#: The matrix exponential squares at most 53 times per point and rejects a
-#: generator that asks for more before any work (`dynamics._expm`).  The
-#: worst accepted case, 53 squarings at every point, took 9.9-14 s at the
-#: cap (731 MB) before its exit 3.  Exit 2 above it.
+#: classify.  The exact propagators run in fixed-size batches
+#: (`dynamics._BATCH`), so a one-length exact-ode call holds about 0.6 KB
+#: per point (the generator, the matrices and the output rows) and takes
+#: about 10 us per point (185 MB peak RSS and 2.4-2.7 s at the cap for
+#: fig2's physics, on 2 vCPUs): a call at the cap stays near 0.2 GB and a
+#: few seconds.  The matrix exponential squares at most 53 times per point
+#: and rejects a generator that asks for more before any work
+#: (`dynamics._squarings`).  The worst accepted case, 53 squarings at every
+#: point, took 6.9-8.0 s at the cap (185 MB) before its exit 3.  Exit 2
+#: above it.
 MAX_SPECTRAL_POINTS = 250_000
 
 #: Cap on --steps x grid points x lengths of one RK4 run.  The oracle
@@ -60,8 +67,8 @@ MAX_STEP_POINTS = 20_000_000
 
 #: Largest grid points x lengths of a spectrum that runs first-order only
 #: and is therefore computed point by point in Python floats, one
-#: `flux_hb` or `flux_lb` call per Python-float omega, without importing
-#: numpy.  Both paths print the same bytes.  Measured on the
+#: `pair_fluxes(*pair_amplitudes(...))` call per Python-float omega, without
+#: importing numpy.  Both paths print the same bytes.  Measured on the
 #: fig1a, fig2 and fig4a physics with Python 3.11 and numpy 2.4 on 2 vCPUs:
 #: the float path takes 4-10 us per point, the array path 0.2-0.5 us, and
 #: importing numpy about 170 ms (229 ms for a `python -c` that imports
@@ -365,38 +372,31 @@ def _check_cost(scenario: Scenario, command: str, steps: int | None) -> None:
 
 def _spectrum_task(
     scenario: Scenario, method: str, length: float, steps: int | None, omegas
-) -> tuple[list[str], list, list]:
-    """Compute one (method, L) slice; returns (extra header lines, f_x, f_y).
+) -> tuple[list, list]:
+    """Compute one (method, L) slice as (f_x, f_y), lists of Python floats.
 
-    omegas is the grid as an array, or for first-order a list of Python floats,
-    one `flux_hb`/`flux_lb` call per value; f_x and f_y are lists of Python
-    floats either way.
+    Each method is one library call on (fiber, pump, regime, omegas).
+    omegas is the grid as an array, or for first-order a list of Python
+    floats, evaluated one value at a time without numpy.
     """
-    fiber = replace(scenario.fiber, length=length)
-    extra: list[str] = []
+    inputs = (replace(scenario.fiber, length=length), scenario.pump, scenario.regime)
     if method == "first-order":
-        from .hb import flux_hb, flux_lb
+        from .fiber import pair_fluxes
+        from .hb import pair_amplitudes
 
-        flux = flux_lb if scenario.regime == "LB" else flux_hb
         if isinstance(omegas, list):
-            f_x, f_y = map(list, zip(*(flux(fiber, scenario.pump, omega) for omega in omegas)))
-        else:
-            f_x, f_y = flux(fiber, scenario.pump, omegas)
+            fluxes = (pair_fluxes(*pair_amplitudes(*inputs, omega)) for omega in omegas)
+            return tuple(map(list, zip(*fluxes)))
+        f_x, f_y = pair_fluxes(*pair_amplitudes(*inputs, omegas))
     elif method == "exact-ode":
         from .dynamics import flux_from_matrices, integrate_transfer_grid
 
-        matrices, used_steps = integrate_transfer_grid(
-            fiber, scenario.pump, scenario.regime, omegas, steps=steps
-        )
-        f_x, f_y = flux_from_matrices(matrices)
-        extra.append(f"# steps.L={_fmt(length)} = {used_steps or 'expm'}")
+        f_x, f_y = flux_from_matrices(integrate_transfer_grid(*inputs, omegas, steps=steps)[0])
     else:
         from .dynamics import _closed_form_flux
 
-        f_x, f_y = _closed_form_flux(fiber, scenario.pump, scenario.regime, omegas)
-    if not isinstance(omegas, list):
-        f_x, f_y = f_x.tolist(), f_y.tolist()
-    return extra, f_x, f_y
+        f_x, f_y = _closed_form_flux(*inputs, omegas)
+    return f_x.tolist(), f_y.tolist()
 
 
 def run_spectrum(scenario: Scenario, resolved: dict, origin: list[str], args) -> str:
@@ -412,12 +412,13 @@ def run_spectrum(scenario: Scenario, resolved: dict, origin: list[str], args) ->
         _spectrum_task(scenario, method, length, args.steps, omegas) for method, length in tasks
     ]
     lines = _header_lines("spectrum", origin, resolved)
-    for extra, _, _ in results:
-        lines.extend(extra)
+    if "exact-ode" in methods:
+        propagator = args.steps or "expm"
+        lines.extend(f"# steps.L={_fmt(length)} = {propagator}" for length in scenario.lengths)
     lines.append("omega_rad_per_ps,f_x,f_y,method,L_km")
     # Python floats through one f-string per row: the same float.__format__
     # as _fmt, without a call per value.
-    for (method, length), (_, f_x, f_y) in zip(tasks, results):
+    for (method, length), (f_x, f_y) in zip(tasks, results):
         tail = f"{method},{_fmt(length)}"
         lines.extend(
             f"{omega:.9g},{fx_val:.9g},{fy_val:.9g},{tail}"
@@ -431,8 +432,8 @@ def run_compare(scenario: Scenario, resolved: dict, origin: list[str], args) -> 
     comparisons = []
     deviations = []
     for length in scenario.lengths:
-        _, fo_x, fo_y = _spectrum_task(scenario, "first-order", length, None, omegas)
-        _, ex_x, ex_y = _spectrum_task(scenario, "exact-ode", length, args.steps, omegas)
+        fo_x, fo_y = _spectrum_task(scenario, "first-order", length, None, omegas)
+        ex_x, ex_y = _spectrum_task(scenario, "exact-ode", length, args.steps, omegas)
         peak = max(ex_x + ex_y)
         if peak == 0:
             raise ValueError("exact spectrum is identically zero; nothing to compare")
@@ -609,7 +610,3 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

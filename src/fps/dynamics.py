@@ -6,8 +6,8 @@ with oscillatory coefficients, d/dz v = A(z) v with
 A_jk(z) = C_jk exp(i (phi_k - phi_j) z).  In the frame w_j = exp(i phi_j z) v_j
 the coefficients are constant, so the 4x4 Bogoliubov transfer matrix per
 detuning is exact in closed form,
-M(L) = diag(exp(-i phi L)) expm((C + i diag(phi)) L), computed for a whole
-grid by one batched scaling-and-squaring matrix exponential.  Fixed-step
+M(L) = diag(exp(-i phi L)) expm((C + i diag(phi)) L), computed for a grid
+by batched scaling-and-squaring matrix exponentials.  Fixed-step
 RK4 on the same equations is kept as an independent oracle, run when a
 step count N is given.  Since A(z + t) = D(z)^-1 A(t) D(z) with
 D(z) = diag(exp(i phi z)), every RK4 step matrix is P_n = D(nh)^-1 P_0 D(nh)
@@ -107,27 +107,26 @@ _THETA13 = 5.371920351148152
 #: Most squarings `_expm` takes: log2(1/u) for the unit roundoff u = 2^-53.
 _MAX_SQUARINGS = 53
 
+#: Points per batch of the exact propagators, so that their work arrays
+#: (about 3 KB per point) stay near 12 MB whatever the grid size.
+_BATCH = 4096
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a (..., n, n) stack by Pade-13 scaling and squaring.
 
-    Each matrix is scaled by 2^-s with s = max(0, ceil(log2(|A|_1/theta_13))),
-    replaced by its degree-13 Pade approximant, and squared s times.  The
-    scaling uses finite norms only (a non-finite norm counts as 0);
-    non-finite entries come out as non-finite matrices, which callers must
-    reject.
+def _squarings(a: np.ndarray) -> np.ndarray:
+    """The squaring counts s of `_expm` for a (..., n, n) stack.
 
-    An s above _MAX_SQUARINGS raises NumericalFailure before any work.  A
-    squaring doubles the relative error already in M (the first-order error
-    of (M + E)^2 is M E + E M), so s squarings amplify the Pade result's
-    rounding error, of order u = 2^-53, to about 2^s u.  The relative
-    symplectic defect then exceeds DEFECT_LIMIT from about
-    s = log2(DEFECT_LIMIT/u) = 33 on.  The bound adds log2(1/DEFECT_LIMIT)
-    = 20 squarings of margin, s = log2(1/u) = 53: there the amplified error
-    is of order 1, no digit of M survives, and the defect check fails even
-    if the rounding was a factor 1/DEFECT_LIMIT below u.
+    s = max(0, ceil(log2(|A|_1/theta_13))) per matrix, from finite norms
+    only (a non-finite norm counts as 0).  An s above _MAX_SQUARINGS raises
+    NumericalFailure, naming the largest.  A squaring doubles the relative
+    error already in M (the first-order error of (M + E)^2 is M E + E M),
+    so s squarings amplify the Pade result's rounding error, of order
+    u = 2^-53, to about 2^s u.  The relative symplectic defect then exceeds
+    DEFECT_LIMIT from about s = log2(DEFECT_LIMIT/u) = 33 on.  The bound
+    adds log2(1/DEFECT_LIMIT) = 20 squarings of margin, s = log2(1/u) = 53:
+    there the amplified error is of order 1, no digit of M survives, and
+    the defect check fails even if the rounding was a factor
+    1/DEFECT_LIMIT below u.
     """
-    b = _PADE13
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     norm = np.where(np.isfinite(norm), norm, 0.0)
     s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
@@ -137,6 +136,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
             f"the matrix exponential needs {squarings} squarings; "
             f"beyond {_MAX_SQUARINGS} no digit of the result survives"
         )
+    return s
+
+
+def _expm(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a (..., n, n) stack by Pade-13 scaling and squaring.
+
+    Each matrix is scaled by 2^-s with s = `_squarings(a)`, replaced by its
+    degree-13 Pade approximant, and squared s times.  Non-finite entries
+    come out as non-finite matrices, which callers must reject.
+    """
+    b = _PADE13
     a = a * np.exp2(-s)[..., None, None]
     ident = np.eye(a.shape[-1])
     a2 = a @ a
@@ -151,7 +161,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     )
     result = np.linalg.solve(v - u, v + u)
-    for squaring in range(squarings):
+    for squaring in range(s.max(initial=0)):
         more = s > squaring
         result[more] = result[more] @ result[more]
     return result
@@ -198,11 +208,10 @@ def integrate_transfer_grid(
     """Transfer matrices for a batch of detunings.
 
     Without `steps`, the exact rotating-frame propagator
-    M(L) = diag(exp(-i phi L)) expm((C + i diag(phi)) L) for the whole batch
-    in one call of the numpy Pade-13 scaling-and-squaring kernel `_expm`
-    (accurate also at the MI band edge where eigenvectors coalesce, unlike
-    an eigendecomposition); a generator with a non-finite entry raises
-    NumericalFailure first.  The returned step count is 0.  With `steps`,
+    M(L) = diag(exp(-i phi L)) expm((C + i diag(phi)) L) by the numpy
+    Pade-13 scaling-and-squaring kernel `_expm` (accurate also at the MI
+    band edge where eigenvectors coalesce, unlike an eigendecomposition).
+    The returned step count is 0.  With `steps`,
     the product of that many fixed-step RK4 steps, the independent oracle,
     with N chosen by the caller.  It is evaluated exactly as the telescoped
     power D(L)^-1 (D(h) P_0)^steps of the first step P_0 (see the module
@@ -213,37 +222,47 @@ def integrate_transfer_grid(
     returns the identity on either propagator.  Returns (matrices, steps)
     with matrices of shape omegas.shape + (4, 4).
 
-    The symplectic defect of each matrix, relative to max(1, max |M|^2), is
-    checked afterwards: one above DEFECT_LIMIT, or a non-finite one, raises
-    StepCountTooSmall for RK4 and NumericalFailure for the matrix
-    exponential.  A generator whose norm asks for more squarings than leave
-    a digit of the result raises NumericalFailure before any of them
-    (`_expm`).
+    Before any work on the matrix exponential, a generator with a
+    non-finite entry raises NumericalFailure naming the first, and so does
+    one whose norm asks for more squarings than leave a digit of the result
+    (`_squarings`), naming the largest count.  The symplectic defect of
+    each matrix, relative to max(1, max |M|^2), is checked afterwards: the
+    largest, if above DEFECT_LIMIT or non-finite, raises StepCountTooSmall
+    for RK4 and NumericalFailure for the matrix exponential.  Either
+    propagator runs on batches of _BATCH points, so its work arrays do not
+    grow with the grid, while every check and message is the whole grid's.
     """
     omegas = np.asarray(_as_omega(omegas))
     steps = None if steps is None else count(steps, "steps", 1)
-    coeff, phi = _coefficient_factors(fiber, pump, regime, omegas)
+    coeff, phi = _coefficient_factors(fiber, pump, regime, omegas.ravel())
     if fiber.length == 0:
         return np.zeros(omegas.shape + (4, 4), dtype=complex) + np.eye(4), steps or 0
     if steps is None:
         generator = (coeff + 1j * phi[..., None] * np.eye(4)) * fiber.length
-        rotating = _expm(finite(generator, NumericalFailure, "coupled-mode generator"))
+        s = _squarings(finite(generator, NumericalFailure, "coupled-mode generator"))
         error, propagator = NumericalFailure, "the matrix exponential"
     else:
         h = fiber.length / steps
         if not h > 0:  # underflowed
             raise ValueError(f"length/steps must be a positive float, got {h}")
-        rotating = np.eye(4) + _rk4_power_offset(coeff, phi, h, steps)
         error, propagator = StepCountTooSmall, f"{steps} steps"
-    matrices = np.exp(-1j * phi * fiber.length)[..., None] * rotating
-    defect = _relative_defect(matrices)
+    matrices = np.empty(phi.shape + (4,), dtype=complex)
+    defects = []
+    for part in (slice(start, start + _BATCH) for start in range(0, len(phi), _BATCH)):
+        if steps is None:
+            rotating = _expm(generator[part], s[part])
+        else:
+            rotating = np.eye(4) + _rk4_power_offset(coeff, phi[part], h, steps)
+        matrices[part] = np.exp(-1j * phi[part] * fiber.length)[..., None] * rotating
+        defects.append(_relative_defect(matrices[part]))
+    defect = float(np.max(defects))
     # NaN (from an overflowed matrix) must fail too, hence "not <=".
     if not defect <= DEFECT_LIMIT:
         raise error(
             f"relative symplectic defect {defect:.3e} exceeds {DEFECT_LIMIT:.1e} "
             f"with {propagator}"
         )
-    return matrices, steps or 0
+    return matrices.reshape(omegas.shape + (4, 4)), steps or 0
 
 
 def flux_from_matrices(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

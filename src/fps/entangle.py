@@ -171,9 +171,13 @@ def classify(state: FilteredPairState, tol: float = 1e-3) -> EntanglementReport:
     coefficients with no vector admixture give "bell-like" when the
     concurrence reaches BELL_CONCURRENCE_MIN; everything else is "partial".
     The relative phase arg(c_yy/c_xx) is NaN when either scalar coefficient
-    vanishes.  A tol that is not a finite real raises ValueError.
+    vanishes.  A tol that is not a finite real strictly between 0 and 1
+    raises ValueError: at tol <= 0 a zero coefficient is significant, and at
+    tol >= 1 no coefficient of a normalized state is.
     """
     tol = real(tol, "tol")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     values = state.coeffs
     conc = concurrence(values)
     significant = tuple(abs(c) ** 2 >= tol for c in values)

@@ -38,6 +38,7 @@ from fps.dynamics import (
     _coefficient_factors,
     _expm,
     _relative_defect,
+    _squarings,
 )
 from fps.cli import PRESETS, load_scenario
 from fps.fiber import FrequencyGrid, coupling_table
@@ -491,7 +492,7 @@ def test_numpy_expm_matches_scipy(case):
     generator = (coeff + 1j * phi[..., None] * np.eye(4)) * fiber.length
     reference = scipy_expm(generator)
     scale = np.maximum(1.0, np.abs(reference))
-    assert (np.abs(_expm(generator) - reference) / scale).max() <= 1e-12
+    assert (np.abs(_expm(generator, _squarings(generator)) - reference) / scale).max() <= 1e-12
 
 
 def test_expm_terminates_on_non_finite_and_huge_input():
@@ -502,14 +503,14 @@ def test_expm_terminates_on_non_finite_and_huge_input():
     batch[1, 2, 3] = np.nan
     start = time.perf_counter()
     with np.errstate(all="ignore"):
-        result = _expm(batch)
+        result = _expm(batch, _squarings(batch))
     assert time.perf_counter() - start < 1.0
     assert result.shape == (2, 4, 4)
     assert not np.isfinite(result[0]).all() and not np.isfinite(result[1]).all()
     huge = np.zeros((3, 4, 4), dtype=complex)
     huge[2, 1, 0] = 1e300
     with pytest.raises(NumericalFailure, match="needs 995 squarings; beyond 53 no digit"):
-        _expm(huge)
+        _squarings(huge)
 
 
 def test_expm_squarings_are_bounded():
@@ -518,10 +519,104 @@ def test_expm_squarings_are_bounded():
     assert fps.dynamics._MAX_SQUARINGS == -math.log2(np.finfo(float).eps / 2)
     generator = np.zeros((2, 4, 4), dtype=complex)
     generator[1, 0, 0] = 1j * fps.dynamics._THETA13 * 2.0**53
-    assert np.isfinite(_expm(generator)).all()
+    assert np.isfinite(_expm(generator, _squarings(generator))).all()
     generator[1, 0, 0] *= 2.0
     with pytest.raises(NumericalFailure, match="needs 54 squarings"):
-        _expm(generator)
+        _squarings(generator)
+
+
+def _matrices_or_failure(fiber, pump, regime, omegas, steps):
+    """integrate_transfer_grid's matrices, or the type and message of its NumericalFailure."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return integrate_transfer_grid(fiber, pump, regime, omegas, steps=steps)[0]
+    except NumericalFailure as exc:
+        return type(exc), str(exc)
+
+
+def _placed(base: float, points: dict) -> np.ndarray:
+    """40 detunings at `base`, except the given index -> omega entries."""
+    omegas = np.full(40, base)
+    omegas[list(points)] = list(points.values())
+    return omegas
+
+
+_FIG2_PHYSICS = (
+    FiberParams(gamma=3.0, beta2=15.0, delta_beta1=200.0, length=0.2),
+    PumpConfig(p0x=0.15, p0y=0.15),
+    "HB",
+)
+_FIG4A_PHYSICS = (
+    FiberParams(gamma=3.0, beta2=5.0, delta_beta0=2000.0, length=0.15), PumpConfig(p0x=1.0), "LB"
+)
+# Normal dispersion at L = 1e8 km: the defect fails from about Omega = 5
+# (largest near 13.8 rad/ps), Omega = 1e4 and 1e5 ask for 56 and 62
+# squarings, and Omega = 1e150 overflows the generator.
+_LONG_NORMAL = (FiberParams(gamma=3.0, beta2=20.0, length=1e8), PumpConfig(p0x=0.3), "HB")
+# Anomalous dispersion at L = 500 km: Omega = 0.3 overflows (defect NaN),
+# Omega = 5000 fails with a finite defect and Omega = 1000 passes.
+_LONG_ANOMALOUS = (FiberParams(gamma=3.0, beta2=-20.0, length=500.0), PumpConfig(p0x=0.3), "HB")
+_DEFECT = "relative symplectic defect {} exceeds 1.0e-06 with {}"
+
+#: name -> (physics, omegas, steps, None or the failure expected of the
+#: whole grid), with each fault at a point past the first batch of 7.
+BATCH_CASES = {
+    "expm-hb": (_FIG2_PHYSICS, np.linspace(-15.0, 15.0, 40).reshape(5, 8), None, None),
+    "expm-lb": (_FIG4A_PHYSICS, np.linspace(-32.0, 32.0, 40), None, None),
+    "rk4-hb": (_FIG2_PHYSICS, np.linspace(-15.0, 15.0, 40), 1000, None),
+    "rk4-lb": (_FIG4A_PHYSICS, np.linspace(-32.0, 32.0, 40).reshape(5, 8), 1000, None),
+    "non-finite": (
+        _LONG_NORMAL,
+        _placed(1.0, {3: 13.8, 10: 1e4, 30: 1e150}),
+        None,
+        (NumericalFailure, "coupled-mode generator is not finite, got -infj"),
+    ),
+    "squarings": (
+        _LONG_NORMAL,
+        _placed(1.0, {3: 13.8, 10: 1e4, 30: 1e5}),
+        None,
+        (
+            NumericalFailure,
+            "the matrix exponential needs 62 squarings; beyond 53 no digit of the result survives",
+        ),
+    ),
+    "expm-defect": (
+        _LONG_NORMAL,
+        _placed(1.0, {3: 10.0, 30: 13.8}),
+        None,
+        (NumericalFailure, _DEFECT.format("8.599e-05", "the matrix exponential")),
+    ),
+    "nan-defect": (
+        _LONG_ANOMALOUS,
+        _placed(1000.0, {3: 5000.0, 30: 0.3}),
+        None,
+        (NumericalFailure, _DEFECT.format("nan", "the matrix exponential")),
+    ),
+    "rk4-defect": (
+        _FIG2_PHYSICS,
+        _placed(0.5, {3: 5.0, 30: 7.4}),
+        25,
+        (StepCountTooSmall, _DEFECT.format("2.037e-04", "25 steps")),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batches_reproduce_one_batch(case, monkeypatch):
+    # Batches of 7 return the bytes of one batch, and fail with its
+    # exception and message: the non-finite entry, the largest squaring
+    # count and the largest defect of the whole grid, each of which sits
+    # in a later batch than a lesser fault.
+    physics, omegas, steps, failure = BATCH_CASES[case]
+    assert len(omegas.ravel()) <= fps.dynamics._BATCH
+    whole = _matrices_or_failure(*physics, omegas, steps)
+    monkeypatch.setattr(fps.dynamics, "_BATCH", 7)
+    batched = _matrices_or_failure(*physics, omegas, steps)
+    if failure is None:
+        assert whole.shape == batched.shape == omegas.shape + (4, 4)
+        assert whole.tobytes() == batched.tobytes()
+    else:
+        assert whole == batched == failure
 
 
 def test_non_finite_generator_is_a_numerical_failure():

@@ -115,11 +115,19 @@ def test_classify_tolerance_controls_significance():
     state = _handmade_state([1.0, 0.05, 0.0, 0.0])  # |c_yy|^2 = 2.5e-3
     assert classify(state, tol=1e-3).classification == "partial"
     assert classify(state, tol=1e-2).classification == "scalar-only-x"
+    assert classify(state, tol=0.99).classification == "scalar-only-x"
     # tol passes the one conversion rule: no label from a NaN or a bool
     for tol, message in [
         (math.nan, "tol must be finite, got nan"),
         (math.inf, "tol must be finite, got inf"),
         (True, "tol must be a real number, got True"),
+        # a threshold that cannot separate coefficients: at 0 the zero
+        # coefficients count, at 1 or more no coefficient of a
+        # normalized state does
+        (0, "tol must be in (0, 1), got 0.0"),
+        (-1e-3, "tol must be in (0, 1), got -0.001"),
+        (1.0, "tol must be in (0, 1), got 1.0"),
+        (1.5, "tol must be in (0, 1), got 1.5"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             classify(state, tol=tol)
