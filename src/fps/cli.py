@@ -34,8 +34,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import FpsError, NumericalFailure, count, real
 
@@ -77,8 +76,7 @@ MAX_STEP_POINTS = 20_000_000
 MAX_FLOAT_PATH_POINTS = 10_000
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     fiber: FiberParams
     pump: PumpConfig
     grid: FrequencyGrid
@@ -379,6 +377,8 @@ def _spectrum_task(
     omegas is the grid as an array, or for first-order a list of Python
     floats, evaluated one value at a time without numpy.
     """
+    from dataclasses import replace  # not at module level: presets never loads it
+
     inputs = (replace(scenario.fiber, length=length), scenario.pump, scenario.regime)
     if method == "first-order":
         from .fiber import pair_fluxes

@@ -255,8 +255,9 @@ def integrate_transfer_grid(
             rotating = np.eye(4) + _rk4_power_offset(coeff, phi[part], h, steps)
         matrices[part] = np.exp(-1j * phi[part] * fiber.length)[..., None] * rotating
         defects.append(_relative_defect(matrices[part]))
-    defect = float(np.max(defects))
-    # NaN (from an overflowed matrix) must fail too, hence "not <=".
+    # From 0, so an empty grid passes.  A NaN defect (from an overflowed
+    # matrix) still propagates and must fail too, hence "not <=".
+    defect = float(np.max(defects, initial=0.0))
     if not defect <= DEFECT_LIMIT:
         raise error(
             f"relative symplectic defect {defect:.3e} exceeds {DEFECT_LIMIT:.1e} "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -38,8 +37,7 @@ _CLASS_BY_PATTERN = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class FilteredPairState:
+class FilteredPairState(NamedTuple):
     """Normalized pair state at one detuning, plus its generation probability.
 
     coeffs holds the four coefficients as Python complex numbers, in
@@ -52,8 +50,7 @@ class FilteredPairState:
     generation_probability: float
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(NamedTuple):
     classification: str
     concurrence: float
     relative_phase: float
@@ -147,7 +144,7 @@ def filtered_state(
     norm = math.sqrt(norm_sq)
     scale = 1.0 / norm  # _divide(xi, norm), whose imaginary divisor part is 0
     return FilteredPairState(
-        omega=float(omega),
+        omega=omega,
         coeffs=tuple([
             complex((xi.real + xi.imag * 0.0) * scale, (xi.imag - xi.real * 0.0) * scale)
             for xi in raw

@@ -889,7 +889,8 @@ try:
 except SystemExit as exc:  # an argparse error
     rc = exc.code
 scipy = [name for name in sys.modules if name == "scipy" or name.startswith("scipy.")]
-loaded = sorted(name for name in sys.modules if name == "numpy" or name.startswith("fps."))
+watched = ("dataclasses", "inspect", "numpy")
+loaded = sorted(name for name in sys.modules if name in watched or name.startswith("fps."))
 print(json.dumps([rc, scipy, loaded]))
 """
 
@@ -909,7 +910,9 @@ def _run_python(code, *argv):
     return proc
 
 
-FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb"]
+# The containers of fps.fiber are dataclasses, so a call that reads a
+# scenario loads dataclasses and, through it, inspect.
+FIRST_ORDER_MODULES = ["dataclasses", "fps.cli", "fps.errors", "fps.fiber", "fps.hb", "inspect"]
 
 
 @pytest.mark.parametrize(
@@ -936,13 +939,13 @@ FIRST_ORDER_MODULES = ["fps.cli", "fps.errors", "fps.fiber", "fps.hb"]
         pytest.param(
             ("classify", "--preset", "fig2", "--omega", "1.0"),
             0,
-            ["fps.cli", "fps.entangle", "fps.errors", "fps.fiber", "fps.hb"],
+            sorted(FIRST_ORDER_MODULES + ["fps.entangle"]),
             id="classify",
         ),
         pytest.param(
             ("mi", "--preset", "fig1a"),
             0,
-            ["fps.cli", "fps.errors", "fps.fiber"],
+            ["dataclasses", "fps.cli", "fps.errors", "fps.fiber", "inspect"],
             id="mi",
         ),
         pytest.param(("presets",), 0, ["fps.cli", "fps.errors"], id="presets"),
@@ -956,7 +959,9 @@ def test_subcommand_runs_without_scipy(tmp_path, argv, rc, loaded):
 
     `presets`, an argparse error, `mi`, `classify` and a first-order
     spectrum at most MAX_FLOAT_PATH_POINTS points large load no numpy, and
-    a first-order spectrum loads neither fps.dynamics nor fps.entangle.  A successful
+    a first-order spectrum loads neither fps.dynamics nor fps.entangle.
+    `presets` and an argparse error read no scenario, so they load neither
+    dataclasses nor inspect.  A successful
     call writes nothing to stderr, not even a numpy warning; an argparse
     error writes only its usage message.
     """

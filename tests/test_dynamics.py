@@ -127,6 +127,16 @@ def test_zero_length_gives_identity(steps):
     assert flux_from_matrices(mats[0]) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("steps", [None, 4], ids=["expm", "rk4"])
+def test_empty_grid_gives_no_matrices(fig2_fiber, fig2_pump, steps):
+    # as the flux functions return empty arrays for an empty omega
+    mats, used = integrate_transfer_grid(fig2_fiber, fig2_pump, "HB", np.array([]), steps=steps)
+    assert used == (steps or 0)
+    assert mats.shape == (0, 4, 4) and mats.dtype == complex
+    for flux in (flux_from_matrices(mats), flux_hb(fig2_fiber, fig2_pump, np.array([]))):
+        assert [f.shape for f in flux] == [(0,), (0,)]
+
+
 def test_zero_gamma_gives_identity():
     # in the rotating frame the free phases are absorbed, nothing evolves
     fiber = FiberParams(gamma=0.0, beta2=-20.0, length=0.3, delta_beta1=100.0)

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from fps import (
     BASIS,
     BELL_CONCURRENCE_MIN,
+    Channel,
     EmptyState,
+    EntanglementReport,
     FiberParams,
     FilteredPairState,
     NumericalFailure,
@@ -26,6 +28,7 @@ from fps import (
     integrate_transfer_grid,
     second_order_quantities,
     total_scatter_probability,
+    xi_hb,
 )
 
 
@@ -37,6 +40,33 @@ def _handmade_state(coeffs) -> FilteredPairState:
 
 def test_basis_order():
     assert BASIS == ("xx", "yy", "xy", "yx")
+
+
+def test_records_are_read_only_value_tuples(fig2_fiber):
+    """FilteredPairState and EntanglementReport are named tuples."""
+    pump = PumpConfig(p0x=0.25, p0y=0.05, theta0y=0.4)
+    state = filtered_state(fig2_fiber, pump, "HB", 1.0, 100.0)
+    report = classify(state)
+    for record in (state, report):
+        with pytest.raises(AttributeError):
+            record.omega = 2.0
+    # by value, not by identity
+    assert state == filtered_state(fig2_fiber, pump, "HB", 1.0, 100.0)
+    assert report == classify(state)
+    moved = state._replace(omega=2.0)
+    assert isinstance(moved, FilteredPairState)
+    assert (moved.omega, state.omega) == (2.0, 1.0) and moved[1:] == state[1:]
+    assert report._replace(classification="bell-like") == EntanglementReport(
+        "bell-like", report.concurrence, report.relative_phase
+    )
+    # the coefficients unpack in BASIS order
+    xx, yy, xy, yx = state.coeffs
+    for label, coeff in zip(BASIS, (xx, yy, xy, yx)):
+        xi = xi_hb(fig2_fiber, pump, Channel[label.upper()], 1.0)
+        assert coeff == pytest.approx(xi / state.norm, rel=1e-12)
+    handmade = _handmade_state([1.0, 1j, 0.0, 0.0])
+    assert (handmade.omega, handmade.norm, handmade.generation_probability) == (1.0, 1.0, 0.0)
+    np.testing.assert_allclose(handmade.coeffs, np.array([1.0, 1j, 0.0, 0.0]) / math.sqrt(2))
 
 
 def test_state_is_normalized(fig2_fiber, fig2_pump):
