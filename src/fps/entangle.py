@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .errors import (
     EmptyState, NumericalFailure, PumpNotOnAxis, StimulatedOrderingWarning, finite, real,
 )
-from .fiber import Channel, FiberParams, PumpConfig
+from .fiber import Channel, FiberParams, PumpConfig, _as_one_omega
 from .hb import pair_amplitudes, total_scatter_probability, xi_hb
 
 #: Minimum concurrence for calling a two-scalar-coefficient state bell-like.
@@ -223,7 +223,8 @@ def second_order_quantities(
     pair probability P_T.  Emits StimulatedOrderingWarning when the
     stimulated term outweighs the independent-pair term (d > P_T), since the
     perturbative ordering is then violated; an inf or NaN n_mode raises
-    NumericalFailure, and a duration that is not a finite real > 0 ValueError.
+    NumericalFailure, and a duration that is not a finite real > 0, or an
+    omega that is not one real number, ValueError.
     """
     if pump.p0y != 0:
         raise PumpNotOnAxis(
@@ -232,7 +233,7 @@ def second_order_quantities(
     if not (duration := real(duration, "duration")) > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     p_any_pair = total_scatter_probability(fiber, pump, duration, mode="analytic")
-    amplitude = abs(xi_hb(fiber, pump, Channel.XX, omega))
+    amplitude = abs(xi_hb(fiber, pump, Channel.XX, _as_one_omega(omega)))
     occupancy = amplitude * amplitude / duration
     if occupancy > p_any_pair:
         warnings.warn(

@@ -220,6 +220,18 @@ def _as_omega(omega):
         raise ValueError(f"omega must be a real number, got {omega!r}") from None
 
 
+def _as_one_omega(omega) -> float:
+    """One detuning as a Python float, by `_as_omega`'s rules.
+
+    A numpy scalar or 0-d array is one number too; a sequence or an array
+    of one or more dimensions raises ValueError naming omega.
+    """
+    value = _as_omega(omega)
+    if isinstance(value, float) or value.ndim == 0:
+        return float(value)
+    raise ValueError(f"omega must be a real number, got {omega!r}")
+
+
 def lambda_param(fiber: FiberParams, power: float, omega):
     """Parametric eigenvalue lambda(Omega), principal square root.
 
@@ -279,9 +291,11 @@ def mi_asymptotic_flux(fiber: FiberParams, power: float, omega: float) -> Asympt
     """Large-gain asymptote (gamma^2 P^2 / 4 g^2) e^{2 g L} / 2pi.
 
     valid is True when g(omega)*L >= 3; the value is returned regardless.  A
-    negative power raises ValueError, g^2 = 0 (underflow included) ZeroGain,
-    an inf or NaN value NumericalFailure.
+    negative power, or an omega that is not one real number, raises
+    ValueError, g^2 = 0 (underflow included) ZeroGain, an inf or NaN value
+    NumericalFailure.
     """
+    omega = _as_one_omega(omega)
     gain = mi_gain(fiber, power, omega)  # the power rule is _scalar_block's
     gain_sq = gain * gain
     if gain_sq == 0:

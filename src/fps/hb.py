@@ -32,18 +32,15 @@ from .fiber import (
     pair_fluxes,
 )
 
-#: Below this argument magnitude sin(u)/u is evaluated by series to avoid
-#: catastrophic cancellation near phase matching.
-_SINC_SERIES_CUTOFF = 1e-8
-
-
 def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     """First Magnus term of one generator entry over the fiber length.
 
     xi = integral_0^L C exp(i R z) dz = i*c*L*exp(i*(theta + R*L/2))*sinc(R*L/2),
-    with sinc(u) = sin(u)/u by series below _SINC_SERIES_CUTOFF.  For a pair
-    entry this is the two-photon amplitude of its channel, the first-order
-    part of the same entry of the transfer matrix.
+    with sinc(u) = sin(u)/u and sinc(0) = 1.  No series is needed near
+    phase matching: below |u| = 1e-8, sin(u) rounds to u, so sin(u)/u is
+    exactly 1.0, as 1 - u^2/6 would be.  For a pair entry this is the
+    two-photon amplitude of its channel, the first-order part of the same
+    entry of the transfer matrix.
 
     omega is what `fiber._as_omega` makes of a raw one, which the callers
     convert once.  A Python float (numpy's float64 included) runs in Python
@@ -58,14 +55,11 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     if isinstance(omega, float):
         if not math.isfinite(u):
             return complex(math.nan, math.nan)
-        envelope = 1.0 - u * u / 6.0 if abs(u) < _SINC_SERIES_CUTOFF else math.sin(u) / u
+        envelope = math.sin(u) / u if u else 1.0
         return 1j * (entry.c * fiber.length) * cmath.exp(1j * (entry.theta + u)) * envelope
     import numpy as np
 
-    small = np.abs(u) < _SINC_SERIES_CUTOFF
-    safe = np.where(small, 1.0, u)
-    envelope = np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
-    del small, safe  # before the complex temporaries, to lower peak memory
+    envelope = np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0)
     return 1j * (entry.c * fiber.length) * np.exp(1j * (entry.theta + u)) * envelope
 
 
@@ -74,8 +68,10 @@ def xi_hb(fiber: FiberParams, pump: PumpConfig, channel: Channel, omega):
 
     Scalar channels carry the prefactor i*gamma*P0j*L and a phase 2*theta0j;
     vector channels carry i*(2/3)*gamma*sqrt(P0x*P0y)*L and theta0x+theta0y.
+    channel is read as `Channel(channel)`: a member, or a member's value
+    such as (0, 1) for XX; anything else raises ValueError naming it.
     """
-    entry = coupling_table(fiber, pump, "HB")[channel.value]
+    entry = coupling_table(fiber, pump, "HB")[Channel(channel).value]
     return first_order_amplitude(entry, fiber, _as_omega(omega))
 
 

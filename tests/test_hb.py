@@ -58,12 +58,16 @@ def _fiber(beta2=15.0, delta_beta1=200.0, length=0.2):
     return FiberParams(gamma=3.0, beta2=beta2, length=length, delta_beta1=delta_beta1)
 
 
-def test_sinc_series_and_zero():
+def test_sinc_is_exactly_one_below_1e8_and_at_zero():
     """The sinc envelope of `first_order_amplitude`, on the float and array paths.
 
-    With L = 2 and the constant rate R = u of k = -u, xi = 2i exp(iu) sinc(u):
-    exact at u = 0, the series 1 - u^2/6 below the cutoff 1e-8, sin(u)/u just
-    above it, and the first zero at u = pi.
+    With L = 2 and the constant rate R = u of k = -u, xi = 2i exp(iu) sinc(u).
+    Below |u| = 1e-8, sin(u) rounds to u, so sin(u)/u is exactly 1.0, the
+    value a series 1 - u^2/6 would round to: the amplitude is 2i exp(iu) bit
+    for bit, with seeded, subnormal and just-below-1e-8 u alike, and exactly
+    2i at u = 0.  Above 1e-8 it is the direct sin(u)/u, with the first zero
+    at u = pi.  A numpy build whose sin does not return u for tiny u fails
+    here first.
     """
     fiber = FiberParams(gamma=1.0, beta2=1.0, length=2.0)
 
@@ -75,15 +79,21 @@ def test_sinc_series_and_zero():
         ]
 
     assert amplitudes(0.0) == [2j, 2j]
+    rng = np.random.default_rng(20261020)
+    magnitudes = 10.0 ** rng.uniform(-300.0, -8.0, 400)
+    signs = rng.choice([-1.0, 1.0], magnitudes.size)
+    below = 1e-8 * (1.0 - 2.0**-52)
+    subnormals = [5e-324, 2.0**-1070, 2.0**-1023 * 0.75]
+    tiny = [*(signs * magnitudes).tolist(), *subnormals, below]
+    for u in tiny + [-u for u in tiny]:
+        assert 0.0 < abs(u) < 1e-8
+        assert amplitudes(u) == [2j * cmath.exp(1j * u)] * 2, u
     for u, envelope in (
-        (1e-10, 1.0 - 1e-10 * 1e-10 / 6.0),
         (2e-8, math.sin(2e-8) / 2e-8),
         (math.pi, math.sin(math.pi) / math.pi),
     ):
         assert amplitudes(u) == [2j * cmath.exp(1j * u) * envelope] * 2, u
     assert [abs(xi) for xi in amplitudes(math.pi)] == [pytest.approx(0.0, abs=2e-16)] * 2
-    assert [abs(xi) for xi in amplitudes(1e-10)] == [pytest.approx(2.0, rel=1e-15)] * 2
-    # the direct form just above the cutoff agrees with the series
     assert [abs(xi) for xi in amplitudes(2e-8)] == [pytest.approx(2.0, rel=1e-15)] * 2
 
 
@@ -593,6 +603,28 @@ NAMED_INPUT_ERRORS = {
             np.array([1.0 + 1j]), [None],
         )
     },
+    # the estimators of one detuning take no sequence or array of them
+    **{
+        f"{name}-omega-{omega!r}": (
+            lambda call=call, omega=omega: call(omega),
+            f"omega must be a real number, got {omega!r}",
+        )
+        for name, call in {
+            "mi_asymptotic_flux": lambda omega: mi_asymptotic_flux(PLAIN, 1.0, omega),
+            "second_order_quantities": lambda omega: second_order_quantities(
+                PLAIN, PumpConfig(p0x=1.0), omega, 100.0
+            ),
+        }.items()
+        for omega in ([1.0], (1.0,), np.array([1.0]), np.array([1.0, 2.0]))
+    },
+    # xi_hb reads its channel as Channel(channel)
+    **{
+        f"xi_hb-channel-{channel!r}": (
+            lambda channel=channel: xi_hb(PLAIN, PumpConfig(p0x=1.0), channel, 1.0),
+            f"{channel!r} is not a valid Channel",
+        )
+        for channel in ("XX", 0, None, [0, 1])
+    },
 }
 
 
@@ -823,6 +855,22 @@ def test_degenerate_and_overflowing_inputs_raise_domain_errors(call, error):
     error, match = error if isinstance(error, tuple) else (error, None)
     with np.errstate(all="ignore"), pytest.raises(error, match=match):
         call()
+
+
+def test_one_detuning_inputs_read_a_numpy_scalar_and_a_channel_value(fig1_fiber, pump_x03):
+    """A numpy scalar or 0-d array is one detuning, a Channel's value its member."""
+    anomalous = FiberParams(gamma=3.0, beta2=-20.0, length=1.0)
+    for omega in (np.float64(0.25), np.float32(0.25), np.int64(0), np.array(0.25)):
+        expected = second_order_quantities(fig1_fiber, pump_x03, float(omega), 100.0)
+        result = second_order_quantities(fig1_fiber, pump_x03, omega, 100.0)
+        assert result == expected and type(result.n_mode) is float
+        if omega:
+            asymptote = mi_asymptotic_flux(anomalous, 0.3, omega)
+            assert asymptote == mi_asymptotic_flux(anomalous, 0.3, float(omega))
+    for channel in Channel:
+        assert xi_hb(fig1_fiber, pump_x03, channel.value, 0.25) == xi_hb(
+            fig1_fiber, pump_x03, channel, 0.25
+        )
 
 
 def test_underflowed_vector_width_raises_with_a_finite_scalar_width():
