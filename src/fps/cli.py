@@ -69,14 +69,15 @@ MAX_STEP_POINTS = 20_000_000
 #: `pair_fluxes(*pair_amplitudes(...))` call per Python-float omega, without
 #: importing numpy.  Both paths print the same bytes.  Measured on the
 #: fig1a, fig2 and fig4a physics with Python 3.11 and numpy 2.4 on 2 vCPUs,
-#: 10,000 points: the float path takes 3.0-4.4 us per point, the array path
-#: 0.1-0.3 us, and importing numpy about 61 ms (97 ms for a `python -c`
-#: that imports numpy against 36 ms for `python -c pass`, medians of 15
-#: interleaved fresh processes), so the two break even between about
-#: 15,000 and 21,000 points.  Whole first-order `spectrum` calls of 9,999
-#: points took 112-118 ms on the float path against 129-137 ms on the
-#: array path (medians of 10 interleaved pairs), which puts break-even at
-#: 13,000-19,000 points; 10,000 keeps a margin.
+#: 10,000 points: the float path takes 2.5-3.3 us per point, the array path
+#: 0.13-0.23 us, and importing numpy 65 ms or more (103-108 ms for a
+#: `python -c` that imports numpy against 36-39 ms for `python -c pass`,
+#: lower quartiles of 15 interleaved fresh processes; the medians were
+#: 132-168 ms against 38-49 ms), so the two break even above about 21,000
+#: points.  Whole first-order `spectrum` calls of 9,999 points took
+#: 106-123 ms on the float path against 140-160 ms on the array path
+#: (medians of 10 interleaved pairs), which puts break-even at
+#: 20,000-23,500 points; 10,000 keeps a margin.
 MAX_FLOAT_PATH_POINTS = 10_000
 
 

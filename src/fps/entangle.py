@@ -65,15 +65,16 @@ def _abs(z) -> float:
     halfway between two doubles in [1, 2] are multiples of ulp(p), while the
     error e = r*r - p is at most half of it, so 1.0 + p rounds as fma does
     unless 1 + p is itself halfway.  Only at such a tie does e decide: there Dekker's product gives
-    e exactly and math.fsum rounds 1 + p + e.  An inf part gives inf, else a
-    NaN part NaN, as in numpy.
+    e exactly and math.fsum rounds 1 + p + e.  A zero gives 0.0 first, since
+    the amplitudes of an unpumped channel are zeros; an inf part gives inf,
+    else a NaN part NaN, as in numpy.
     """
+    if not z:
+        return 0.0
     re, im = abs(z.real), abs(z.imag)
     larger, smaller = (re, im) if re > im else (im, re)
-    if not 0.0 < larger < math.inf:  # 0, inf or NaN
-        if re == math.inf or im == math.inf:
-            return math.inf
-        return math.nan if re != re or im != im else 0.0
+    if not 0.0 < larger < math.inf:  # inf or NaN: a zero larger part has a NaN beside it
+        return math.inf if re == math.inf or im == math.inf else math.nan
     r = smaller / larger
     p = r * r
     s = 1.0 + p
@@ -143,15 +144,10 @@ def filtered_state(
         raise NumericalFailure(f"pair state at omega = {omega} is not finite")
     norm = math.sqrt(norm_sq)
     scale = 1.0 / norm  # _divide(xi, norm), whose imaginary divisor part is 0
-    return FilteredPairState(
-        omega=omega,
-        coeffs=tuple([
-            complex((xi.real + xi.imag * 0.0) * scale, (xi.imag - xi.real * 0.0) * scale)
-            for xi in raw
-        ]),
-        norm=norm,
-        generation_probability=probability,
-    )
+    coeffs = tuple([
+        complex((xi.real + xi.imag * 0.0) * scale, (xi.imag - xi.real * 0.0) * scale) for xi in raw
+    ])
+    return FilteredPairState(omega, coeffs, norm, probability)
 
 
 def concurrence(coeffs) -> float:
@@ -172,12 +168,13 @@ def classify(state: FilteredPairState, tol: float = 1e-3) -> EntanglementReport:
     raises ValueError: at tol <= 0 a zero coefficient is significant, and at
     tol >= 1 no coefficient of a normalized state is.
     """
-    tol = real(tol, "tol")
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
+    if not (type(tol) is float and 0 < tol < 1):  # the default needs no conversion
+        tol = real(tol, "tol")
+        if not 0 < tol < 1:
+            raise ValueError(f"tol must be in (0, 1), got {tol}")
     values = state.coeffs
     conc = concurrence(values)
-    significant = tuple(abs(c) ** 2 >= tol for c in values)
+    significant = tuple([abs(c) ** 2 >= tol for c in values])
     classification = _CLASS_BY_PATTERN.get(significant)
     if classification is None:
         scalar_pair = significant[0] and significant[1]
@@ -191,11 +188,7 @@ def classify(state: FilteredPairState, tol: float = 1e-3) -> EntanglementReport:
         relative_phase = _wrap_phase(math.atan2(ratio.imag, ratio.real))
     else:
         relative_phase = float("nan")
-    return EntanglementReport(
-        classification=classification,
-        concurrence=conc,
-        relative_phase=relative_phase,
-    )
+    return EntanglementReport(classification, conc, relative_phase)
 
 
 def bell_phase(pump: PumpConfig) -> float:

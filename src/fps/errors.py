@@ -88,15 +88,16 @@ def finite(value, error: type[Exception], what: str):
 def real(value, name: str = "value", minimum: float | None = None) -> float:
     """`value` as a finite float, or ValueError naming it `name`.
 
-    A bool, a string or anything else without __float__ or __index__
-    (complex included) is not a real number; inf, NaN and an int beyond
-    double range (reported as +-inf) are not finite; a value below
-    `minimum`, where one is given, is rejected too.
+    A bool (numpy's included: any value whose dtype kind is "b"), a string
+    or anything else without __float__ or __index__ (complex included) is
+    not a real number; inf, NaN and an int beyond double range (reported as
+    +-inf) are not finite; a value below `minimum`, where one is given, is
+    rejected too.
     """
     if type(value) is float and math.isfinite(value) and (minimum is None or value >= minimum):
         return value  # the common case, which needs no conversion
     try:
-        if value is True or value is False:
+        if isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b":
             raise TypeError
         number = math.ldexp(value, 0)  # float(value), but never parsed from text
     except TypeError:

@@ -389,9 +389,10 @@ class Channel(enum.Enum):
 _PAIR_ENTRIES = tuple(channel.value for channel in Channel)
 
 
-#: The last table `coupling_table` built, as (fiber, pump, regime, table).
-#: Holding the fiber and pump keeps their ids from being reused while the
-#: entry stands.
+#: The last table `coupling_table` built, as (fiber, pump, regime, table,
+#: pairs), pairs being its pair entries `_resolve`d against the fiber in
+#: `Channel` order, None where the table lacks one.  Holding the fiber and
+#: pump keeps their ids from being reused while the entry stands.
 _last_table: tuple | None = None
 
 
@@ -415,13 +416,32 @@ def coupling_table(
     a detuning sweep builds it once.  The key is object identity, not
     equality: equal pumps can differ in the sign of a zero phase.
     """
+    return _cached_table(fiber, pump, regime)[3]
+
+
+def _cached_table(fiber: FiberParams, pump: PumpConfig, regime: str) -> tuple:
+    """`_last_table`, rebuilt unless it holds these fiber and pump objects and regime."""
     global _last_table
     last = _last_table
     if last is not None and last[0] is fiber and last[1] is pump and last[2] == regime:
-        return last[3]
-    table = MappingProxyType(_table_entries(fiber, pump, regime))
-    _last_table = (fiber, pump, regime, table)
-    return table
+        return last
+    table = _table_entries(fiber, pump, regime)
+    pairs = tuple(_resolve(table[key], fiber) if key in table else None for key in _PAIR_ENTRIES)
+    _last_table = (fiber, pump, regime, MappingProxyType(table), pairs)
+    return _last_table
+
+
+def _resolve(entry: Coupling, fiber: FiberParams) -> tuple:
+    """The fiber-resolved constants (a, b, k, e, prefactor, theta, half) of one entry.
+
+    a = s*delta_beta1, b = t*beta2, e = d*delta_beta0, prefactor = 1j*(c*L)
+    and half = L/2, so that -(a*Omega + b*(Omega*Omega) + k + e)*half is
+    `Coupling.rate` times L/2 with the same roundings.
+    """
+    return (
+        entry.s * fiber.delta_beta1, entry.t * fiber.beta2, entry.k, entry.d * fiber.delta_beta0,
+        1j * (entry.c * fiber.length), entry.theta, 0.5 * fiber.length,
+    )
 
 
 def _abs2(z):

@@ -27,6 +27,8 @@ from .fiber import (
     FiberParams,
     PumpConfig,
     _as_omega,
+    _cached_table,
+    _resolve,
     alpha_param,
     coupling_table,
     pair_fluxes,
@@ -51,16 +53,37 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     shape.  A NaN amplitude is rejected where it is used:
     `fiber.pair_fluxes`, `filtered_state` and P_T raise NumericalFailure.
     """
-    u = entry.rate(fiber, omega) * (0.5 * fiber.length)
     if isinstance(omega, float):
-        if not math.isfinite(u):
-            return complex(math.nan, math.nan)
-        envelope = math.sin(u) / u if u else 1.0
-        return 1j * (entry.c * fiber.length) * cmath.exp(1j * (entry.theta + u)) * envelope
+        return _amplitudes((_resolve(entry, fiber),), omega)[0]
     import numpy as np
 
+    u = entry.rate(fiber, omega) * (0.5 * fiber.length)
     envelope = np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0)
     return 1j * (entry.c * fiber.length) * np.exp(1j * (entry.theta + u)) * envelope
+
+
+def _amplitudes(pairs, omega: float) -> list:
+    """The float path of `first_order_amplitude` for each `fiber._resolve`d entry in pairs.
+
+    One loop with no call per entry, so that a detuning sweep pays for its
+    amplitudes little more than their arithmetic; an entry that is None
+    (one the table lacks) gives 0.0.
+    """
+    squared = omega * omega
+    amplitudes = []
+    for pair in pairs:
+        if pair is None:
+            amplitudes.append(0.0)
+            continue
+        a, b, k, e, prefactor, theta, half = pair
+        u = -(a * omega + b * squared + k + e) * half
+        if math.isfinite(u):
+            amplitudes.append(
+                prefactor * cmath.exp(1j * (theta + u)) * (math.sin(u) / u if u else 1.0)
+            )
+        else:  # math.sin and cmath.exp raise at inf
+            amplitudes.append(complex(math.nan, math.nan))
+    return amplitudes
 
 
 def xi_hb(fiber: FiberParams, pump: PumpConfig, channel: Channel, omega):
@@ -79,10 +102,15 @@ def pair_amplitudes(fiber: FiberParams, pump: PumpConfig, regime: str, omega) ->
     """The pair amplitudes [xi_xx, xi_yy, xi_xy, xi_yx] at omega, in `Channel` order.
 
     Each is the first-order amplitude of its entry in the regime's coupling
-    table; an entry the table lacks (the LB vector channels) is 0.0.
+    table; an entry the table lacks (the LB vector channels) is 0.0.  A
+    float omega runs the four in one loop over the constants the table
+    cached when it was built, with the bits of the array path.
     """
-    table = coupling_table(fiber, pump, regime)
+    cached = _cached_table(fiber, pump, regime)
     omega = _as_omega(omega)
+    if isinstance(omega, float):
+        return _amplitudes(cached[4], omega)
+    table = cached[3]
     return [
         first_order_amplitude(table[entry], fiber, omega) if entry in table else 0.0
         for entry in _PAIR_ENTRIES

@@ -617,6 +617,23 @@ NAMED_INPUT_ERRORS = {
         }.items()
         for omega in ([1.0], (1.0,), np.array([1.0]), np.array([1.0, 2.0]))
     },
+    # a numpy bool is no real number either, as Python's is not
+    **{
+        f"{name}-{flag!r}": (
+            lambda call=call, flag=flag: call(flag), f"{field} must be a real number, got {flag!r}"
+        )
+        for name, field, call in (
+            ("fiber-gamma", "gamma", lambda flag: FiberParams(gamma=flag, beta2=1, length=1)),
+            ("pump-duration", "duration", lambda flag: PumpConfig(p0x=1.0, duration=flag)),
+            (
+                "state-duration",
+                "duration",
+                lambda flag: filtered_state(PLAIN, PumpConfig(p0x=1.0), "HB", 1.0, flag),
+            ),
+            ("grid-n-points", "n_points", lambda flag: FrequencyGrid(-1.0, 1.0, flag)),
+        )
+        for flag in (np.True_, np.array(True))
+    },
     # xi_hb reads its channel as Channel(channel)
     **{
         f"xi_hb-channel-{channel!r}": (

@@ -1,9 +1,11 @@
 """The Python-float paths against the array paths, bit for bit.
 
-A float omega runs `Coupling.rate` and `first_order_amplitude`, its sinc
-envelope included, in Python floats (math.sin, cmath.exp) instead of
-numpy.  These tests pin that path to element 0 of the same call on a
-one-point array, bit for bit, and the filtered pair state built from it,
+A float omega runs `first_order_amplitude`, its sinc envelope included,
+in Python floats (math.sin, cmath.exp) instead of numpy, from the
+constants `coupling_table` resolves once per table (`fiber._resolve`), in
+one loop over the four pair entries.  These tests pin that path to
+element 0 of the same call on a one-point array, whose phase rate comes
+from `Coupling.rate`, bit for bit, and the filtered pair state built from it,
 with its `classify` phase, to the same built from array-path amplitudes;
 the state and the HB/LB fluxes must read the four amplitudes of
 `hb.pair_amplitudes`, the fluxes through `fiber.pair_fluxes` with |xi|^2
@@ -214,6 +216,59 @@ def test_reused_table_matches_fresh_objects_bit_for_bit():
             assert _coeff_bits(state.coeffs) == _coeff_bits(fresh.coeffs)
             assert state.norm.hex() == fresh.norm.hex()
             assert state.generation_probability.hex() == fresh.generation_probability.hex()
+
+
+def _hexes(xi) -> tuple:
+    """An amplitude as (type, real part, imaginary part), the parts by .hex()."""
+    return type(xi), xi.real.hex(), xi.imag.hex()
+
+
+def test_one_loop_amplitudes_are_array_entries_bit_for_bit(monkeypatch):
+    # A float omega runs the four pair amplitudes in one loop over the
+    # constants `coupling_table` resolved against the fiber.  Each equals
+    # `first_order_amplitude`'s array path on its own table entry, by .hex()
+    # of both parts; an entry the LB table lacks stays the float 0.0.  Every
+    # fourth set's entries are near-matched (u = 0 or |u| < 1e-8), and two
+    # sets in a hundred run at omega = +-1e300 or NaN, where u is not finite.
+    # The calls run A, B, A, so the constants follow a rebuilt table.
+    rng = np.random.default_rng(13)
+    sets, tables = [], {}
+    for index in range(N_SETS):
+        fiber, pump, regime, omega = _draw(rng, index)
+        if index % 100 in (2, 3):
+            omega = (1e300, -1e300, math.nan)[index // 100 % 3]
+        entries = fps.fiber._table_entries(fiber, pump, regime)
+        if index % 4 == 1:
+            entries = {key: _near_matched(e, fiber, omega, rng) for key, e in entries.items()}
+        tables[id(fiber), id(pump)] = entries
+        sets.append((fiber, pump, regime, omega))
+    monkeypatch.setattr(
+        fps.fiber, "_table_entries", lambda fiber, pump, regime: dict(tables[id(fiber), id(pump)])
+    )
+    monkeypatch.setattr(fps.fiber, "_last_table", None)
+    hits = dict.fromkeys(["zero", "tiny", "nan", "absent"], 0)
+    for index, (fiber, pump, regime, omega) in enumerate(sets):
+        table = tables[id(fiber), id(pump)]
+        expected = []
+        for key in _PAIR_ENTRIES:
+            if key not in table:
+                expected.append(_hexes(0.0))
+                hits["absent"] += 1
+                continue
+            u = table[key].rate(fiber, omega) * (0.5 * fiber.length)
+            hits["zero"] += u == 0.0
+            hits["tiny"] += 0.0 < abs(u) < 1e-8
+            hits["nan"] += not math.isfinite(u)
+            with np.errstate(all="ignore"):
+                xi = first_order_amplitude(table[key], fiber, np.array([omega]))[0]
+            expected.append(_hexes(complex(xi)))
+        first = pair_amplitudes(fiber, pump, regime, omega)
+        pair_amplitudes(*sets[index - 1])
+        again = pair_amplitudes(fiber, pump, regime, omega)
+        for amplitudes in (first, again):
+            assert [_hexes(xi) for xi in amplitudes] == expected, (fiber, pump, regime, omega)
+    assert hits["zero"] > 250 and hits["tiny"] > 250 and hits["nan"] > 100
+    assert hits["absent"] == N_SETS  # two per LB set
 
 
 @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
