@@ -67,8 +67,8 @@ def _coefficient_factors(
         c = 1j * entry.c * np.exp(1j * entry.theta)
         coeff[j, k] = c
         coeff[k, j] = -np.conj(c) if J_METRIC[j, j] == J_METRIC[k, k] else np.conj(c)
-    r01, r23 = table[0, 1].rate(fiber, w), table[2, 3].rate(fiber, w)
-    r02 = table[0, 2].rate(fiber, w) if (0, 2) in table else np.zeros_like(w)
+    r01, r23 = table[0, 1].rate(w), table[2, 3].rate(w)
+    r02 = table[0, 2].rate(w) if (0, 2) in table else np.zeros_like(w)
     return coeff, np.stack([np.zeros_like(w), r01, r02, r02 + r23], axis=-1)
 
 

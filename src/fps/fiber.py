@@ -351,25 +351,22 @@ class Coupling(NamedTuple):
     """One independent entry A_jk(z) = C exp(i R z) of the coupled-mode generator.
 
     The coupling C = i*c*exp(i*theta) is constant (c signed, 1/km); the
-    phase rate is R(Omega) = -(s*delta_beta1*Omega + t*beta2*Omega^2 + k
-    + d*delta_beta0) in 1/km, with k the Kerr term.
+    phase rate is R(Omega) = -(a*Omega + b*Omega^2 + k + e) in 1/km, with
+    a = s*delta_beta1, b = t*beta2 and e = d*delta_beta0 resolved against
+    the fiber when the table is built (s, t, d the entry's signs) and k
+    the Kerr term.
     """
 
     c: float
     theta: float
-    s: float
-    t: float
+    a: float
+    b: float
     k: float
-    d: float = 0.0
+    e: float = 0.0
 
-    def rate(self, fiber: FiberParams, omega):
+    def rate(self, omega):
         """Phase rate R(Omega) in 1/km: a float for a float omega, an array for an array."""
-        return -(
-            self.s * fiber.delta_beta1 * omega
-            + self.t * fiber.beta2 * (omega * omega)
-            + self.k
-            + self.d * fiber.delta_beta0
-        )
+        return -(self.a * omega + self.b * (omega * omega) + self.k + self.e)
 
 
 class Channel(enum.Enum):
@@ -390,9 +387,10 @@ _PAIR_ENTRIES = tuple(channel.value for channel in Channel)
 
 
 #: The last table `coupling_table` built, as (fiber, pump, regime, table,
-#: pairs), pairs being its pair entries `_resolve`d against the fiber in
-#: `Channel` order, None where the table lacks one.  Holding the fiber and
-#: pump keeps their ids from being reused while the entry stands.
+#: pairs), pairs holding each pair entry in `Channel` order as the plain
+#: tuple (1j*(c*L), c, theta, a, b, k, e), None where the table lacks one.
+#: Holding the fiber and pump keeps their ids from being reused while the
+#: entry stands.
 _last_table: tuple | None = None
 
 
@@ -426,22 +424,12 @@ def _cached_table(fiber: FiberParams, pump: PumpConfig, regime: str) -> tuple:
     if last is not None and last[0] is fiber and last[1] is pump and last[2] == regime:
         return last
     table = _table_entries(fiber, pump, regime)
-    pairs = tuple(_resolve(table[key], fiber) if key in table else None for key in _PAIR_ENTRIES)
+    pairs = tuple(
+        (1j * (table[key].c * fiber.length), *table[key]) if key in table else None
+        for key in _PAIR_ENTRIES
+    )
     _last_table = (fiber, pump, regime, MappingProxyType(table), pairs)
     return _last_table
-
-
-def _resolve(entry: Coupling, fiber: FiberParams) -> tuple:
-    """The fiber-resolved constants (a, b, k, e, prefactor, theta, half) of one entry.
-
-    a = s*delta_beta1, b = t*beta2, e = d*delta_beta0, prefactor = 1j*(c*L)
-    and half = L/2, so that -(a*Omega + b*(Omega*Omega) + k + e)*half is
-    `Coupling.rate` times L/2 with the same roundings.
-    """
-    return (
-        entry.s * fiber.delta_beta1, entry.t * fiber.beta2, entry.k, entry.d * fiber.delta_beta0,
-        1j * (entry.c * fiber.length), entry.theta, 0.5 * fiber.length,
-    )
 
 
 def _abs2(z):
@@ -474,13 +462,16 @@ def pair_fluxes(xx, yy, xy, yx):
 def _table_entries(
     fiber: FiberParams, pump: PumpConfig, regime: str
 ) -> dict[tuple[int, int], Coupling]:
-    """The entries of `coupling_table`, built afresh."""
+    """The entries of `coupling_table`, built afresh and resolved against the fiber."""
     g = fiber.gamma
     px, py, tx, ty = pump.p0x, pump.p0y, pump.theta0x, pump.theta0y
     xx, yy, xy, yx = _PAIR_ENTRIES
 
+    def entry(c: float, theta: float, s: float, t: float, k: float, d: float = 0.0) -> Coupling:
+        return Coupling(c, theta, s * fiber.delta_beta1, t * fiber.beta2, k, d * fiber.delta_beta0)
+
     def scalar(p: float, theta: float) -> Coupling:
-        return Coupling(g * p, 2.0 * theta, s=0.0, t=1.0, k=2.0 * g * p)
+        return entry(g * p, 2.0 * theta, 0.0, 1.0, 2.0 * g * p)
 
     if regime == "LB":
         if px != 0 and py != 0:
@@ -488,7 +479,7 @@ def _table_entries(
         on_y = py != 0
         p, theta = (py, ty) if on_y else (px, tx)
         d = 2.0 if on_y else -2.0
-        orth = Coupling(g * p / 3.0, 2.0 * theta, s=0.0, t=1.0, k=-(2.0 / 3.0) * g * p, d=d)
+        orth = entry(g * p / 3.0, 2.0 * theta, 0.0, 1.0, -(2.0 / 3.0) * g * p, d)
         pumped, other = (yy, xx) if on_y else (xx, yy)
         return {pumped: scalar(p, theta), other: orth}
     if regime != "HB":
@@ -498,8 +489,8 @@ def _table_entries(
     return {
         xx: scalar(px, tx),
         yy: scalar(py, ty),
-        xy: Coupling(cross, tx + ty, s=1.0, t=1.0, k=kerr),
-        yx: Coupling(cross, tx + ty, s=-1.0, t=1.0, k=kerr),
-        (0, 2): Coupling(cross, tx - ty, s=1.0, t=0.0, k=g * (px - py)),
-        (1, 3): Coupling(-cross, ty - tx, s=1.0, t=0.0, k=g * (py - px)),
+        xy: entry(cross, tx + ty, 1.0, 1.0, kerr),
+        yx: entry(cross, tx + ty, -1.0, 1.0, kerr),
+        (0, 2): entry(cross, tx - ty, 1.0, 0.0, g * (px - py)),
+        (1, 3): entry(-cross, ty - tx, 1.0, 0.0, g * (py - px)),
     }

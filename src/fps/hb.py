@@ -28,7 +28,6 @@ from .fiber import (
     PumpConfig,
     _as_omega,
     _cached_table,
-    _resolve,
     alpha_param,
     coupling_table,
     pair_fluxes,
@@ -54,28 +53,31 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     `fiber.pair_fluxes`, `filtered_state` and P_T raise NumericalFailure.
     """
     if isinstance(omega, float):
-        return _amplitudes((_resolve(entry, fiber),), omega)[0]
+        return _amplitudes(((1j * (entry.c * fiber.length), *entry),), fiber.length, omega)[0]
     import numpy as np
 
-    u = entry.rate(fiber, omega) * (0.5 * fiber.length)
+    u = entry.rate(omega) * (0.5 * fiber.length)
     envelope = np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0)
     return 1j * (entry.c * fiber.length) * np.exp(1j * (entry.theta + u)) * envelope
 
 
-def _amplitudes(pairs, omega: float) -> list:
-    """The float path of `first_order_amplitude` for each `fiber._resolve`d entry in pairs.
+def _amplitudes(pairs, length: float, omega: float) -> list:
+    """The float path of `first_order_amplitude` for each entry in pairs, over length.
 
+    Each entry is the plain tuple (1j*(c*L), *coupling) that `coupling_table`
+    caches with a table, or None for one the table lacks, which gives 0.0.
     One loop with no call per entry, so that a detuning sweep pays for its
-    amplitudes little more than their arithmetic; an entry that is None
-    (one the table lacks) gives 0.0.
+    amplitudes little more than their arithmetic; u is `Coupling.rate`
+    times L/2, summed in its order, so with its bits.
     """
     squared = omega * omega
+    half = 0.5 * length
     amplitudes = []
     for pair in pairs:
         if pair is None:
             amplitudes.append(0.0)
             continue
-        a, b, k, e, prefactor, theta, half = pair
+        prefactor, _, theta, a, b, k, e = pair
         u = -(a * omega + b * squared + k + e) * half
         if math.isfinite(u):
             amplitudes.append(
@@ -109,7 +111,7 @@ def pair_amplitudes(fiber: FiberParams, pump: PumpConfig, regime: str, omega) ->
     cached = _cached_table(fiber, pump, regime)
     omega = _as_omega(omega)
     if isinstance(omega, float):
-        return _amplitudes(cached[4], omega)
+        return _amplitudes(cached[4], fiber.length, omega)
     table = cached[3]
     return [
         first_order_amplitude(table[entry], fiber, omega) if entry in table else 0.0
@@ -201,11 +203,11 @@ def overlapping_regime(fiber: FiberParams, pump: PumpConfig) -> bool:
 def _scalar_width(fiber: FiberParams) -> float:
     """First-zero width 2*sqrt(2*pi/(|beta2|*L)) of the scalar band in rad/ps.
 
-    A width beyond double range, from |beta2|*L = 0 or subnormal, raises
-    ValueError.
+    A width beyond double range, from |beta2|*L = 0 or subnormal, or one
+    that rounds to 0 because |beta2|*L overflows, raises ValueError.
     """
     dispersion = abs(fiber.beta2) * fiber.length
-    scalar = 2.0 * math.sqrt(2.0 * math.pi / dispersion) if dispersion else math.inf
+    scalar = 2.0 * math.sqrt(2.0 * math.pi / dispersion) if 0 < dispersion < math.inf else math.inf
     return finite(scalar, ValueError, f"scalar width at |beta2|*L = {dispersion}")
 
 
@@ -215,14 +217,15 @@ def bandwidths(fiber: FiberParams, pump: PumpConfig) -> tuple[float, float]:
     Scalar band: 2*sqrt(2*pi/(|beta2|*L)), scaling as L**-0.5.  Vector
     peaks: 4*pi/(delta_beta1*L), scaling as L**-1.  beta2 = 0 raises
     ZeroDispersion.  A width beyond double range, from a divisor that is 0
-    or subnormal, raises ValueError for the scalar band and
-    DegenerateBirefringence for the vector peaks.
+    or subnormal, or a width of 0 from a divisor that overflows, raises
+    ValueError for the scalar band and DegenerateBirefringence for the
+    vector peaks.
     """
     if fiber.beta2 == 0:
         raise ZeroDispersion("scalar width requires beta2 != 0")
     scalar = _scalar_width(fiber)
     walk_off = fiber.delta_beta1 * fiber.length
-    vector = 4.0 * math.pi / walk_off if walk_off else math.inf
+    vector = 4.0 * math.pi / walk_off if 0 < abs(walk_off) < math.inf else math.inf
     finite(vector, DegenerateBirefringence, f"vector width at delta_beta1*L = {walk_off}")
     return scalar, vector
 
@@ -236,7 +239,8 @@ def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, floa
     and beta2 share a sign (slow-axis pump with normal dispersion, or
     fast-axis pump with anomalous dispersion), else NoFarDetunedPeak is
     raised.  A detuning or width beyond double range (L = 0 or subnormal,
-    or delta*beta2 or delta/beta2 out of range) raises ValueError.
+    or delta*beta2 or delta/beta2 out of range, 2*beta2*delta overflowing
+    included, where the width would round to 0) raises ValueError.
     """
     if pump.p0x != 0 and pump.p0y != 0:
         raise PumpNotOnAxis(f"pump must be on a single axis, got ({pump.p0x}, {pump.p0y})")
@@ -248,4 +252,5 @@ def lb_peak_and_width(fiber: FiberParams, pump: PumpConfig) -> tuple[float, floa
     detuning = finite(math.sqrt(2.0 * delta / fiber.beta2), ValueError, "LB peak detuning")
     zero_spacing = 2.0 * math.pi / fiber.length if fiber.length else math.inf
     root = math.sqrt(2.0 * fiber.beta2 * delta)
-    return detuning, finite(zero_spacing / root if root else math.inf, ValueError, "LB peak width")
+    width = zero_spacing / root if 0 < root < math.inf else math.inf
+    return detuning, finite(width, ValueError, "LB peak width")

@@ -57,7 +57,7 @@ def _rates(fiber, pump, regime, omegas):
     w = np.asarray(omegas, dtype=float)
     rate = np.zeros(w.shape + (4, 4))
     for (j, k), entry in coupling_table(fiber, pump, regime).items():
-        rate[..., j, k] = entry.rate(fiber, w)
+        rate[..., j, k] = entry.rate(w)
         rate[..., k, j] = -rate[..., j, k]
     return rate
 

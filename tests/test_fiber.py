@@ -272,9 +272,9 @@ def _relabel_residuals(fiber, pump, omega):
     e02, e13, e03, e21 = (table[key] for key in ((0, 2), (1, 3), (0, 3), (2, 1)))
     return (
         abs(_coupling(e13) - _coupling(e02).conjugate()),
-        abs(e13.rate(fiber, omega) + e02.rate(fiber, -omega)),
+        abs(e13.rate(omega) + e02.rate(-omega)),
         abs(_coupling(e21) - _coupling(e03))
-        + abs(e21.rate(fiber, omega) - e03.rate(fiber, -omega)),
+        + abs(e21.rate(omega) - e03.rate(-omega)),
     )
 
 
@@ -380,7 +380,7 @@ def _jacobian_gap(fiber, pump, omega):
         c = _coupling(entry)
         gaps.append(abs(jacobian[j, k] - c) / coupling_scale)
         gaps.append(abs(jacobian[k, j] + metric[j] * metric[k] * c.conjugate()) / coupling_scale)
-        gaps.append(abs(phi[k] - phi[j] - entry.rate(fiber, omega)) / rate_scale)
+        gaps.append(abs(phi[k] - phi[j] - entry.rate(omega)) / rate_scale)
     return max(gaps)
 
 

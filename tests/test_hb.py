@@ -72,7 +72,7 @@ def test_sinc_is_exactly_one_below_1e8_and_at_zero():
     fiber = FiberParams(gamma=1.0, beta2=1.0, length=2.0)
 
     def amplitudes(u):
-        entry = Coupling(1.0, 0.0, s=0.0, t=0.0, k=-u)
+        entry = Coupling(1.0, 0.0, a=0.0, b=0.0, k=-u)
         return [
             first_order_amplitude(entry, fiber, 0.0),
             first_order_amplitude(entry, fiber, np.array([0.0]))[0],
@@ -504,6 +504,8 @@ def test_y_pump_relabeling_mirrors_x_pump():
 def test_two_axis_pump_rejected(fig4a_fiber):
     with pytest.raises(PumpNotOnAxis):
         flux_lb(fig4a_fiber, PumpConfig(p0x=1.0, p0y=1.0), 1.0)
+    with pytest.raises(PumpNotOnAxis):
+        lb_peak_and_width(fig4a_fiber, PumpConfig(p0x=1.0, p0y=1.0))
 
 
 #: |beta2|*L = 1e-400 underflows to 0 although neither factor is 0.
@@ -704,6 +706,40 @@ NAMED_INPUT_ERRORS = {
             ),
             ValueError,
             id="lb-width-product-underflow",
+        ),
+        # Overflowing products, where a width would round to 0: 2*beta2*delta
+        # = 2e400, |beta2|*L = 1e310 and delta_beta1*L = 1e400.
+        pytest.param(
+            lambda: lb_peak_and_width(
+                FiberParams(gamma=3.0, beta2=1e200, length=1e-300, delta_beta0=1e200),
+                PumpConfig(p0x=1.0),
+            ),
+            ValueError,
+            id="lb-width-product-overflow",
+        ),
+        pytest.param(
+            lambda: bandwidths(
+                FiberParams(gamma=3.0, beta2=1e300, length=1e10, delta_beta1=1.0),
+                PumpConfig(p0x=1.0),
+            ),
+            ValueError,
+            id="scalar-width-product-overflow",
+        ),
+        pytest.param(
+            lambda: bandwidths(
+                FiberParams(gamma=3.0, beta2=1.0, length=1e200, delta_beta1=1e200),
+                PumpConfig(p0x=1.0),
+            ),
+            DegenerateBirefringence,
+            id="vector-width-product-overflow",
+        ),
+        pytest.param(
+            lambda: total_scatter_probability(
+                FiberParams(gamma=3.0, beta2=1e300, length=1e10), PumpConfig(p0x=1.0), 100.0,
+                mode="numeric",
+            ),
+            ValueError,
+            id="numeric-pt-width-overflow",
         ),
         pytest.param(
             lambda: lb_peak_and_width(

@@ -1,11 +1,11 @@
 """The Python-float paths against the array paths, bit for bit.
 
 A float omega runs `first_order_amplitude`, its sinc envelope included,
-in Python floats (math.sin, cmath.exp) instead of numpy, from the
-constants `coupling_table` resolves once per table (`fiber._resolve`), in
-one loop over the four pair entries.  These tests pin that path to
-element 0 of the same call on a one-point array, whose phase rate comes
-from `Coupling.rate`, bit for bit, and the filtered pair state built from it,
+in Python floats (math.sin, cmath.exp) instead of numpy, in one loop over
+the four pair entries, which `coupling_table` resolves against the fiber
+once per table and caches with it as plain tuples.  These tests pin that
+path to element 0 of the same call on a one-point array, whose phase rate
+comes from `Coupling.rate`, bit for bit, and the filtered pair state built from it,
 with its `classify` phase, to the same built from array-path amplitudes;
 the state and the HB/LB fluxes must read the four amplitudes of
 `hb.pair_amplitudes`, the fluxes through `fiber.pair_fluxes` with |xi|^2
@@ -85,18 +85,13 @@ def _draw(rng: np.random.Generator, index: int):
 def _near_matched(entry, fiber, omega: float, rng: np.random.Generator):
     """The entry with its Kerr term set so that R(omega) is 0 or tiny.
 
-    k = -(s*delta_beta1*omega + t*beta2*omega^2) makes the rate exactly
-    -0.0; adding a small offset puts |u| = |R| L/2 below 1e-8, where sin(u)
+    k = -(a*omega + b*omega^2) with e = 0 makes the rate exactly -0.0;
+    adding a small offset puts |u| = |R| L/2 below 1e-8, where sin(u)
     rounds to u and sin(u)/u is exactly 1.0 on both paths.
     """
-    dispersive = []
-    if entry.s:
-        dispersive.append(entry.s * fiber.delta_beta1 * omega)
-    if entry.t:
-        dispersive.append(entry.t * fiber.beta2 * (omega * omega))
-    phase = dispersive[0] if len(dispersive) == 1 else dispersive[0] + dispersive[1]
+    phase = entry.a * omega + entry.b * (omega * omega)
     offset = 0.0 if rng.random() < 0.5 else rng.uniform(-1e-9, 1e-9) / fiber.length
-    return entry._replace(k=-phase + offset, d=0.0)
+    return entry._replace(k=-phase + offset, e=0.0)
 
 
 def test_scalar_amplitude_is_array_element_bit_for_bit():
@@ -108,7 +103,7 @@ def test_scalar_amplitude_is_array_element_bit_for_bit():
         if index % 4 == 1:
             entries = [_near_matched(entry, fiber, omega, rng) for entry in entries]
         for entry in entries:
-            u = entry.rate(fiber, omega) * (0.5 * fiber.length)
+            u = entry.rate(omega) * (0.5 * fiber.length)
             tiny_hits += abs(u) < 1e-8
             zero_hits += u == 0.0
             scalar = first_order_amplitude(entry, fiber, omega)
@@ -120,28 +115,64 @@ def test_scalar_amplitude_is_array_element_bit_for_bit():
     assert tiny_hits > 500 and zero_hits > 250  # |u| < 1e-8 and u = 0 ran
 
 
+def _paper_rate_terms(fiber, pump, regime):
+    """{key: (s, t, k, d)} of every table entry, from the fiber and pump fields.
+
+    R = -(s*delta_beta1*Omega + t*beta2*Omega^2 + k + d*delta_beta0): the
+    scalar channels t = 1 with k = 2 gamma P, the vector channels s = +-1
+    and t = 1 with k = gamma P0, the HB conversion entries s = 1 with
+    k = +-gamma (P0x - P0y), and in LB the orthogonal channel k =
+    -(2/3) gamma P with d = -2 for an x pump and +2 for a y pump.
+    """
+    g, px, py = fiber.gamma, pump.p0x, pump.p0y
+    if regime == "LB":
+        on_y = py != 0
+        p = py if on_y else px
+        pumped, other = ((2, 3), (0, 1)) if on_y else ((0, 1), (2, 3))
+        return {
+            pumped: (0.0, 1.0, 2.0 * g * p, 0.0),
+            other: (0.0, 1.0, -(2.0 / 3.0) * g * p, 2.0 if on_y else -2.0),
+        }
+    return {
+        (0, 1): (0.0, 1.0, 2.0 * g * px, 0.0),
+        (2, 3): (0.0, 1.0, 2.0 * g * py, 0.0),
+        (0, 3): (1.0, 1.0, g * (px + py), 0.0),
+        (2, 1): (-1.0, 1.0, g * (px + py), 0.0),
+        (0, 2): (1.0, 0.0, g * (px - py), 0.0),
+        (1, 3): (1.0, 0.0, g * (py - px), 0.0),
+    }
+
+
 def test_rate_adds_its_terms_left_to_right():
     # Float and array omega share one body, so the test above cannot see a
-    # reordered sum; pin both to the written-out formula added term by term.
-    # Entries with s = t = 0, with and without d, have no table slot today;
-    # an array omega still gives an array of its shape.
+    # reordered sum; pin both to the paper's rate of each entry, written out
+    # from the fiber and pump fields and added term by term, so a table
+    # built with a wrong or merged a, b, k or e fails here too.  Entries
+    # with a = b = 0, with and without e, have no table slot today; an
+    # array omega still gives an array of its shape.
     rng = np.random.default_rng(5)
     for index in range(N_SETS):
         fiber, pump, regime, omega = _draw(rng, index)
-        constant = [Coupling(1.0, 0.0, s=0.0, t=0.0, k=rng.normal(), d=d) for d in (0.0, -2.0)]
-        for entry in [*coupling_table(fiber, pump, regime).values(), *constant]:
-            terms = [entry.s * fiber.delta_beta1 * omega] if entry.s else []
-            if entry.t:
-                terms.append(entry.t * fiber.beta2 * (omega * omega))
-            terms.append(entry.k)
-            if entry.d:
-                terms.append(entry.d * fiber.delta_beta0)
+        table = coupling_table(fiber, pump, regime)
+        expected_terms = _paper_rate_terms(fiber, pump, regime)
+        assert sorted(table) == sorted(expected_terms)
+        cases = [(table[key], terms) for key, terms in expected_terms.items()]
+        for d in (0.0, -2.0):
+            k = rng.normal()
+            cases.append((Coupling(1.0, 0.0, 0.0, 0.0, k, d * fiber.delta_beta0), (0.0, 0.0, k, d)))
+        for entry, (s, t, k, d) in cases:
+            terms = [s * fiber.delta_beta1 * omega] if s else []
+            if t:
+                terms.append(t * fiber.beta2 * (omega * omega))
+            terms.append(k)
+            if d:
+                terms.append(d * fiber.delta_beta0)
             expected = terms[0]
             for term in terms[1:]:
                 expected = expected + term
-            assert entry.rate(fiber, omega).hex() == (-expected).hex()
-            assert entry.rate(fiber, np.array([omega]))[0].hex() == (-expected).hex()
-            assert entry.rate(fiber, np.full((2, 3), omega)).shape == (2, 3)
+            assert entry.rate(omega).hex() == (-expected).hex()
+            assert entry.rate(np.array([omega]))[0].hex() == (-expected).hex()
+            assert entry.rate(np.full((2, 3), omega)).shape == (2, 3)
 
 
 def test_filtered_state_matches_array_path_bit_for_bit():
@@ -255,7 +286,7 @@ def test_one_loop_amplitudes_are_array_entries_bit_for_bit(monkeypatch):
                 expected.append(_hexes(0.0))
                 hits["absent"] += 1
                 continue
-            u = table[key].rate(fiber, omega) * (0.5 * fiber.length)
+            u = table[key].rate(omega) * (0.5 * fiber.length)
             hits["zero"] += u == 0.0
             hits["tiny"] += 0.0 < abs(u) < 1e-8
             hits["nan"] += not math.isfinite(u)
@@ -277,7 +308,7 @@ def test_scalar_sinc_is_nan_for_non_finite_argument(u):
     # argument: NaN on the float path, where math.sin and cmath.exp raise,
     # as on the array path.
     fiber = FiberParams(gamma=1.0, beta2=1.0, length=2.0)
-    entry = Coupling(1.0, 0.0, s=0.0, t=0.0, k=-u)
+    entry = Coupling(1.0, 0.0, a=0.0, b=0.0, k=-u)
     assert cmath.isnan(first_order_amplitude(entry, fiber, 0.0))
     with np.errstate(invalid="ignore"):
         assert cmath.isnan(first_order_amplitude(entry, fiber, np.array([0.0]))[0])
