@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .errors import (
     EmptyState, NumericalFailure, PumpNotOnAxis, StimulatedOrderingWarning, finite, real,
 )
-from .fiber import Channel, FiberParams, PumpConfig, _as_one_omega
+from .fiber import Channel, FiberParams, PumpConfig
 from .hb import pair_amplitudes, total_scatter_probability, xi_hb
 
 #: Minimum concurrence for calling a two-scalar-coefficient state bell-like.
@@ -216,17 +216,20 @@ def second_order_quantities(
     pair probability P_T.  Emits StimulatedOrderingWarning when the
     stimulated term outweighs the independent-pair term (d > P_T), since the
     perturbative ordering is then violated; an inf or NaN n_mode raises
-    NumericalFailure, and a duration that is not a finite real > 0, or an
-    omega that is not one real number, ValueError.
+    NumericalFailure.  omega and duration are read by `errors.real`, so an
+    omega that is not one finite real (inf, NaN and an int beyond double
+    range included) or a duration that is not a finite real > 0 raises
+    ValueError.
     """
     if pump.p0y != 0:
         raise PumpNotOnAxis(
             f"second-order count requires scalar pumping, got p0y = {pump.p0y}"
         )
+    omega = real(omega, "omega")
     if not (duration := real(duration, "duration")) > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     p_any_pair = total_scatter_probability(fiber, pump, duration, mode="analytic")
-    amplitude = abs(xi_hb(fiber, pump, Channel.XX, _as_one_omega(omega)))
+    amplitude = abs(xi_hb(fiber, pump, Channel.XX, omega))
     occupancy = amplitude * amplitude / duration
     if occupancy > p_any_pair:
         warnings.warn(

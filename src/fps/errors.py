@@ -1,13 +1,15 @@
 """Exceptions and warnings shared across the package, and the rules for numbers.
 
 `real` and `count` are the one input rule of the library: every raw real a
-caller passes (container fields, powers, gamma, lengths, durations) goes
-through `real`, and every step or point count through `count`, so a bool,
-a string, inf, NaN, an int beyond double range or a negative power is a
-`ValueError` that names the input.  A detuning omega is the exception: it
-may be an array, so `fiber._as_omega` converts it, raising the same
-`ValueError` for one that is not a number but turning one beyond double
-range into NaN or `NumericalFailure`.
+caller passes (container fields, powers, gamma, lengths, durations, and
+the one omega of `filtered_state`, `mi_asymptotic_flux` and
+`second_order_quantities`) goes through `real`, and every step or point
+count through `count`, so a bool, a string, inf, NaN, an int beyond double
+range or a negative power is a `ValueError` that names the input.  Callers
+compute from the float `real` returns, never from the raw argument.  An
+omega that may be an array is the exception: `fiber._as_omega` converts
+it, raising the same `ValueError` for one that is not a number but turning
+one beyond double range into NaN or `NumericalFailure`.
 
 `finite` is the one finiteness check of results: the estimators, the raw
 spectra (first-order and exact fluxes, the closed forms, the MI

@@ -220,18 +220,6 @@ def _as_omega(omega):
         raise ValueError(f"omega must be a real number, got {omega!r}") from None
 
 
-def _as_one_omega(omega) -> float:
-    """One detuning as a Python float, by `_as_omega`'s rules.
-
-    A numpy scalar or 0-d array is one number too; a sequence or an array
-    of one or more dimensions raises ValueError naming omega.
-    """
-    value = _as_omega(omega)
-    if isinstance(value, float) or value.ndim == 0:
-        return float(value)
-    raise ValueError(f"omega must be a real number, got {omega!r}")
-
-
 def lambda_param(fiber: FiberParams, power: float, omega):
     """Parametric eigenvalue lambda(Omega), principal square root.
 
@@ -262,8 +250,10 @@ def mi_gain(fiber: FiberParams, power: float, omega):
 
 
 def _mi_band_scale(fiber: FiberParams, power: float) -> float:
-    """gamma*P/|beta2| of an MI band: beta2 = 0 raises ZeroDispersion, no gain ZeroGain."""
-    power = real(power, "power", 0)
+    """gamma*P/|beta2| of an MI band: beta2 = 0 raises ZeroDispersion, no gain ZeroGain.
+
+    power is the float the caller's `errors.real` returned.
+    """
     if fiber.beta2 == 0:
         raise ZeroDispersion("MI gain band requires beta2 < 0")
     if fiber.beta2 > 0 or power == 0:
@@ -273,13 +263,15 @@ def _mi_band_scale(fiber: FiberParams, power: float) -> float:
 
 def mi_peak(fiber: FiberParams, power: float) -> tuple[float, float]:
     """(Omega_max, g_max) of the MI gain: (sqrt(2 gamma P/|beta2|), gamma P)."""
+    power = real(power, "power", 0)
     omega_max = math.sqrt(2.0 * _mi_band_scale(fiber, power))
     return finite(omega_max, NumericalFailure, "MI peak detuning"), fiber.gamma * power
 
 
 def mi_support_edge(fiber: FiberParams, power: float) -> float:
     """Edge of the gain band: gain vanishes for |Omega| >= 2 sqrt(gamma P/|beta2|)."""
-    return finite(2.0 * math.sqrt(_mi_band_scale(fiber, power)), NumericalFailure, "MI band edge")
+    scale = _mi_band_scale(fiber, real(power, "power", 0))
+    return finite(2.0 * math.sqrt(scale), NumericalFailure, "MI band edge")
 
 
 class AsymptoticFlux(NamedTuple):
@@ -290,13 +282,15 @@ class AsymptoticFlux(NamedTuple):
 def mi_asymptotic_flux(fiber: FiberParams, power: float, omega: float) -> AsymptoticFlux:
     """Large-gain asymptote (gamma^2 P^2 / 4 g^2) e^{2 g L} / 2pi.
 
-    valid is True when g(omega)*L >= 3; the value is returned regardless.  A
-    negative power, or an omega that is not one real number, raises
-    ValueError, g^2 = 0 (underflow included) ZeroGain, an inf or NaN value
+    valid is True when g(omega)*L >= 3; the value is returned regardless.
+    omega and power are read by `errors.real`, so an omega that is not one
+    finite real (inf, NaN and an int beyond double range included) or a
+    power that is not a finite real >= 0 raises ValueError; g^2 = 0
+    (underflow included) raises ZeroGain, an inf or NaN value
     NumericalFailure.
     """
-    omega = _as_one_omega(omega)
-    gain = mi_gain(fiber, power, omega)  # the power rule is _scalar_block's
+    omega, power = real(omega, "omega"), real(power, "power", 0)
+    gain = mi_gain(fiber, power, omega)
     gain_sq = gain * gain
     if gain_sq == 0:
         raise ZeroGain(f"gain^2 vanishes at omega = {omega}")

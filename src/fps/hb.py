@@ -145,8 +145,10 @@ def total_scatter_probability(
     """Total pair-scattering probability P_T over a pump of duration T ps.
 
     analytic mode evaluates the closed form
-    (2/3)*(gamma*P0x*L)^2 * sqrt(T^2/(2*pi*|beta2|*L)), which neglects the
-    nonlinear term in the sinc argument; numeric mode integrates the XX
+    (2/3)*(gamma*P0x*L)^2 * T/sqrt(2*pi*|beta2|*L), which neglects the
+    nonlinear term in the sinc argument.  T is not squared, and the root is
+    taken as sqrt(2*pi)*sqrt(|beta2|*L), which stays in double range for
+    every |beta2|*L that `_scalar_width` accepts.  numeric mode integrates the XX
     pair-probability density |xi_xx|^2/2pi (ps/rad) over Omega >= 0 by
     composite Simpson quadrature on 20001 uniform points (an even number of
     intervals) extending to five first-zero widths.  P_T
@@ -156,8 +158,10 @@ def total_scatter_probability(
     alone (p0x = 0 < p0y) raises PumpNotOnAxis instead of returning 0;
     relabel the axes with `fiber.swap_axes` first.  A duration that is not
     a finite real >= 0, or a bad mode, raises ValueError, |beta2|*L = 0
-    (underflow included; the closed form is 0 at L = 0) ZeroDispersion, and
-    an inf or NaN P_T NumericalFailure.
+    (underflow included; the closed form is 0 at L = 0) ZeroDispersion, a
+    subnormal or overflowing |beta2|*L, whose scalar width `_scalar_width`
+    rejects, ValueError in either mode, and an inf or NaN P_T
+    NumericalFailure.
     """
     duration = real(duration, "duration", 0)
     if pump.p0x == 0 < pump.p0y:
@@ -169,14 +173,15 @@ def total_scatter_probability(
     dispersion = abs(fiber.beta2) * fiber.length
     if dispersion == 0:
         raise ZeroDispersion(f"P_T ({mode}) requires |beta2|*L > 0")
+    width = _scalar_width(fiber)
     if mode == "analytic":
         gpl = fiber.gamma * pump.p0x * fiber.length
-        window = duration * duration / (2.0 * math.pi * abs(fiber.beta2) * fiber.length)
-        value = (2.0 / 3.0) * (gpl * gpl) * math.sqrt(window)
+        root = math.sqrt(2.0 * math.pi) * math.sqrt(dispersion)
+        value = (2.0 / 3.0) * (gpl * gpl) * (duration / root)
     else:
         import numpy as np
 
-        omegas = np.linspace(0.0, 5.0 * _scalar_width(fiber), 20001)
+        omegas = np.linspace(0.0, 5.0 * width, 20001)
         density = np.abs(xi_hb(fiber, pump, Channel.XX, omegas)) ** 2 / (2.0 * np.pi)
         # h/3 * (y_0 + y_N + 4 * sum(odd y) + 2 * sum(interior even y))
         weighted = (

@@ -1,6 +1,9 @@
 import cmath
+import decimal
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -291,6 +294,34 @@ def test_total_scatter_probability_rejects_bad_duration(fig1_fiber, pump_x03, mo
     rule = ">= 0" if duration < 0 else "finite"
     with pytest.raises(ValueError, match=f"^duration must be {rule}, got {duration}$"):
         total_scatter_probability(fig1_fiber, pump_x03, duration, mode=mode)
+
+
+@pytest.mark.parametrize(
+    "fiber, duration",
+    [
+        *(
+            pytest.param(FiberParams(gamma=3.0, beta2=-20.0, length=0.1), T, id=f"duration-{T}")
+            for T in (1e-170, 1e200)
+        ),
+        # 2*pi*|beta2|*L = 6.3e308 is beyond double range, P_T is not
+        pytest.param(
+            FiberParams(gamma=1e-3, beta2=1e308, length=1.0), 100.0, id="dispersion-1e308"
+        ),
+    ],
+)
+def test_analytic_pt_is_the_closed_form_wherever_that_is_in_range(fiber, duration):
+    """Analytic P_T is (2/3)*(gamma*P*L)^2 * T/sqrt(2*pi*|beta2|*L), here taken in
+    Decimal, where T^2 or 2*pi*|beta2|*L alone would leave double range.  At
+    these small gamma*P*L numeric mode agrees within 10 %."""
+    pump = PumpConfig(p0x=0.3)
+    analytic = total_scatter_probability(fiber, pump, duration)
+    with decimal.localcontext(prec=40):
+        gpl = Decimal(fiber.gamma) * Decimal(pump.p0x) * Decimal(fiber.length)
+        root = (2 * Decimal(math.pi) * Decimal(abs(fiber.beta2)) * Decimal(fiber.length)).sqrt()
+        closed_form = float(Decimal(2) / 3 * gpl * gpl * Decimal(duration) / root)
+    assert analytic == pytest.approx(closed_form, rel=1e-15, abs=0.0)
+    numeric = total_scatter_probability(fiber, pump, duration, mode="numeric")
+    assert numeric == pytest.approx(analytic, rel=0.1)
 
 
 def test_total_scatter_probability_numeric_close(fig1_fiber, pump_x03):
@@ -605,6 +636,25 @@ NAMED_INPUT_ERRORS = {
             np.array([1.0 + 1j]), [None],
         )
     },
+    # the estimators of one detuning read omega by `errors.real`, so an inf,
+    # a NaN or an int beyond double range is an input error, as in
+    # `filtered_state`
+    **{
+        f"{name}-omega-{omega!r}": (
+            lambda call=call, omega=omega: call(omega), f"omega must be finite, got {value}"
+        )
+        for name, call in {
+            "mi_asymptotic_flux": lambda omega: mi_asymptotic_flux(PLAIN, 1.0, omega),
+            "second_order_quantities": lambda omega: second_order_quantities(
+                PLAIN, PumpConfig(p0x=1.0), omega, 100.0
+            ),
+        }.items()
+        for omega, value in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"))
+    },
+    "second-order-int-omega": (
+        lambda: second_order_quantities(PLAIN, PumpConfig(p0x=1.0), BEYOND, 100.0),
+        "omega must be finite, got inf",
+    ),
     # the estimators of one detuning take no sequence or array of them
     **{
         f"{name}-omega-{omega!r}": (
@@ -733,13 +783,21 @@ NAMED_INPUT_ERRORS = {
             DegenerateBirefringence,
             id="vector-width-product-overflow",
         ),
-        pytest.param(
-            lambda: total_scatter_probability(
-                FiberParams(gamma=3.0, beta2=1e300, length=1e10), PumpConfig(p0x=1.0), 100.0,
-                mode="numeric",
-            ),
-            ValueError,
-            id="numeric-pt-width-overflow",
+        # Both P_T modes check |beta2|*L by `_scalar_width`: an overflowing
+        # or subnormal one is the same input error in either mode.
+        *(
+            pytest.param(
+                lambda fiber=fiber, mode=mode: total_scatter_probability(
+                    fiber, PumpConfig(p0x=1.0), 100.0, mode=mode
+                ),
+                (ValueError, f"^scalar width at \\|beta2\\|\\*L = {dispersion} is not finite"),
+                id=f"{mode}-pt-{kind}",
+            )
+            for kind, fiber, dispersion in (
+                ("width-overflow", FiberParams(gamma=3.0, beta2=1e300, length=1e10), "inf"),
+                ("subnormal-dispersion", SUBNORMAL_DISPERSION, "1e-320"),
+            )
+            for mode in ("analytic", "numeric")
         ),
         pytest.param(
             lambda: lb_peak_and_width(
@@ -757,9 +815,10 @@ NAMED_INPUT_ERRORS = {
             DegenerateBirefringence,
             id="vector-width-subnormal",
         ),
+        # (2/3)*(gamma*P*L)^2 * T/sqrt(2*pi*|beta2|*L) = 1.5e311
         pytest.param(
             lambda: total_scatter_probability(
-                FiberParams(gamma=3.0, beta2=-20.0, length=0.1), PumpConfig(p0x=0.3), 1e200
+                FiberParams(gamma=3.0, beta2=-20.0, length=0.1), PumpConfig(p0x=3e6), 1e300
             ),
             NumericalFailure,
             id="analytic-pt-overflow",
@@ -883,9 +942,10 @@ NAMED_INPUT_ERRORS = {
             NumericalFailure,
             id="orthogonal-closed-form-int-omega",
         ),
+        # read by `errors.real`, as `filtered_state` reads its omega
         pytest.param(
             lambda: mi_asymptotic_flux(PLAIN, 1.0, BEYOND),
-            NumericalFailure,
+            (ValueError, "^omega must be finite, got inf$"),
             id="mi-asymptote-int-omega",
         ),
         pytest.param(
@@ -911,7 +971,8 @@ def test_degenerate_and_overflowing_inputs_raise_domain_errors(call, error):
 
 
 def test_one_detuning_inputs_read_a_numpy_scalar_and_a_channel_value(fig1_fiber, pump_x03):
-    """A numpy scalar or 0-d array is one detuning, a Channel's value its member."""
+    """A numpy scalar or 0-d array is one detuning, a Channel's value its member,
+    and the MI estimators compute from the float their power converts to."""
     anomalous = FiberParams(gamma=3.0, beta2=-20.0, length=1.0)
     for omega in (np.float64(0.25), np.float32(0.25), np.int64(0), np.array(0.25)):
         expected = second_order_quantities(fig1_fiber, pump_x03, float(omega), 100.0)
@@ -920,6 +981,12 @@ def test_one_detuning_inputs_read_a_numpy_scalar_and_a_channel_value(fig1_fiber,
         if omega:
             asymptote = mi_asymptotic_flux(anomalous, 0.3, omega)
             assert asymptote == mi_asymptotic_flux(anomalous, 0.3, float(omega))
+    for power in (np.float32(0.3), Decimal("0.3"), Fraction(3, 10)):
+        peak = mi_peak(fig1_fiber, power)
+        assert peak == mi_peak(fig1_fiber, float(power))
+        asymptote = mi_asymptotic_flux(fig1_fiber, power, 0.3)
+        assert asymptote == mi_asymptotic_flux(fig1_fiber, float(power), 0.3)
+        assert [type(value) for value in (*peak, asymptote.value)] == [float, float, float]
     for channel in Channel:
         assert xi_hb(fig1_fiber, pump_x03, channel.value, 0.25) == xi_hb(
             fig1_fiber, pump_x03, channel, 0.25
