@@ -146,13 +146,14 @@ def total_scatter_probability(
 
     analytic mode evaluates the closed form
     (2/3)*(gamma*P0x*L)^2 * T/sqrt(2*pi*|beta2|*L), which neglects the
-    nonlinear term in the sinc argument.  T is not squared, and the root is
-    taken as sqrt(2*pi)*sqrt(|beta2|*L), which stays in double range for
-    every |beta2|*L that `_scalar_width` accepts.  numeric mode integrates the XX
-    pair-probability density |xi_xx|^2/2pi (ps/rad) over Omega >= 0 by
-    composite Simpson quadrature on 20001 uniform points (an even number of
-    intervals) extending to five first-zero widths.  P_T
-    must stay well below 1 for first-order perturbation theory to hold.
+    nonlinear term in the sinc argument.  T enters to the first power and
+    the root is taken as sqrt(2*pi)*sqrt(|beta2|*L), so neither leaves
+    double range for a T or an |beta2|*L that the next paragraph accepts.
+    numeric mode integrates the XX pair-probability density |xi_xx|^2/2pi
+    (ps/rad) over Omega >= 0 by composite Simpson quadrature on 20001
+    uniform points (an even number of intervals) extending to five
+    first-zero widths.  P_T must stay well below 1 for first-order
+    perturbation theory to hold.
 
     Both modes count the x-pumped scalar channel only, so a pump on y
     alone (p0x = 0 < p0y) raises PumpNotOnAxis instead of returning 0;

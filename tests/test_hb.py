@@ -315,7 +315,8 @@ def test_analytic_pt_is_the_closed_form_wherever_that_is_in_range(fiber, duratio
     these small gamma*P*L numeric mode agrees within 10 %."""
     pump = PumpConfig(p0x=0.3)
     analytic = total_scatter_probability(fiber, pump, duration)
-    with decimal.localcontext(prec=40):
+    with decimal.localcontext() as context:  # localcontext(prec=...) needs Python 3.11
+        context.prec = 40
         gpl = Decimal(fiber.gamma) * Decimal(pump.p0x) * Decimal(fiber.length)
         root = (2 * Decimal(math.pi) * Decimal(abs(fiber.beta2)) * Decimal(fiber.length)).sqrt()
         closed_form = float(Decimal(2) / 3 * gpl * gpl * Decimal(duration) / root)
