@@ -4,12 +4,13 @@
 caller passes (container fields, powers, gamma, lengths, durations, and
 the one omega of `filtered_state`, `mi_asymptotic_flux` and
 `second_order_quantities`) goes through `real`, and every step or point
-count through `count`, so a bool, a string, inf, NaN, an int beyond double
-range or a negative power is a `ValueError` that names the input.  Callers
-compute from the float `real` returns, never from the raw argument.  An
-omega that may be an array is the exception: `fiber._as_omega` converts
-it, raising the same `ValueError` for one that is not a number but turning
-one beyond double range into NaN or `NumericalFailure`.
+count through `count`, so a bool, a string, a complex, an array, inf, NaN,
+an int beyond double range or a negative power is a `ValueError` that
+names the input.  Callers compute from the float `real` returns, never
+from the raw argument.  An omega that may be an array is the exception:
+`fiber._as_omega` converts it, raising the same `ValueError` for one that
+is not a number but turning one beyond double range into NaN or
+`NumericalFailure`.
 
 `finite` is the one finiteness check of results: the estimators, the raw
 spectra (first-order and exact fluxes, the closed forms, the MI
@@ -90,16 +91,18 @@ def finite(value, error: type[Exception], what: str):
 def real(value, name: str = "value", minimum: float | None = None) -> float:
     """`value` as a finite float, or ValueError naming it `name`.
 
-    A bool (numpy's included: any value whose dtype kind is "b"), a string
-    or anything else without __float__ or __index__ (complex included) is
-    not a real number; inf, NaN and an int beyond double range (reported as
-    +-inf) are not finite; a value below `minimum`, where one is given, is
-    rejected too.
+    A bool, a string or anything else without __float__ or __index__
+    (complex included) is not a real number, and neither is a numpy value
+    whose dtype is not an int or float one (bool, complex, string, object)
+    or that has a dimension, whatever numpy's own conversion would make of
+    it; inf, NaN and an int beyond double range (reported as +-inf) are not
+    finite; a value below `minimum`, where one is given, is rejected too.
     """
     if type(value) is float and math.isfinite(value) and (minimum is None or value >= minimum):
         return value  # the common case, which needs no conversion
     try:
-        if isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b":
+        has_dtype = hasattr(value, "dtype")  # a numpy scalar or array
+        if isinstance(value, bool) or has_dtype and (value.dtype.kind not in "iuf" or value.ndim):
             raise TypeError
         number = math.ldexp(value, 0)  # float(value), but never parsed from text
     except TypeError:

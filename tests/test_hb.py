@@ -556,6 +556,14 @@ PLAIN = FiberParams(gamma=1.0, beta2=1.0, length=1.0)
 #: A Python int beyond double range, which `errors.real` reports as inf.
 BEYOND = 10**400
 
+
+class SizeOneArray(np.ndarray):
+    """An array that converts to a float when it holds one entry, as numpy
+    before 2.4 let any array do, whatever its number of dimensions."""
+
+    def __float__(self):
+        return float(self.item())
+
 #: Raw inputs that must raise a ValueError naming them: id -> (call, message).
 NAMED_INPUT_ERRORS = {
     "fiber-field-beyond-range": (
@@ -611,7 +619,8 @@ NAMED_INPUT_ERRORS = {
     "xpm-phase-string-power": (
         lambda: cpm_phase(1.0, "a", 1.0, 1.0), "p_same must be a real number, got 'a'"
     ),
-    # every omega entry point converts through `fiber._as_omega`
+    # every omega entry point rejects what is not a real number, whether
+    # `fiber._as_omega` or `errors.real` reads it
     **{
         f"{name}-omega-{omega!r}": (
             lambda call=call, omega=omega: call(omega),
@@ -629,12 +638,15 @@ NAMED_INPUT_ERRORS = {
             "second_order_quantities": lambda omega: second_order_quantities(
                 PLAIN, PumpConfig(p0x=1.0), omega, 100.0
             ),
+            "filtered_state": lambda omega: filtered_state(
+                PLAIN, PumpConfig(p0x=1.0), "HB", omega, 100.0
+            ),
         }.items()
         # numpy alone would read "1.5" as 1.5, True as 1 and None as NaN,
         # and drop an imaginary part with a ComplexWarning
         for omega in (
             "a", None, 1j, True, ["1.5"], np.array(["1.5"]), [True], np.True_,
-            np.array([1.0 + 1j]), [None],
+            np.array([1.0 + 1j]), [None], np.complex128(1 + 1j), np.array("1.5"),
         )
     },
     # the estimators of one detuning read omega by `errors.real`, so an inf,
@@ -656,7 +668,8 @@ NAMED_INPUT_ERRORS = {
         lambda: second_order_quantities(PLAIN, PumpConfig(p0x=1.0), BEYOND, 100.0),
         "omega must be finite, got inf",
     ),
-    # the estimators of one detuning take no sequence or array of them
+    # the estimators of one detuning take no sequence or array of them,
+    # whatever numpy's own conversion of a size-1 array would give
     **{
         f"{name}-omega-{omega!r}": (
             lambda call=call, omega=omega: call(omega),
@@ -667,8 +680,14 @@ NAMED_INPUT_ERRORS = {
             "second_order_quantities": lambda omega: second_order_quantities(
                 PLAIN, PumpConfig(p0x=1.0), omega, 100.0
             ),
+            "filtered_state": lambda omega: filtered_state(
+                PLAIN, PumpConfig(p0x=1.0), "HB", omega, 100.0
+            ),
         }.items()
-        for omega in ([1.0], (1.0,), np.array([1.0]), np.array([1.0, 2.0]))
+        for omega in (
+            [1.0], (1.0,), np.array([1.0]), np.array([1.0, 2.0]),
+            np.array([1.0]).view(SizeOneArray),
+        )
     },
     # a numpy bool is no real number either, as Python's is not
     **{
