@@ -113,10 +113,11 @@ class FrequencyGrid:
         object.__setattr__(self, "omega_min", real(self.omega_min, "omega_min"))
         object.__setattr__(self, "omega_max", real(self.omega_max, "omega_max"))
         object.__setattr__(self, "n_points", count(self.n_points, "n_points", 2))
+        bounds = f"[{self.omega_min}, {self.omega_max}]"
         if not self.omega_min < self.omega_max:
-            raise ValueError(
-                f"omega_min must be < omega_max, got [{self.omega_min}, {self.omega_max}]"
-            )
+            raise ValueError(f"omega_min must be < omega_max, got {bounds}")
+        if self.omega_max - self.omega_min == math.inf:  # 0*inf would make a point NaN
+            raise ValueError(f"omega_max - omega_min must be finite, got {bounds}")
 
     @property
     def omegas(self):
@@ -188,35 +189,31 @@ def _scalar_block(fiber: FiberParams, power: float, omega):
 
 
 def _as_omega(omega):
-    """omega as a Python float, NaN for an int beyond double range, or else as a float array.
+    """omega as a Python float if it is one number, else as a float array.
 
-    None, a bool, a string, a complex, or an array or sequence holding one
-    (which numpy alone would read as 1.5 for "1.5", 1 for True or NaN for
-    None, or drop the imaginary part of) raises ValueError naming omega; a
-    sequence holding an int beyond double range raises NumericalFailure.
+    One number is anything that is neither a list nor a tuple and has no
+    dimension (a Python or numpy int or float, a 0-d array, a Decimal, a
+    Fraction), and `errors.real` reads it.  A sequence or an array of finite ints or floats
+    is accepted by one np.isfinite pass; any other is read entry by entry
+    by `real`, so an inf, a NaN or an int beyond double range raises
+    ValueError (omega must be finite), and None, a bool, a string or a
+    complex (which numpy alone would read as NaN, 1 or 1.5, or drop the
+    imaginary part of) raises ValueError naming the whole omega.
     """
-    if type(omega) is float:
-        return omega
-    if isinstance(omega, (int, float)) and not isinstance(omega, bool):
-        try:
-            return float(omega)
-        except OverflowError:
-            return math.nan
-    import numbers
-
+    if not isinstance(omega, (list, tuple)) and not getattr(omega, "ndim", 0):
+        return real(omega, "omega")
     import numpy as np
 
     try:
         array = np.asarray(omega)
-        # Object entries are Python ints beyond int64, or not numbers at all.
-        if array.dtype.kind not in "iufO" or (array.dtype.kind == "O" and not all(
-            isinstance(entry, numbers.Real) and not isinstance(entry, bool) for entry in array.flat
-        )):
+        if array.dtype.kind in "iuf" and np.isfinite(array).all():
+            return np.asarray(array, dtype=float)
+        if array.dtype.kind not in "fO":  # bool, complex or text: no entry is a number
             raise TypeError
-        return np.asarray(array, dtype=float)
-    except OverflowError:
-        raise NumericalFailure("omega holds an int beyond double range") from None
-    except (TypeError, ValueError):
+        return np.array([real(entry, "omega") for entry in array.flat]).reshape(array.shape)
+    except (TypeError, ValueError) as error:
+        if str(error).startswith("omega must be finite"):  # `real` on a number entry
+            raise
         raise ValueError(f"omega must be a real number, got {omega!r}") from None
 
 
@@ -227,11 +224,10 @@ def lambda_param(fiber: FiberParams, power: float, omega):
     inside the phase-matched band of an anomalous-dispersion fiber, purely
     imaginary (oscillation) outside and for normal dispersion.
 
-    A Python int or float omega (numpy's float64 included) runs in Python
-    floats (cmath.sqrt) and returns a complex bit-identical to the array
-    path.  Any other omega is converted to a float array once and runs in
-    numpy, returning complex of its shape.  A lambda that is inf or NaN,
-    as for an int omega beyond double range, raises NumericalFailure.
+    omega is read by `_as_omega`.  One number runs in Python floats
+    (cmath.sqrt) and returns a complex bit-identical to the array path; a
+    sequence or an array runs in numpy, returning complex of its shape.  A
+    lambda that is inf or NaN raises NumericalFailure.
     """
     omega = _as_omega(omega)
     gp, rate = _scalar_block(fiber, power, omega)
@@ -240,7 +236,7 @@ def lambda_param(fiber: FiberParams, power: float, omega):
     import numpy as np
 
     lam = np.sqrt((gp * gp - rate * rate / 4.0).astype(complex))
-    return finite(complex(lam) if lam.ndim == 0 else lam, NumericalFailure, "lambda")
+    return finite(lam, NumericalFailure, "lambda")
 
 
 def mi_gain(fiber: FiberParams, power: float, omega):

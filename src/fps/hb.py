@@ -21,7 +21,6 @@ from .errors import (
     finite, real,
 )
 from .fiber import (
-    _PAIR_ENTRIES,
     Channel,
     Coupling,
     FiberParams,
@@ -37,39 +36,33 @@ def first_order_amplitude(entry: Coupling, fiber: FiberParams, omega):
     """First Magnus term of one generator entry over the fiber length.
 
     xi = integral_0^L C exp(i R z) dz = i*c*L*exp(i*(theta + R*L/2))*sinc(R*L/2),
-    with sinc(u) = sin(u)/u and sinc(0) = 1.  No series is needed near
-    phase matching: below |u| = 1e-8, sin(u) rounds to u, so sin(u)/u is
-    exactly 1.0, as 1 - u^2/6 would be.  For a pair entry this is the
+    with sinc(u) = sin(u)/u and sinc(0) = 1.  For a pair entry this is the
     two-photon amplitude of its channel, the first-order part of the same
-    entry of the transfer matrix.
-
-    omega is what `fiber._as_omega` makes of a raw one, which the callers
-    convert once.  A Python float (numpy's float64 included) runs in Python
-    floats end to end (math.sin, cmath.exp) and returns a complex
-    bit-identical to the array path, or NaN when u is not finite, where
-    math.sin and cmath.exp raise (as for the NaN of an int omega beyond
-    double range).  A float array runs in numpy, returning complex of its
-    shape.  A NaN amplitude is rejected where it is used:
-    `fiber.pair_fluxes`, `filtered_state` and P_T raise NumericalFailure.
+    entry of the transfer matrix.  omega is a float or a float array, as
+    `fiber._as_omega` makes it; `_amplitudes` computes it.
     """
-    if isinstance(omega, float):
-        return _amplitudes(((1j * (entry.c * fiber.length), *entry),), fiber.length, omega)[0]
-    import numpy as np
-
-    u = entry.rate(omega) * (0.5 * fiber.length)
-    envelope = np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0)
-    return 1j * (entry.c * fiber.length) * np.exp(1j * (entry.theta + u)) * envelope
+    return _amplitudes(((1j * (entry.c * fiber.length), *entry),), fiber.length, omega)[0]
 
 
-def _amplitudes(pairs, length: float, omega: float) -> list:
-    """The float path of `first_order_amplitude` for each entry in pairs, over length.
+def _amplitudes(pairs, length: float, omega) -> list:
+    """`first_order_amplitude` of each entry in pairs over length, at one omega.
 
     Each entry is the plain tuple (1j*(c*L), *coupling) that `coupling_table`
     caches with a table, or None for one the table lacks, which gives 0.0.
-    One loop with no call per entry, so that a detuning sweep pays for its
-    amplitudes little more than their arithmetic; u is `Coupling.rate`
-    times L/2, summed in its order, so with its bits.
+    u = -(a*Omega + b*Omega^2 + k + e)*L/2 is formed once per entry, summed
+    in `Coupling.rate`'s order, for a float omega and a float array alike;
+    the omega type, tested once, picks the sinc and the phase factor:
+    math.sin and cmath.exp with no call per entry, so that a detuning sweep
+    pays little more than the arithmetic, or numpy in the same order of
+    operations, with the same bits.  No series is needed near phase
+    matching: below |u| = 1e-8, sin(u) rounds to u, so sin(u)/u is exactly
+    1.0, and u = 0 is the one special value.  A u that is not finite gives
+    a NaN amplitude on both, which `fiber.pair_fluxes`, `filtered_state`
+    and P_T reject as NumericalFailure.
     """
+    array = not isinstance(omega, float)
+    if array:
+        import numpy as np
     squared = omega * omega
     half = 0.5 * length
     amplitudes = []
@@ -79,7 +72,10 @@ def _amplitudes(pairs, length: float, omega: float) -> list:
             continue
         prefactor, _, theta, a, b, k, e = pair
         u = -(a * omega + b * squared + k + e) * half
-        if math.isfinite(u):
+        if array:
+            sinc = np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0)
+            amplitudes.append(prefactor * np.exp(1j * (theta + u)) * sinc)
+        elif math.isfinite(u):
             amplitudes.append(
                 prefactor * cmath.exp(1j * (theta + u)) * (math.sin(u) / u if u else 1.0)
             )
@@ -104,19 +100,11 @@ def pair_amplitudes(fiber: FiberParams, pump: PumpConfig, regime: str, omega) ->
     """The pair amplitudes [xi_xx, xi_yy, xi_xy, xi_yx] at omega, in `Channel` order.
 
     Each is the first-order amplitude of its entry in the regime's coupling
-    table; an entry the table lacks (the LB vector channels) is 0.0.  A
-    float omega runs the four in one loop over the constants the table
-    cached when it was built, with the bits of the array path.
+    table, computed by `_amplitudes` from the constants the table cached
+    when it was built; an entry the table lacks (the LB vector channels)
+    is 0.0.  omega is read once by `fiber._as_omega`.
     """
-    cached = _cached_table(fiber, pump, regime)
-    omega = _as_omega(omega)
-    if isinstance(omega, float):
-        return _amplitudes(cached[4], fiber.length, omega)
-    table = cached[3]
-    return [
-        first_order_amplitude(table[entry], fiber, omega) if entry in table else 0.0
-        for entry in _PAIR_ENTRIES
-    ]
+    return _amplitudes(_cached_table(fiber, pump, regime)[4], fiber.length, _as_omega(omega))
 
 
 def flux_hb(fiber: FiberParams, pump: PumpConfig, omega):
@@ -146,13 +134,13 @@ def total_scatter_probability(
 
     analytic mode evaluates the closed form
     (2/3)*(gamma*P0x*L)^2 * T/sqrt(2*pi*|beta2|*L), which neglects the
-    nonlinear term in the sinc argument.  T enters to the first power and
-    the root is taken as sqrt(2*pi)*sqrt(|beta2|*L), so neither leaves
-    double range for a T or an |beta2|*L that the next paragraph accepts.
-    numeric mode integrates the XX pair-probability density |xi_xx|^2/2pi
-    (ps/rad) over Omega >= 0 by composite Simpson quadrature on 20001
-    uniform points (an even number of intervals) extending to five
-    first-zero widths.  P_T must stay well below 1 for first-order
+    nonlinear term in the sinc argument.  The root is taken as
+    sqrt(2*pi)*sqrt(|beta2|*L) and the product on the factors' mantissas,
+    so it raises only where P_T itself leaves double range.  numeric mode
+    integrates the XX pair-probability density |xi_xx|^2/2pi (ps/rad) over
+    Omega >= 0 by composite Simpson quadrature on 20001 uniform points (an
+    even number of intervals) extending to five first-zero widths.  Both
+    return a Python float.  P_T must stay well below 1 for first-order
     perturbation theory to hold.
 
     Both modes count the x-pumped scalar channel only, so a pump on y
@@ -176,9 +164,20 @@ def total_scatter_probability(
         raise ZeroDispersion(f"P_T ({mode}) requires |beta2|*L > 0")
     width = _scalar_width(fiber)
     if mode == "analytic":
-        gpl = fiber.gamma * pump.p0x * fiber.length
         root = math.sqrt(2.0 * math.pi) * math.sqrt(dispersion)
-        value = (2.0 / 3.0) * (gpl * gpl) * (duration / root)
+        # The product runs on the mantissas in [0.5, 1), the powers of two
+        # summed apart: no factor leaves double range where P_T does not, and
+        # the roundings are the plain product's wherever that stays normal.
+        (g, g_exp), (p, p_exp), (l, l_exp), (t, t_exp), (r, r_exp) = map(
+            math.frexp, (fiber.gamma, pump.p0x, fiber.length, duration, root)
+        )
+        gpl = g * p * l
+        try:
+            value = math.ldexp(
+                (2.0 / 3.0) * (gpl * gpl) * (t / r), 2 * (g_exp + p_exp + l_exp) + t_exp - r_exp
+            )
+        except OverflowError:
+            value = math.inf
     else:
         import numpy as np
 
@@ -188,7 +187,7 @@ def total_scatter_probability(
         weighted = (
             density[0] + density[-1] + 4.0 * density[1::2].sum() + 2.0 * density[2:-1:2].sum()
         )
-        value = duration * (omegas[1] - omegas[0]) / 3.0 * weighted
+        value = float(duration * (omegas[1] - omegas[0]) / 3.0 * weighted)
     return finite(value, NumericalFailure, f"P_T ({mode})")
 
 

@@ -670,25 +670,29 @@ def test_closed_forms_overflow_to_nan_not_overflow_error():
     # (gamma*P)^2 is beyond double range.  Squared as x*x it overflows to inf,
     # where a Python-float x**2 raises a bare OverflowError, and the NaN
     # flux or eigenvalue raises NumericalFailure, as the first-order fluxes
-    # do.  So does a Python int omega beyond double range in either closed
-    # form, where float() raises OverflowError.
+    # do.  A Python int omega beyond double range in either closed form is
+    # an input error, read by `errors.real` as inf, not an OverflowError.
     fiber = FiberParams(gamma=1e200, beta2=-1.0, length=1.0)
     plain = FiberParams(gamma=1.0, beta2=1.0, length=1.0)
     calls = {
-        "closed-form flux is not finite, got nan": [
+        (NumericalFailure, "closed-form flux is not finite, got nan"): [
             lambda: exact_scalar_flux(fiber, 1.0, 1.0),
-            lambda: exact_scalar_flux(plain, 1.0, 10**400),
-            lambda: exact_lb_orthogonal_flux(plain, 1.0, -(10**400)),
         ],
-        r"lambda is not finite, got \(nan\+nanj\)": [
+        (NumericalFailure, r"lambda is not finite, got \(nan\+nanj\)"): [
             lambda: lambda_param(fiber, 1.0, 1.0),
             lambda: mi_gain_curve(fiber, 1.0, FrequencyGrid(-1.0, 1.0, 4)),
         ],
+        (ValueError, "omega must be finite, got inf"): [
+            lambda: exact_scalar_flux(plain, 1.0, 10**400),
+        ],
+        (ValueError, "omega must be finite, got -inf"): [
+            lambda: exact_lb_orthogonal_flux(plain, 1.0, -(10**400)),
+        ],
     }
     with np.errstate(all="ignore"):
-        for message, group in calls.items():
+        for (error, message), group in calls.items():
             for call in group:
-                with pytest.raises(NumericalFailure, match=f"^{message}$"):
+                with pytest.raises(error, match=f"^{message}$"):
                     call()
 
 

@@ -2,6 +2,7 @@ import cmath
 import decimal
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -325,10 +326,38 @@ def test_analytic_pt_is_the_closed_form_wherever_that_is_in_range(fiber, duratio
     assert numeric == pytest.approx(analytic, rel=0.1)
 
 
+def test_analytic_pt_leaves_double_range_only_where_the_closed_form_does():
+    """(gamma*P0*L)^2 = 1e320 alone would overflow, P_T = 2.7e69 does not; over
+    seeded magnitudes from 1e-150 to 1e150 every normal P_T is within 1e-15
+    of the closed form taken in Decimal, and one beyond double range raises."""
+    huge = FiberParams(gamma=1e150, beta2=1e290, length=1e10)
+    value = total_scatter_probability(huge, PumpConfig(p0x=1.0), 1e-100)
+    assert value == pytest.approx(2.0 / 3.0 * 1e220 / math.sqrt(2.0 * math.pi * 1e300))
+    rng = np.random.default_rng(20261022)
+    normal = 0
+    with decimal.localcontext() as context:
+        context.prec = 40
+        for _ in range(2000):
+            gamma, beta2, length, power, duration = 10 ** rng.uniform(-150, 150, 5)
+            fiber = FiberParams(gamma=gamma, beta2=beta2, length=length)
+            gpl = Decimal(gamma) * Decimal(power) * Decimal(length)
+            root = (2 * Decimal(math.pi) * Decimal(beta2) * Decimal(length)).sqrt()
+            closed_form = Decimal(2) / 3 * gpl * gpl * Decimal(duration) / root
+            call = lambda: total_scatter_probability(fiber, PumpConfig(p0x=power), duration)
+            if closed_form > Decimal(sys.float_info.max):
+                with pytest.raises(NumericalFailure):
+                    call()
+            elif closed_form >= Decimal(sys.float_info.min):
+                assert call() == pytest.approx(float(closed_form), rel=1e-15, abs=0.0)
+                normal += 1
+    assert normal > 1000
+
+
 def test_total_scatter_probability_numeric_close(fig1_fiber, pump_x03):
     analytic = total_scatter_probability(fig1_fiber, pump_x03, 100.0, mode="analytic")
     numeric = total_scatter_probability(fig1_fiber, pump_x03, 100.0, mode="numeric")
     assert numeric == pytest.approx(analytic, rel=0.25)
+    assert type(analytic) is float and type(numeric) is float
 
 
 @pytest.mark.parametrize("beta2, power", [(-20.0, 0.3), (15.0, 0.15), (-139.0, 20.0)])
@@ -571,6 +600,11 @@ NAMED_INPUT_ERRORS = {
     ),
     "grid-bound-beyond-range": (
         lambda: FrequencyGrid(-1, BEYOND, 4), "omega_max must be finite, got inf"
+    ),
+    # the span overflows, where linspace's 0*inf would make a point NaN
+    "grid-span-beyond-range": (
+        lambda: FrequencyGrid(-1e308, 1e308, 2),
+        "omega_max - omega_min must be finite, got [-1e+308, 1e+308]",
     ),
     "pump-duration-beyond-range": (
         lambda: PumpConfig(p0x=1.0, duration=BEYOND), "duration must be finite, got inf"
@@ -952,17 +986,18 @@ NAMED_INPUT_ERRORS = {
             NumericalFailure,
             id="closed-form-high-gain",
         ),
+        # every omega number is read by `errors.real`, as `filtered_state`
+        # reads its omega, an entry of a sequence included
         pytest.param(
             lambda: exact_scalar_flux(PLAIN, 1.0, 10**400),
-            NumericalFailure,
+            (ValueError, "^omega must be finite, got inf$"),
             id="closed-form-int-omega",
         ),
         pytest.param(
             lambda: exact_lb_orthogonal_flux(PLAIN, 1.0, 10**400),
-            NumericalFailure,
+            (ValueError, "^omega must be finite, got inf$"),
             id="orthogonal-closed-form-int-omega",
         ),
-        # read by `errors.real`, as `filtered_state` reads its omega
         pytest.param(
             lambda: mi_asymptotic_flux(PLAIN, 1.0, BEYOND),
             (ValueError, "^omega must be finite, got inf$"),
@@ -970,7 +1005,7 @@ NAMED_INPUT_ERRORS = {
         ),
         pytest.param(
             lambda: flux_hb(PLAIN, PumpConfig(p0x=1.0, p0y=0.5), [1.0, BEYOND]),
-            (NumericalFailure, "^omega holds an int beyond double range$"),
+            (ValueError, "^omega must be finite, got inf$"),
             id="flux_hb-list-int-omega",
         ),
         *(
@@ -1011,6 +1046,55 @@ def test_one_detuning_inputs_read_a_numpy_scalar_and_a_channel_value(fig1_fiber,
         assert xi_hb(fig1_fiber, pump_x03, channel.value, 0.25) == xi_hb(
             fig1_fiber, pump_x03, channel, 0.25
         )
+
+
+#: Every entry point whose omega may be an array, as f(omega): HB with a
+#: pump on both axes, LB with a pump on x.
+ARRAY_OMEGA_CALLS = {
+    "flux_hb": lambda omega: flux_hb(_fiber(), PumpConfig(p0x=0.2, p0y=0.1), omega),
+    "flux_lb": lambda omega: flux_lb(
+        FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0),
+        PumpConfig(p0x=1.0),
+        omega,
+    ),
+    "xi_hb": lambda omega: xi_hb(_fiber(), PumpConfig(p0x=0.2, p0y=0.1), Channel.XY, omega),
+    "lambda_param": lambda omega: lambda_param(_fiber(beta2=-20.0), 0.3, omega),
+    "mi_gain": lambda omega: mi_gain(_fiber(beta2=-20.0), 0.3, omega),
+    "exact_scalar_flux": lambda omega: exact_scalar_flux(_fiber(beta2=-20.0), 0.3, omega),
+    "exact_lb_orthogonal_flux": lambda omega: exact_lb_orthogonal_flux(
+        FiberParams(gamma=3.0, beta2=5.0, length=0.15, delta_beta0=2000.0), 1.0, omega
+    ),
+    "integrate_transfer_grid": lambda omega: integrate_transfer_grid(
+        _fiber(), PumpConfig(p0x=0.2, p0y=0.1), "HB", omega
+    ),
+}
+
+
+def _typed(value):
+    """value as nested (type, bytes) pairs: equal means equal Python types and bits."""
+    if isinstance(value, tuple):
+        return tuple(map(_typed, value))
+    return type(value), np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_OMEGA_CALLS))
+def test_array_omega_entry_points_read_one_number_as_its_float(name):
+    """One number of any kind is the Python float `errors.real` makes of it,
+    with the value and the Python type of the same call at 1.0; a float inf
+    or NaN, and a sequence or an array holding one, raise the ValueError of
+    `real`."""
+    call = ARRAY_OMEGA_CALLS[name]
+    expected = _typed(call(1.0))
+    for omega in (np.float32(1.0), np.int64(1), np.array(1.0), Decimal("1"), Fraction(1)):
+        assert _typed(call(omega)) == expected, repr(omega)
+    for omega, value in (
+        (math.inf, "inf"),
+        (math.nan, "nan"),
+        ([1.0, math.inf], "inf"),
+        (np.array([1.0, math.nan]), "nan"),
+    ):
+        with pytest.raises(ValueError, match=f"^omega must be finite, got {value}$"):
+            call(omega)
 
 
 def test_underflowed_vector_width_raises_with_a_finite_scalar_width():
