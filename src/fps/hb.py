@@ -73,8 +73,11 @@ def _amplitudes(pairs, length: float, omega) -> list:
         prefactor, _, theta, a, b, k, e = pair
         u = -(a * omega + b * squared + k + e) * half
         if array:
-            sinc = np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0)
-            amplitudes.append(prefactor * np.exp(1j * (theta + u)) * sinc)
+            # one expression, so no temporary outlives its entry
+            amplitudes.append(
+                prefactor * np.exp(1j * (theta + u))
+                * np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0)
+            )
         elif math.isfinite(u):
             amplitudes.append(
                 prefactor * cmath.exp(1j * (theta + u)) * (math.sin(u) / u if u else 1.0)
